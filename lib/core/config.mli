@@ -8,7 +8,7 @@
     {[ { Config.default with compaction = Policy.tiered (); write_buffer_size = 1 lsl 20 } ]} *)
 
 type backend =
-  | Inline  (** flush/compaction run synchronously inside the triggering write *)
+  | Inline  (** a zero-width lane: flush/compaction jobs run inside the triggering write *)
   | Background
       (** flush/compaction run as jobs on the process-wide scheduler lane;
           writes return after WAL+memtable and are throttled by
@@ -65,10 +65,10 @@ type t = {
           the target and no garbage collection would fire (RocksDB's
           trivial move); pure WA reduction, ablated in the benches *)
   compaction_bytes_per_round : int option;
-      (** Luo & Carey-style throttling: cap compaction traffic triggered
-          by any single write; remaining work is deferred to later writes,
-          trading a transiently deeper tree for stable write latency.
-          [None] = drain all pending compactions immediately. *)
+      (** Luo & Carey-style throttling, at every lane width: cap the
+          compaction traffic of one round (the cascade after a flush, or
+          one resumed by a later write), trading a transiently deeper
+          tree for stable write latency. [None] = drain immediately. *)
   compaction_parallelism : int;
       (** number of worker domains for subcompactions and {!Db.multi_get}
           fan-out (>= 1). 1 (the default) keeps today's fully serial,
@@ -78,14 +78,14 @@ type t = {
           disjoint ranges compacted in parallel, RocksDB-subcompaction
           style. *)
   compaction_backend : backend;
-      (** [Inline] (default) keeps the single-writer deterministic shape
-          every cost-model experiment depends on. [Background] moves
-          flush and compaction onto the scheduler (see DESIGN.md §10):
-          logically equivalent ([Db.dump_entries] identical after
-          quiesce), but writes no longer pay for merges — they pay
-          bounded backpressure delays instead. The default flips to
-          [Background] when [LSM_COMPACTION_BACKEND=background] is in
-          the environment (CI matrix leg). *)
+      (** The width of the db's maintenance lane (DESIGN.md §10): the
+          same jobs in the same commit order at every width, so
+          [Db.dump_entries] after quiesce is identical. [Inline]
+          (default, width 0) runs them inside the triggering write, the
+          deterministic shape every cost-model experiment depends on;
+          [Background] runs them on the shared lane and writes pay
+          bounded backpressure delays instead. The default follows
+          [LSM_COMPACTION_BACKEND] in the environment (CI matrix leg). *)
   compaction_workers : int;
       (** background mode only: how many of this db's flush/compaction
           jobs may execute concurrently on the shared lane (>= 1).
@@ -94,7 +94,7 @@ type t = {
           overlap), and version edits still apply strictly in enqueue
           order through the commit sequencer, so [Db.dump_entries]
           after quiesce is identical for any worker count. 1 (the
-          default) is the PR 4 strict FIFO lane. The default follows
+          default) is a strict FIFO lane. The default follows
           [LSM_COMPACTION_WORKERS] in the environment (CI matrix
           leg). *)
   write_slowdown_trigger : int;
@@ -113,18 +113,17 @@ type t = {
   paranoid_checks : bool;
       (** verify version invariants after every flush/compaction *)
   scrub_delay : float;
-      (** rate limit for the background integrity scrubber ({!Db.scrub}):
-          seconds of deliberate idle after each table verification, so a
-          scrub pass trickles through the tree instead of monopolizing
-          the lane; 0 (the default) scrubs at full speed *)
+      (** rate limit for the integrity scrubber ({!Db.scrub}): seconds
+          of deliberate idle after each table verification, so a scrub
+          pass trickles through the tree instead of monopolizing the
+          lane; 0 (the default) scrubs at full speed *)
   scrub_interval : float;
       (** scheduled scrubbing: at most every this many seconds, a write
           that rotates the memtable also kicks off a {!Db.scrub} pass
-          (background mode enqueues per-table maintenance jobs on the
-          scheduler lane, honoring [scrub_delay]; inline mode runs a
-          synchronous {!Db.verify_integrity}), so rot is found — and,
-          with [ecc] on, healed — before a user read trips on it. 0 (the
-          default) disables scheduled scrubbing. *)
+          (per-table maintenance jobs on the scheduler lane, honoring
+          [scrub_delay]), so rot is found — and, with [ecc] on, healed —
+          before a user read trips on it. 0 (the default) disables
+          scheduled scrubbing. *)
   ecc : ecc option;
       (** read-path error correction: when set, every new table is
           written with a trailing Reed–Solomon parity section — stripes

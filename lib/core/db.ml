@@ -47,18 +47,17 @@ type t = {
           trigger and backpressure debt are O(1); same guard *)
   mutable imm_bytes : int;
       (** memtable bytes of immutable buffers not yet claimed by a
-          background flush ticket — the buffer component of the
-          byte-denominated backpressure debt (claimed buffers move into
-          the scheduler's unapplied bytes instead, so no byte is counted
-          twice); same guard *)
-  mutable bg_flush_claims : int;
-      (** immutable buffers claimed by enqueued-but-uncommitted
-          background flush tickets — always a prefix of the oldest,
-          since flush tickets enqueue and commit in rotation order;
-          same guard *)
+          flush ticket — the buffer component of the byte-denominated
+          backpressure debt (claimed buffers move into the scheduler's
+          unapplied bytes instead, so no byte is counted twice); same
+          guard *)
+  mutable flush_claims : int;
+      (** immutable buffers claimed by enqueued-but-uncommitted flush
+          tickets — always a prefix of the oldest, since flush tickets
+          enqueue and commit in rotation order; same guard *)
   mutable vers : Version.t;
-      (** the maintenance lane's working state — mutated only inline or
-          on the serialized background lane (never both concurrently) *)
+      (** the maintenance lane's working state — mutated only by the
+          lane's committer (or a foreground caller that has quiesced it) *)
   mutable read_view : Version.t * (string * string * int) list;
       (** what readers use: the installed version paired with the
           range-tombstone list rebuilt from exactly that version, swapped
@@ -101,15 +100,19 @@ type t = {
       (** guards [next_file_id] across subcompaction domains *)
   buf_mutex : Ordered_mutex.t;
       (** guards [immutables]/[imm_count]: the writer pushes on rotation,
-          the background flush job pops, readers snapshot *)
-  sched : Scheduler.t option;
-      (** [Some] iff [cfg.compaction_backend = Background] *)
+          the flush job pops, readers snapshot *)
+  sched : Scheduler.t;
+      (** the maintenance lane: zero width for [Config.Inline] (jobs run
+          on the writer), [cfg.compaction_workers] for [Background] *)
+  mutable round_start : int;
+      (** compaction bytes moved when the current budget round began;
+          flush commits write it, the pick hook reads it *)
   pins : Version.Pins.registry;
-      (** version pin registry; deletions of compacted [.sst] files are
-          deferred through it in background mode (eager inline) *)
+      (** version pin registry: readers pin, and deletions of compacted
+          [.sst] files are deferred through it *)
   health : health Atomic.t;
       (** atomic because reader domains (multi_get fan-out) and the
-          background lane both observe and flip it *)
+          maintenance lane both observe and flip it *)
   quarantined : quarantine_entry list Atomic.t;
       (** CAS-appended list of fenced-off tables; probes check it before
           touching a file so a known-bad table never serves *)
@@ -252,8 +255,8 @@ let rebuild_table_rds t =
     (Version.all_files t.vers);
   !rds
 
-(* Serialized: runs inline, or on the background lane, or on a quiesced
-   foreground — never two at once. Publishing [read_view] before
+(* Serialized: runs on the lane's committer, or during [open_db] before
+   the lane has work — never two at once. Publishing [read_view] before
    [Pins.advance] keeps pinning conservative: a pin taken between the
    two blocks deletions for the version it just read. *)
 let install_edit t edit =
@@ -423,31 +426,18 @@ let flush_commit t buffer metas =
   (match buffer.wal_name with Some n -> Device.delete t.dev n | None -> ());
   t.db_stats.Stats.flushes <- t.db_stats.Stats.flushes + 1
 
-let flush_one t buffer = flush_commit t buffer (flush_execute t buffer)
-
-(* Remove a flushed buffer from the stack. A buffer claimed by a
-   background flush ticket already left [imm_bytes] at claim time (its
-   bytes were counted as the ticket's unapplied input instead); an
-   unclaimed buffer — the inline path — leaves it here. *)
-let pop_buffer t ~claimed buffer =
+(* Remove a flushed buffer from the stack. Its flush ticket claimed it,
+   so its bytes already left [imm_bytes] at claim time (they were counted
+   as the ticket's unapplied input instead). Flush first, pop after:
+   between [install_edit] and the pop a reader may see the entries both
+   in the immutable memtable and in L0, which probe order dedupes;
+   popping first would open a window where a concurrent reader sees
+   them in neither. *)
+let pop_buffer t buffer =
   Ordered_mutex.with_lock t.buf_mutex (fun () ->
       t.immutables <- List.filter (fun b -> b != buffer) t.immutables;
       t.imm_count <- t.imm_count - 1;
-      if claimed then t.bg_flush_claims <- t.bg_flush_claims - 1
-      else t.imm_bytes <- t.imm_bytes - Memtable.footprint buffer.mt)
-
-(* Flush first, pop after: between [install_edit] and the pop a reader
-   may see the entries both in the immutable memtable and in L0, which
-   probe order dedupes; popping first would open a window where a
-   concurrent reader sees them in neither. Only the maintenance lane
-   pops, and pushes only prepend, so the oldest element is stable across
-   the unlocked read. *)
-let flush_oldest t =
-  match List.rev t.immutables with
-  | [] -> ()
-  | oldest :: _ ->
-    flush_one t oldest;
-    pop_buffer t ~claimed:false oldest
+      t.flush_claims <- t.flush_claims - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Compaction                                                          *)
@@ -554,22 +544,17 @@ let rds_of_files t files =
         (Sstable.props (Table_cache.get t.tables f.file_name)).Sstable.Props.range_tombstones)
     files
 
+(* Concurrent readers may still hold a version referencing these files;
+   deletion waits for the last pin predating this install. *)
 let retire_files t files =
-  let delete () =
-    List.iter
-      (fun (f : Table_meta.t) ->
-        Device.delete t.dev f.file_name;
-        (* Deleting inputs implicitly evicts their hot blocks — the cache
-           disturbance §2.1.3 attributes to compactions. *)
-        Table_cache.evict t.tables f.file_name)
-      files
-  in
-  match t.sched with
-  | None -> delete ()
-  | Some _ ->
-    (* Concurrent readers may still hold a version referencing these
-       files; deletion waits for the last pin predating this install. *)
-    Version.Pins.defer t.pins delete
+  Version.Pins.defer t.pins (fun () ->
+      List.iter
+        (fun (f : Table_meta.t) ->
+          Device.delete t.dev f.file_name;
+          (* Deleting inputs implicitly evicts their hot blocks — the cache
+             disturbance §2.1.3 attributes to compactions. *)
+          Table_cache.evict t.tables f.file_name)
+        files)
 
 (* ---------------- subcompactions ---------------- *)
 
@@ -782,10 +767,6 @@ let merge_commit t (p : merge_plan) (metas, nranges, exec_ns) =
       metas;
   metas
 
-let execute_merge t ~input_runs ~extra_removed ~target_level ~target_group ~bottom =
-  let p = plan_merge t ~input_runs ~extra_removed ~target_level ~target_group ~bottom in
-  merge_commit t p (merge_execute t p)
-
 (* The run group output goes to: reuse the target's single-run group when
    merging into a leveled level that already has a run, else a new group. *)
 let fresh_group t =
@@ -818,12 +799,10 @@ let has_tombstones files =
 
 (* A planned job: every input captured from [t.vers], target group
    allocated, round-robin cursor advanced — all the decisions that must
-   happen deterministically in sequencer context. What remains
-   ([run_planned]'s execute phase) only reads the captured immutable
-   files. Background picks plan from exactly the tree states the inline
-   scheduler would see — the sequencer front-inserts hook picks and runs
-   the hook after every commit — so planning needs no batch capping or
-   other background-specific adjustment. *)
+   happen deterministically in sequencer context. What remains (the
+   merge's execute phase) only reads the captured immutable files. Picks
+   plan from the same tree states at every lane width — the sequencer
+   front-inserts hook picks and runs the hook after every commit. *)
 type planned =
   | P_merge of merge_plan
   | P_move of { files : Table_meta.t list; target_level : int; target_group : int }
@@ -914,18 +893,11 @@ let plan_of_job t job =
            ~target_group:(leveled_target_group t target) ~bottom)
     end
 
-let run_planned t = function
-  | P_move { files; target_level; target_group } ->
-    trivial_move t ~files ~target_level ~target_group
-  | P_merge p -> ignore (merge_commit t p (merge_execute t p))
-
 let planned_input_bytes = function
   | P_merge p -> p.mp_read_bytes
   | P_move { files; _ } -> List.fold_left (fun a (f : Table_meta.t) -> a + f.size) 0 files
 
-let execute_job t job = run_planned t (plan_of_job t job)
-
-(* Conflict key for a background pick: the job's source level plus the
+(* Conflict key for a pick: the job's source level plus the
    inclusive key span of everything it may read or rewrite — source and
    next-level runs, or for a single-file job the file plus its (widened)
    next-level overlap. Computed before planning, so a refused pick has
@@ -957,52 +929,18 @@ let key_of_job t job =
     in
     span l [ { Version.group = 0; files = f :: overlapping } ]
 
-(* One compaction step on the calling domain; no lane coordination —
-   [schedule_compactions] runs this from inside background jobs. The
-   public [compact_once] below quiesces first. *)
-let compact_step t =
-  match pick_compaction t with
-  | None -> false
-  | Some job ->
-    execute_job t job;
-    true
-
-let max_cascade = 1000
-
-(* Drain pending compactions, optionally capped per round (the throttling
-   of Luo & Carey [81]: spreading the merge work across many writes keeps
-   write latency stable at the cost of a transiently deeper tree). *)
-let schedule_compactions t =
-  let budget =
-    match t.cfg.Config.compaction_bytes_per_round with Some b -> b | None -> max_int
-  in
-  let moved () =
-    t.db_stats.Stats.compaction_bytes_read + t.db_stats.Stats.compaction_bytes_written
-  in
-  let start = moved () in
-  let rec loop n =
-    if n < max_cascade && moved () - start < budget && compact_step t then loop (n + 1)
-  in
-  loop 0
-
 (* ------------------------------------------------------------------ *)
-(* Background scheduling & backpressure                                 *)
+(* Maintenance lane & backpressure                                      *)
 (* ------------------------------------------------------------------ *)
 
-let quiesce_bg t = match t.sched with Some s -> Scheduler.quiesce s | None -> ()
+let with_pin t f = Version.Pins.with_pin t.pins f
 
-(* Readers pin the installed version so background compaction cannot
-   delete the [.sst] files under them; inline mode has no concurrent
-   deleter and skips the registry. *)
-let with_pin t f =
-  match t.sched with None -> f () | Some _ -> Version.Pins.with_pin t.pins f
-
-(* Background jobs report through the scheduler's failure latch; this
-   wrapper additionally flips the engine into fail-safe read-only mode
-   and makes sure the parked exception is typed. [Device.Crashed] passes
-   through unwrapped and does not change health — crash injection models
-   power loss, which reopen-time recovery handles, not bad hardware. *)
-let guard_bg_job t job () =
+(* Lane jobs report through the scheduler's failure latch; this wrapper
+   additionally flips the engine into fail-safe read-only mode and makes
+   sure the parked exception is typed. [Device.Crashed] passes through
+   unwrapped and does not change health — crash injection models power
+   loss, which reopen-time recovery handles, not bad hardware. *)
+let guard_job t job () =
   try job () with
   | Device.Crashed as e -> raise e
   | Lsm_error.Error _ as e ->
@@ -1012,96 +950,131 @@ let guard_bg_job t job () =
     enter_failsafe t;
     raise
       (Lsm_error.io_error ~retriable:false
-         ("background maintenance failed: " ^ Printexc.to_string e))
+         ("maintenance job failed: " ^ Printexc.to_string e))
 
-(* Inline maintenance (flush/compaction on the write path) gets the same
-   health transition but re-raises the original exception — the caller
-   sees the failure directly rather than through the latch. *)
-let guard_inline_maintenance t f =
-  try f () with
-  | Device.Crashed as e -> raise e
-  | e ->
-    enter_failsafe t;
-    raise e
+(* Wrap both phases of a two-phase lane job with the fail-safe guard:
+   an error in either phase flips the engine read-only and parks a typed
+   error in the scheduler's failure latch. *)
+let phases t mk () =
+  let commit = guard_job t mk () in
+  fun () -> guard_job t commit ()
 
-(* Wrap both phases of a two-phase background job with the fail-safe
-   guard: an error in either phase flips the engine read-only and parks
-   a typed error in the scheduler's failure latch. *)
-let bg_phases t mk () =
-  let commit = guard_bg_job t mk () in
-  fun () -> guard_bg_job t commit ()
+(* Compaction budget rounds (Luo & Carey's throttling [81]): a round
+   starts at every flush-ticket commit, and the pick hook stops once it
+   has moved [compaction_bytes_per_round] bytes. *)
+let compaction_bytes_moved t =
+  t.db_stats.Stats.compaction_bytes_read + t.db_stats.Stats.compaction_bytes_written
 
-(* Claim the oldest unclaimed immutable buffer for a background flush
-   ticket iff the stack is over the limit net of buffers already
-   claimed — one ticket per buffer, exactly the work the inline trigger
-   does per rotation. Claiming moves the buffer's bytes out of
-   [imm_bytes]: from here until its commit pops it they are accounted
-   as the ticket's unapplied input bytes instead. *)
+let start_round t = t.round_start <- compaction_bytes_moved t
+
+(* Claim the oldest unclaimed immutable buffer for a flush ticket iff
+   the stack is over the limit net of buffers already claimed. Claiming
+   moves the buffer's bytes out of [imm_bytes] into the ticket's
+   unapplied input bytes until its commit pops it. *)
 let claim_flush t =
   Ordered_mutex.with_lock t.buf_mutex (fun () ->
-      if t.imm_count - t.bg_flush_claims > t.cfg.Config.max_immutable_buffers then begin
-        let buffer = List.nth (List.rev t.immutables) t.bg_flush_claims in
-        t.bg_flush_claims <- t.bg_flush_claims + 1;
+      if t.imm_count - t.flush_claims > t.cfg.Config.max_immutable_buffers then begin
+        let buffer = List.nth (List.rev t.immutables) t.flush_claims in
+        t.flush_claims <- t.flush_claims + 1;
         t.imm_bytes <- t.imm_bytes - Memtable.footprint buffer.mt;
         Some buffer
       end
       else None)
 
+(* Claim or release every immutable buffer, on a drained lane: any claim
+   still counted belongs to a failed or discarded ticket. [claim_all]
+   returns the bytes claimed. *)
+let claim_all t =
+  Ordered_mutex.with_lock t.buf_mutex (fun () ->
+      t.flush_claims <- t.imm_count;
+      t.imm_bytes <- 0;
+      List.fold_left (fun a b -> a + Memtable.footprint b.mt) 0 t.immutables)
+
+let unclaim_all t =
+  Ordered_mutex.with_lock t.buf_mutex (fun () ->
+      t.flush_claims <- 0;
+      t.imm_bytes <- List.fold_left (fun a b -> a + Memtable.footprint b.mt) 0 t.immutables)
+
+(* A flush ticket: [execute] is its execute phase, returning the commit;
+   every flush commit starts a budget round. *)
+let submit_flush t ~input_bytes execute =
+  Scheduler.submit t.sched ~key:Scheduler.Flush ~input_bytes
+    ~execute:
+      (phases t (fun () ->
+           let commit = execute () in
+           fun () ->
+             commit ();
+             start_round t))
+
+(* An empty flush ticket only starts a round, whose commit hook picks:
+   resuming deferred compaction work. *)
+let new_round t = submit_flush t ~input_bytes:0 (fun () () -> ())
+
+(* A rotation's flush: one claimed buffer, written in the execute phase. *)
+let submit_buffer_flush t buffer =
+  submit_flush t ~input_bytes:(Memtable.footprint buffer.mt) (fun () ->
+      let metas = flush_execute t buffer in
+      fun () ->
+        flush_commit t buffer metas;
+        pop_buffer t buffer)
+
+(* {!flush}'s commit phase: the whole (claimed) stack, oldest first, each
+   buffer sizing its Monkey filters against its predecessor's version,
+   then one cascade. Re-reading the stack per buffer keeps a flushed one
+   unreachable while the next is written. Only the lane pops, and the
+   writer is inside [flush], so the stack is stable. *)
+let rec flush_stack t =
+  match List.rev t.immutables with
+  | [] -> ()
+  | oldest :: _ ->
+    flush_commit t oldest (flush_execute t oldest);
+    pop_buffer t oldest;
+    flush_stack t
+
 (* Commit-time compaction picker: the sequencer calls this after every
-   committed edit (in commit order, on whichever worker holds the
+   committed edit, in commit order, on whichever domain holds the
    committer token — serialized, so it may read [t.vers] and allocate
-   groups like the inline scheduler does). Each call submits at most ONE
-   pick, which the sequencer front-inserts at the commit head — so the
-   pick applies before any already-queued flush, exactly where the
-   inline scheduler would have run it. The cascade then advances one
-   step per commit: the pick's own commit re-runs this hook against the
-   updated tree, replaying inline's pick-apply-repick loop until
-   [pick_compaction] returns [None] — the same fixpoint at which the
-   inline cascade stops. A pick whose key conflicts with an in-flight
-   ticket is refused without side effects (the trigger fires again at
-   that ticket's commit); pending flushes are ignored for refusal — see
-   [Scheduler.conflicts_pending]. *)
-let bg_pick_compactions t sched =
-  match pick_compaction t with
-  | None -> ()
-  | Some job ->
-    let key = key_of_job t job in
-    if not (Scheduler.conflicts_pending ~ignore_flush:true sched key) then begin
-      let planned = plan_of_job t job in
-      Scheduler.submit sched ~key ~input_bytes:(planned_input_bytes planned)
-        ~execute:
-          (bg_phases t (fun () ->
-               match planned with
-               | P_move _ -> fun () -> run_planned t planned
-               | P_merge p ->
-                 let res = merge_execute t p in
-                 fun () -> ignore (merge_commit t p res)))
-    end
+   groups. Each call submits at most ONE pick, front-inserted at the
+   commit head (before any already-queued flush); the pick's own commit
+   re-runs the hook, until [pick_compaction] returns [None] or the
+   round's budget is spent. A pick conflicting with an in-flight
+   compaction is refused without side effects (the trigger fires again
+   at that ticket's commit) — see [Scheduler.conflicts_pending]. *)
+let pick_compactions t =
+  let budget =
+    match t.cfg.Config.compaction_bytes_per_round with Some b -> b | None -> max_int
+  in
+  if compaction_bytes_moved t - t.round_start < budget then
+    match pick_compaction t with
+    | None -> ()
+    | Some job ->
+      let key = key_of_job t job in
+      if not (Scheduler.conflicts_pending t.sched key) then begin
+        let planned = plan_of_job t job in
+        Scheduler.submit t.sched ~key ~input_bytes:(planned_input_bytes planned)
+          ~execute:
+            (phases t (fun () ->
+                 match planned with
+                 | P_move { files; target_level; target_group } ->
+                   fun () -> trivial_move t ~files ~target_level ~target_group
+                 | P_merge p ->
+                   let res = merge_execute t p in
+                   fun () -> ignore (merge_commit t p res)))
+      end
 
 (* RocksDB-style backpressure, re-denominated in bytes: debt = unclaimed
    immutable-buffer bytes + L0 run bytes + captured input bytes of every
    enqueued-but-unapplied ticket. The debt reads are deliberately
    lock-free (stale by at most a step — this is a throttle, not an
    invariant). *)
-let bg_debt t sched =
-  t.imm_bytes + Version.level_bytes t.vers 0 + Scheduler.unapplied_bytes sched
+let backpressure_debt t =
+  t.imm_bytes + Version.level_bytes t.vers 0 + Scheduler.unapplied_bytes t.sched
 
-let bg_after_rotate t sched =
-  (match claim_flush t with
-  | None -> ()
-  | Some buffer ->
-    Scheduler.submit sched ~key:Scheduler.Flush
-      ~input_bytes:(Memtable.footprint buffer.mt)
-      ~execute:
-        (bg_phases t (fun () ->
-             let metas = flush_execute t buffer in
-             fun () ->
-               flush_commit t buffer metas;
-               pop_buffer t ~claimed:true buffer)));
-  let d = bg_debt t sched in
+let backpressure t =
+  let d = backpressure_debt t in
   if d >= t.cfg.Config.write_stop_trigger then begin
     t.db_stats.Stats.write_stops <- t.db_stats.Stats.write_stops + 1;
-    Scheduler.wait_until sched (fun ~pending:_ ~unapplied_bytes ->
+    Scheduler.wait_until t.sched (fun ~pending:_ ~unapplied_bytes ->
         t.imm_bytes + Version.level_bytes t.vers 0 + unapplied_bytes
         < t.cfg.Config.write_stop_trigger)
   end
@@ -1123,30 +1096,40 @@ let bg_after_rotate t sched =
     Unix.sleepf delay
   end
 
+(* After a rotation: submit the flush the stack now owes. On a zero-width
+   lane it has run, cascade included, by the time the submit returns, so
+   the write is charged a stall instead of backpressure: there is no
+   lane left to wait for. *)
+let after_rotate t =
+  let claim = claim_flush t in
+  if Scheduler.workers t.sched = 0 then
+    Option.iter
+      (fun buffer ->
+        let before = Io_stats.copy (Device.stats t.dev) in
+        submit_buffer_flush t buffer;
+        let d = Io_stats.diff (Device.stats t.dev) before in
+        t.db_stats.Stats.write_stalls <- t.db_stats.Stats.write_stalls + 1;
+        Lsm_util.Histogram.add t.db_stats.Stats.stall_burst_bytes
+          (Io_stats.bytes_written ~cls:Io_stats.C_flush d
+          + Io_stats.bytes_written ~cls:Io_stats.C_compaction_write d))
+      claim
+  else begin
+    Option.iter (submit_buffer_flush t) claim;
+    backpressure t
+  end
+
 let compact_once t =
-  quiesce_bg t;
-  compact_step t
+  Scheduler.quiesce t.sched;
+  match pick_compaction t with
+  | None -> false
+  | Some _ ->
+    new_round t;
+    Scheduler.quiesce t.sched;
+    true
 
 (* ------------------------------------------------------------------ *)
 (* Write path                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let maybe_flush_for_write t =
-  if t.imm_count > t.cfg.Config.max_immutable_buffers then begin
-    let before = Io_stats.copy (Device.stats t.dev) in
-    guard_inline_maintenance t (fun () ->
-        while t.imm_count > t.cfg.Config.max_immutable_buffers do
-          flush_oldest t
-        done;
-        schedule_compactions t);
-    let d = Io_stats.diff (Device.stats t.dev) before in
-    let burst =
-      Io_stats.bytes_written ~cls:Io_stats.C_flush d
-      + Io_stats.bytes_written ~cls:Io_stats.C_compaction_write d
-    in
-    t.db_stats.Stats.write_stalls <- t.db_stats.Stats.write_stalls + 1;
-    Lsm_util.Histogram.add t.db_stats.Stats.stall_burst_bytes burst
-  end
 
 let check_open t = if t.closed then invalid_arg "Db: closed"
 
@@ -1160,25 +1143,19 @@ let check_writable t =
          "fail-safe mode after a maintenance failure (Db.try_resume to re-arm)")
 
 (* Shared tail of [write]/[apply_batch]: rotation trigger plus the
-   per-backend follow-up work. [throttle] is true only for single
-   writes — batches never paid the throttled-mode slice, and keeping
-   that exact shape keeps the inline cost-model experiments bit-stable. *)
+   follow-up lane work. [throttle] is true only for single writes —
+   batches never paid the throttled-mode slice, and keeping that exact
+   shape keeps the cost-model experiments bit-stable. *)
 let after_memtable_add t ~throttle =
   if Memtable.footprint t.active.mt >= t.dyn_buffer_size then begin
     rotate t;
-    (match t.sched with
-    | Some sched -> bg_after_rotate t sched
-    | None -> maybe_flush_for_write t);
+    after_rotate t;
     if t.cfg.Config.scrub_interval > 0. then t.scrub_tick ()
   end
-  else
-    match t.sched with
-    | None when throttle && t.cfg.Config.compaction_bytes_per_round <> None ->
-      (* Throttled mode: pay down deferred compaction debt a slice at a
-         time on ordinary writes instead of in bursts at flush points.
-         In background mode the budget throttles each lane job instead. *)
-      schedule_compactions t
-    | _ -> ()
+  else if throttle && t.cfg.Config.compaction_bytes_per_round <> None then
+    (* Throttled mode: pay down deferred compaction debt a budget round
+       at a time on ordinary writes instead of in bursts at flush points. *)
+    new_round t
 
 let write t (e : Entry.t) =
   check_writable t;
@@ -1313,17 +1290,14 @@ let find_file_in_run (cmp : Comparator.t) (r : Version.run) key =
     if cmp.compare key f.Table_meta.max_key <= 0 then Some f else None
   end
 
-type probe_outcome =
-  | Found of Entry.t
-  | Absent  (** nothing for this key in this source *)
-
 (* Probe disk runs in recency order, returning the newest visible point
-   entry; accounts filter statistics when [record] (pool domains pass
-   false — the counters are not domain-safe, and multi_get aggregates on
-   the calling domain instead). *)
+   entry and the number of runs whose table was searched past its
+   filter; accounts filter statistics when [record] (pool domains pass
+   false — the counters are not domain-safe). *)
 let probe_tables t ~v ~snap ~record key =
   let cmp = cmp_of t in
   let result = ref None in
+  let probed = ref 0 in
   (try
      for l = 0 to Version.max_levels - 1 do
        List.iter
@@ -1341,7 +1315,7 @@ let probe_tables t ~v ~snap ~record key =
                  t.db_stats.Stats.filter_negatives <- t.db_stats.Stats.filter_negatives + 1
              end
              else begin
-               if record then t.db_stats.Stats.runs_probed <- t.db_stats.Stats.runs_probed + 1;
+               incr probed;
                match Sstable.get reader ~cls:Io_stats.C_user_read ~max_seqno:snap key with
                | Some e -> begin
                  result := Some e;
@@ -1355,7 +1329,7 @@ let probe_tables t ~v ~snap ~record key =
          (Version.level_runs v l)
      done
    with Exit -> ());
-  !result
+  (!result, !probed)
 
 (* Resolve a merge chain by iterating every visible version of [key],
    newest first. Used only when the newest visible entry is a Merge. *)
@@ -1467,51 +1441,44 @@ let capture_read_ctx t ?snapshot () =
 
 (* The full read path for one key against a captured context, minus
    clock/statistics bookkeeping: shared by {!get} (record = true) and
-   both paths of {!multi_get} (record = false on pool domains — the
-   counters are not domain-safe; the caller aggregates instead). *)
+   both paths of {!multi_get} (record = false — pool domains must not
+   touch the counters). Returns the value and this lookup's own count of
+   runs probed, which the caller accounts on its domain: a delta of the
+   shared counter would absorb other readers' probes. *)
 let lookup_in_ctx t ctx ~record key =
   let { rc_snap = snap; rc_active = active; rc_immutables = immutables;
         rc_version = v; rc_rds = table_rds } = ctx in
   let rd_seq = covering_rd_seqno t ~active ~immutables ~table_rds ~snap key in
-  let newest =
+  let newest, probed =
     match Memtable.find active.mt ~max_seqno:snap key with
-    | Some e -> Found e
+    | Some _ as found -> (found, 0)
     | None -> (
-      let rec try_immutables = function
-        | [] -> Absent
-        | b :: rest -> (
-          match Memtable.find b.mt ~max_seqno:snap key with
-          | Some e -> Found e
-          | None -> try_immutables rest)
-      in
-      match try_immutables immutables with
-      | Found e -> Found e
-      | Absent -> (
-        match probe_tables t ~v ~snap ~record key with Some e -> Found e | None -> Absent))
+      match List.find_map (fun b -> Memtable.find b.mt ~max_seqno:snap key) immutables with
+      | Some _ as found -> (found, 0)
+      | None -> probe_tables t ~v ~snap ~record key)
   in
   match newest with
-  | Absent -> None
-  | Found e ->
-    if e.Entry.seqno <= rd_seq then None
-    else begin
-      match e.Entry.kind with
-      | Entry.Put -> Some e.Entry.value
-      | Entry.Delete | Entry.Single_delete -> None
-      | Entry.Merge -> resolve_merge_chain t ~v ~active ~immutables ~snap ~rd_seq key
-      | Entry.Range_delete -> None
-    end
+  | Some e when e.Entry.seqno > rd_seq -> (
+    ( match e.Entry.kind with
+    | Entry.Put -> Some e.Entry.value
+    | Entry.Delete | Entry.Single_delete | Entry.Range_delete -> None
+    | Entry.Merge -> resolve_merge_chain t ~v ~active ~immutables ~snap ~rd_seq key ),
+    probed )
+  | _ -> (None, probed)
+
+let account_probes t probed =
+  t.db_stats.Stats.runs_probed <- t.db_stats.Stats.runs_probed + probed;
+  Lsm_util.Histogram.add t.db_stats.Stats.get_run_probes probed
 
 let get t ?snapshot key =
   check_open t;
   ignore (Atomic.fetch_and_add t.clock 1);
   t.db_stats.Stats.user_gets <- t.db_stats.Stats.user_gets + 1;
-  let probes_before = t.db_stats.Stats.runs_probed in
-  let result =
+  let result, probed =
     with_pin t (fun () ->
         lookup_in_ctx t (capture_read_ctx t ?snapshot ()) ~record:true key)
   in
-  Lsm_util.Histogram.add t.db_stats.Stats.get_run_probes
-    (t.db_stats.Stats.runs_probed - probes_before);
+  account_probes t probed;
   if result <> None then t.db_stats.Stats.gets_found <- t.db_stats.Stats.gets_found + 1;
   result
 
@@ -1549,8 +1516,8 @@ let multi_get t ?snapshot keys =
           (* One chunk per worker: the per-task overhead (queue lock,
              future wakeup) amortizes over the chunk, and results
              concatenate back in input order. Reads are pure — all
-             statistics except probe counters are accounted below, on the
-             calling domain. *)
+             statistics except filter counters are accounted below, on
+             the calling domain. *)
           let chunks = chunk_list (Domain_pool.size pool) keys in
           List.concat
             (Domain_pool.map_list pool
@@ -1560,9 +1527,12 @@ let multi_get t ?snapshot keys =
   in
   let n = List.length keys in
   t.db_stats.Stats.user_gets <- t.db_stats.Stats.user_gets + n;
-  let found = List.fold_left (fun a r -> if r <> None then a + 1 else a) 0 results in
-  t.db_stats.Stats.gets_found <- t.db_stats.Stats.gets_found + found;
-  results
+  List.map
+    (fun (r, probed) ->
+      account_probes t probed;
+      if r <> None then t.db_stats.Stats.gets_found <- t.db_stats.Stats.gets_found + 1;
+      r)
+    results
 
 (* ---------------- scan ---------------- *)
 
@@ -1718,48 +1688,39 @@ let release t s =
 (* Maintenance & introspection                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Foreground maintenance first drains the background lane (re-raising
-   any parked failure), then runs inline on the calling domain: with the
-   lane idle and the caller being the only job producer, the version is
-   safe to mutate from here. [flush_work] skips the writability check —
-   [close] must be able to drain buffers even in fail-safe mode. *)
+(* Drain the lane (re-raising any parked failure), then flush the whole
+   memtable stack as one lane job and wait for it and its cascade.
+   [flush_work] skips the writability check — [close] must be able to
+   drain buffers even in fail-safe mode. *)
 let flush_work t =
-  quiesce_bg t;
-  (* Rebaseline the claim accounting: with the lane drained no flush
-     ticket is outstanding, but a failed-and-discarded ticket may have
-     left its claim (and byte deduction) behind — its buffer is still
-     in the stack and is about to be flushed inline here. *)
-  Ordered_mutex.with_lock t.buf_mutex (fun () ->
-      t.bg_flush_claims <- 0;
-      t.imm_bytes <-
-        List.fold_left (fun a b -> a + Memtable.footprint b.mt) 0 t.immutables);
+  Scheduler.quiesce t.sched;
   rotate t;
-  while t.imm_count > 0 do
-    flush_oldest t
-  done;
-  schedule_compactions t
+  submit_flush t ~input_bytes:(claim_all t) (fun () () -> flush_stack t);
+  Scheduler.quiesce t.sched
 
 let flush t =
   check_writable t;
-  guard_inline_maintenance t (fun () -> flush_work t)
+  flush_work t
 
 (* ------------------------------------------------------------------ *)
 (* Integrity scrubbing & fail-safe recovery                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Discard any parked background failure and leave fail-safe mode.
-   Quarantined tables stay fenced (re-arming cannot un-corrupt a file),
-   so health lands on [Degraded] when any remain. *)
+(* Drain the lane, discard any parked failure (and the flush claims of
+   tickets it discarded, so their buffers flush again), and leave
+   fail-safe mode. Quarantined tables stay fenced (re-arming cannot
+   un-corrupt a file), so health lands on [Degraded] when any remain. *)
 let try_resume t =
   check_open t;
-  (match t.sched with Some s -> ignore (Scheduler.take_failure s) | None -> ());
+  Scheduler.shutdown t.sched;
+  unclaim_all t;
   let target = if Atomic.get t.quarantined = [] then Healthy else Degraded in
   Atomic.set t.health target;
   t.db_stats.Stats.resumes <- t.db_stats.Stats.resumes + 1;
   target
 
 (* One table's scrub, shared by the synchronous scrubber and the
-   background jobs: every data block re-read and CRC-checked. A defect
+   lane jobs: every data block re-read and CRC-checked. A defect
    quarantines the table and is returned rather than raised — the
    scrubber reports findings, it does not abort on the first one. *)
 let verify_one_table t (f : Table_meta.t) =
@@ -1801,7 +1762,7 @@ let verify_integrity t =
         (Lsm_error.Corruption
            { file = Manifest.file_name; offset = Some off; detail = "bad edit frame" })
     | _ -> ()));
-  (* 2. Every live table, under a pin so background compaction cannot
+  (* 2. Every live table, under a pin so a concurrent compaction cannot
      delete files out from under the walk. *)
   with_pin t (fun () ->
       let v, _ = t.read_view in
@@ -1836,39 +1797,35 @@ let verify_integrity t =
     t.db_stats.Stats.scrub_errors + List.length !findings;
   List.rev !findings
 
-(* Rate-limited background scrub: one lane job per live table, so user
+(* Rate-limited scrub: one lane job per live table, so user
    flushes/compactions interleave between table verifications, plus
-   [Config.scrub_delay] seconds of deliberate idle per table. Inline
-   mode degenerates to a synchronous full pass. *)
+   [Config.scrub_delay] seconds of deliberate idle per table. A
+   zero-width lane runs the pass on the caller before returning. *)
 let scrub t =
   check_open t;
-  match t.sched with
-  | None -> ignore (verify_integrity t)
-  | Some sched ->
-    let v, _ = t.read_view in
-    List.iter
-      (fun (f : Table_meta.t) ->
-        Scheduler.enqueue sched (fun () ->
-            Version.Pins.with_pin t.pins (fun () ->
-                let live, _ = t.read_view in
-                let still_live =
-                  List.exists
-                    (fun (g : Table_meta.t) ->
-                      String.equal g.Table_meta.file_name f.Table_meta.file_name)
-                    (Version.all_files live)
-                in
-                if still_live && not (is_quarantined t f.Table_meta.file_name) then begin
-                  (match verify_one_table t f with
-                  | Some _ ->
-                    note_corruption t;
-                    t.db_stats.Stats.scrub_errors <- t.db_stats.Stats.scrub_errors + 1
-                  | None -> ());
-                  if t.cfg.Config.scrub_delay > 0. then
-                    Unix.sleepf t.cfg.Config.scrub_delay
-                end)))
-      (Version.all_files v);
-    Scheduler.enqueue sched (fun () ->
-        t.db_stats.Stats.scrub_runs <- t.db_stats.Stats.scrub_runs + 1)
+  let v, _ = t.read_view in
+  List.iter
+    (fun (f : Table_meta.t) ->
+      Scheduler.enqueue t.sched (fun () ->
+          with_pin t (fun () ->
+              let live, _ = t.read_view in
+              let still_live =
+                List.exists
+                  (fun (g : Table_meta.t) ->
+                    String.equal g.Table_meta.file_name f.Table_meta.file_name)
+                  (Version.all_files live)
+              in
+              if still_live && not (is_quarantined t f.Table_meta.file_name) then begin
+                (match verify_one_table t f with
+                | Some _ ->
+                  note_corruption t;
+                  t.db_stats.Stats.scrub_errors <- t.db_stats.Stats.scrub_errors + 1
+                | None -> ());
+                if t.cfg.Config.scrub_delay > 0. then Unix.sleepf t.cfg.Config.scrub_delay
+              end)))
+    (Version.all_files v);
+  Scheduler.enqueue t.sched (fun () ->
+      t.db_stats.Stats.scrub_runs <- t.db_stats.Stats.scrub_runs + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Open / recover                                                      *)
@@ -1924,7 +1881,7 @@ let open_db ?(config = Config.default) ~dev () =
       immutables = [];
       imm_count = 0;
       imm_bytes = 0;
-      bg_flush_claims = 0;
+      flush_claims = 0;
       vers = recovered;
       read_view = (Version.empty, []);
       manifest;
@@ -1944,12 +1901,13 @@ let open_db ?(config = Config.default) ~dev () =
       buf_mutex =
         Ordered_mutex.create ~rank:Ordered_mutex.Rank.db_buffers ~name:"db.buffers";
       sched =
-        (match config.Config.compaction_backend with
-        | Config.Background ->
-          Some
-            (Scheduler.create ~workers:config.Config.compaction_workers
-               ~cmp:config.Config.comparator.Comparator.compare ~stats:db_stats ())
-        | Config.Inline -> None);
+        Scheduler.create
+          ~workers:
+            (match config.Config.compaction_backend with
+            | Config.Inline -> 0
+            | Config.Background -> config.Config.compaction_workers)
+          ~cmp:config.Config.comparator.Comparator.compare ~stats:db_stats ();
+      round_start = 0;
       pins = Version.Pins.create_registry ();
       health = Atomic.make Healthy;
       quarantined = Atomic.make [];
@@ -1959,9 +1917,8 @@ let open_db ?(config = Config.default) ~dev () =
     }
   in
   (* Scheduled scrubbing: each memtable rotation checks the wall clock
-     and, at most once per [scrub_interval], kicks off a scrub pass —
-     background mode trickles per-table jobs through the lane (honoring
-     [scrub_delay]), inline mode runs a synchronous pass. *)
+     and, at most once per [scrub_interval], kicks off a scrub pass,
+     which trickles per-table jobs through the lane. *)
   t.scrub_tick <-
     (fun () ->
       let now = Unix.gettimeofday () in
@@ -1972,12 +1929,8 @@ let open_db ?(config = Config.default) ~dev () =
         scrub t
       end);
   (* Compaction triggers are evaluated after every committed edit, in
-     commit order, by whichever worker holds the committer token — the
-     background replacement for the inline cascade in
-     [schedule_compactions]. *)
-  (match t.sched with
-  | Some s -> Scheduler.set_on_commit s (guard_bg_job t (fun () -> bg_pick_compactions t s))
-  | None -> ());
+     commit order, by whichever domain holds the committer token. *)
+  Scheduler.set_on_commit t.sched (guard_job t (fun () -> pick_compactions t));
   let snapshot_edit =
     {
       Version.added =
@@ -2051,44 +2004,50 @@ let open_db ?(config = Config.default) ~dev () =
 
 let major_compact t =
   flush t;
-  schedule_compactions t;
+  (* A fresh budget round before the full merge, then (at the merge's
+     commit) another after it. *)
+  new_round t;
+  Scheduler.quiesce t.sched;
   (* Full compaction: merge every run of every level into one sorted run
-     at the deepest populated level, with tombstones retired. *)
+     at the deepest populated level, with tombstones retired. Planned
+     here, on the drained lane's behalf: no other job can be in flight. *)
   let all_runs =
     List.concat_map
       (fun l -> Version.level_runs t.vers l)
       (List.init Version.max_levels Fun.id)
   in
-  let total_runs = List.length all_runs in
-  let last = Version.last_level t.vers in
   (* Rewrite unconditionally (RocksDB CompactRange-with-force semantics):
      even a lone bottom run may hold versions retained for snapshots that
      have since been released, or tombstones to retire. *)
-  if total_runs >= 1 then begin
-    let target = max 1 last in
-    ignore
-      (execute_merge t ~input_runs:all_runs ~extra_removed:[] ~target_level:target
-         ~target_group:(fresh_group t) ~bottom:true)
-  end;
-  schedule_compactions t
+  if all_runs <> [] then begin
+    let p =
+      plan_merge t ~input_runs:all_runs ~extra_removed:[]
+        ~target_level:(max 1 (Version.last_level t.vers))
+        ~target_group:(fresh_group t) ~bottom:true
+    in
+    Scheduler.submit t.sched ~key:Scheduler.Maintenance ~input_bytes:p.mp_read_bytes
+      ~execute:
+        (phases t (fun () ->
+             let res = merge_execute t p in
+             fun () ->
+               ignore (merge_commit t p res);
+               start_round t));
+    Scheduler.quiesce t.sched
+  end
 
 let wake t = 1 + Atomic.fetch_and_add t.clock 1
 
-(* Wait until every queued background job has run (no-op inline);
-   re-raises a background failure on this, the foreground, domain. *)
+(* Wait until every queued lane job has run; re-raises a lane failure on
+   this, the foreground, domain. *)
 let quiesce t =
   check_open t;
-  quiesce_bg t
-
-let backpressure_debt t =
-  t.imm_bytes + Version.level_bytes t.vers 0
-  + match t.sched with Some s -> Scheduler.unapplied_bytes s | None -> 0
+  Scheduler.quiesce t.sched
 
 let close t =
   if not t.closed then begin
-    (* Drain the lane without re-raising a parked background failure:
-       close must tear down even a crashed database. *)
-    (match t.sched with Some s -> Scheduler.shutdown s | None -> ());
+    (* Drain the lane without re-raising a parked failure: close must
+       tear down even a crashed database. *)
+    Scheduler.shutdown t.sched;
     if not t.cfg.Config.wal_enabled then flush_work t;
     (match t.active.wal with Some w -> Wal.close w | None -> ());
     List.iter (fun b -> match b.wal with Some w -> Wal.close w | None -> ()) t.immutables;
@@ -2138,9 +2097,7 @@ let set_write_buffer_size t bytes =
   t.dyn_buffer_size <- bytes;
   if Memtable.footprint t.active.mt >= bytes then begin
     rotate t;
-    match t.sched with
-    | Some sched -> bg_after_rotate t sched
-    | None -> maybe_flush_for_write t
+    after_rotate t
   end
 
 let set_block_cache_bytes t bytes = Block_cache.set_capacity t.cache bytes

@@ -1,27 +1,25 @@
 (** The LSM-tree storage engine: the paper's object of study, assembled
     from the substrate libraries.
 
-    Single-{e writer} by design: with the default
-    [Config.compaction_backend = Inline], internal work (flush,
-    compaction) runs synchronously inside the triggering write, and its
-    cost is {e accounted} (stall bursts, compaction I/O histograms)
-    rather than hidden — which is exactly what the stall/burst
-    experiments measure. With [Config.compaction_parallelism] > 1 that
-    shape is kept, but the {e inside} of each merge fans out across a
-    fixed pool of worker domains (RocksDB-style subcompactions over
-    disjoint key ranges), and {!multi_get} shards batched point lookups
-    over the same pool; results are identical to serial execution, only
-    wall-clock changes.
-
-    With [Config.compaction_backend = Background] the engine stays
-    single-writer but flush and compaction move off the write path onto
-    the process-wide scheduler lane (see DESIGN.md §10): a rotation
-    enqueues a job and returns, writes are throttled by
-    [write_slowdown_trigger]/[write_stop_trigger] backpressure instead
-    of absorbing merge cascades, and concurrent readers ({!get},
-    {!multi_get}, {!fold}, {!scan}) pin the version they read so
-    compaction never deletes a table under them. After {!quiesce} (or
-    {!flush}) the logical contents are identical to inline execution.
+    Single-{e writer} by design; concurrent readers ({!get},
+    {!multi_get}, {!fold}, {!scan}) are safe from any domain at every
+    setting: each pins the version it reads (a lock-free refcount), so
+    compaction never deletes a table under it. Flush and compaction run
+    as jobs on the db's scheduler lane (DESIGN.md §10), in the same
+    commit order at every width. With the default
+    [Config.compaction_backend = Inline] the lane has zero width: they
+    run inside the triggering write, and their cost is {e accounted}
+    (stall bursts, compaction I/O histograms) rather than hidden — which
+    is exactly what the stall/burst experiments measure. With
+    [Background] a rotation enqueues a job and returns, and writes are
+    throttled by [write_slowdown_trigger]/[write_stop_trigger]
+    backpressure instead; after {!quiesce} (or {!flush}) the contents
+    are identical. With [Config.compaction_parallelism] > 1 the
+    {e inside} of each merge fans out across a fixed pool of worker
+    domains (RocksDB-style subcompactions over disjoint key ranges), and
+    {!multi_get} shards batched point lookups over the same pool;
+    results are identical to serial execution, only wall-clock
+    changes.
 
     External operations: {!put}, {!get}, {!scan}, {!delete} (plus
     {!single_delete}, {!range_delete}, {!merge} — §2.1.2). Internal
@@ -108,18 +106,19 @@ val flush : t -> unit
     compactions. *)
 
 val compact_once : t -> bool
-(** Run the single highest-priority compaction if one is due (draining
-    the background lane first in background mode). *)
+(** If a compaction is due, drain the lane and run one budget round of
+    the cascade now ([Config.compaction_bytes_per_round]); [false] if
+    none was due. *)
 
 val quiesce : t -> unit
-(** Background mode: block until every enqueued flush/compaction job has
-    finished, re-raising on this domain any exception a job hit. Inline
-    mode: no-op. *)
+(** Block until every enqueued flush/compaction job has finished,
+    re-raising on this domain any exception a job hit. No-op inline,
+    where jobs finish inside the call that submits them. *)
 
 val backpressure_debt : t -> int
 (** The write-throttle debt measure, in bytes: immutable buffer bytes
     + level-0 run bytes + input bytes of enqueued-but-unapplied
-    background compactions (0 pending inline). Compared against
+    compactions (always 0 on a zero-width lane). Compared against
     [Config.write_slowdown_trigger] / [write_stop_trigger].
     Observability/tests. *)
 
@@ -142,7 +141,7 @@ type health =
       (** at least one table is quarantined; reads outside the fenced
           ranges and all writes still work *)
   | Failsafe_read_only
-      (** a background or inline flush/compaction failed: mutations
+      (** a flush/compaction job failed: mutations
           raise [Lsm_error.Read_only], reads keep working,
           {!try_resume} re-arms *)
 
@@ -157,9 +156,9 @@ val health : t -> health
 val quarantined_tables : t -> quarantine_entry list
 
 val try_resume : t -> health
-(** Leave fail-safe mode: discards the parked background failure and
-    returns the resulting health — [Healthy], or [Degraded] when
-    quarantined tables remain (re-arming cannot un-corrupt a file). *)
+(** Leave fail-safe mode: drains the lane, discards the parked failure
+    (abandoned flushes retry) and returns the resulting health —
+    [Healthy], or [Degraded] when quarantined tables remain. *)
 
 val verify_integrity : t -> Lsm_util.Lsm_error.t list
 (** Synchronous integrity scrub: manifest frame chain, then every live
@@ -169,11 +168,11 @@ val verify_integrity : t -> Lsm_util.Lsm_error.t list
     not abort on the first defect). *)
 
 val scrub : t -> unit
-(** Background variant of {!verify_integrity}: enqueues one verification
-    job per live table on the scheduler lane, rate-limited by
-    [Config.scrub_delay], so foreground work interleaves. Inline mode
-    runs the synchronous pass. Findings land in {!stats} and
-    {!quarantined_tables}; {!quiesce} waits for completion. *)
+(** Lane variant of {!verify_integrity}'s table pass: one verification
+    job per live table, rate-limited by [Config.scrub_delay], so
+    foreground work interleaves (inline, the pass runs before [scrub]
+    returns). Findings land in {!stats} and {!quarantined_tables};
+    {!quiesce} waits for completion. *)
 
 val checkpoint : t -> dest:Lsm_storage.Device.t -> unit
 (** Consistent full backup: flush, copy every live table to [dest], and

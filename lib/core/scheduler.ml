@@ -54,6 +54,12 @@
    still drain through the sequencer, so [quiesce]/[shutdown] cannot
    deadlock on a parked edit.
 
+   With [workers = 0] the lane has zero width: a size-0 pool runs each
+   dispatched ticket on the submitting domain, which then takes the
+   committer token and applies the commit and every follow-up pick
+   before [submit] returns — same tickets, sequencer and hook. So
+   dispatch happens with [t.m] released: the ticket takes [t.m].
+
    Module-level state (the lane) is on the lint R4 allowlist; see the
    rationale above. *)
 
@@ -121,19 +127,19 @@ type t = {
 }
 
 let create ?(workers = 1) ?(cmp = String.compare) ?stats () =
-  if workers < 1 then invalid_arg "Scheduler.create: workers < 1";
+  if workers < 0 then invalid_arg "Scheduler.create: workers < 0";
   let stats = match stats with Some s -> s | None -> Stats.create () in
   Stats.provision_workers stats workers;
   {
     m = Ordered_mutex.create ~rank:Ordered_mutex.Rank.scheduler ~name:"scheduler";
     idle = Condition.create ();
-    pool = get_lane ~min_size:workers ();
+    pool = (if workers = 0 then Domain_pool.create ~size:0 else get_lane ~min_size:workers ());
     workers;
     cmp;
     stats;
     order = [];
     running = 0;
-    slots = Array.make workers false;
+    slots = Array.make (max 1 workers) false; (* width 0 runs one ticket: the submitter's *)
     committing = false;
     unapplied = 0;
     failed = None;
@@ -210,9 +216,11 @@ let take_slot_locked t =
 (* A queued ticket may dispatch only when no earlier undiscarded ticket
    in commit order conflicts with it: its inputs were captured against
    the version as of its submission point, which is valid exactly until
-   a conflicting predecessor rewrites the overlapping levels. *)
+   a conflicting predecessor rewrites the overlapping levels. Returns
+   the tickets it marked running, for {!start} once [t.m] is released. *)
 let rec dispatch_locked t =
-  if t.running < t.workers then begin
+  if t.running >= Array.length t.slots then []
+  else begin
     let rec find seen = function
       | [] -> None
       | tk :: rest ->
@@ -224,20 +232,30 @@ let rec dispatch_locked t =
         else find (tk.key :: seen) rest
     in
     match find [] t.order with
-    | None -> ()
+    | None -> []
     | Some tk ->
       let slot = take_slot_locked t in
       tk.state <- Running slot;
       t.running <- t.running + 1;
-      ignore (Domain_pool.submit t.pool (fun () -> run_ticket t tk slot));
-      dispatch_locked t
+      (tk, slot) :: dispatch_locked t
   end
+
+(* Zero width runs each ticket here, cascade included: take the tail
+   first, as [List.iter]'s live cons cell would keep the job (a whole
+   memtable, for a flush) reachable throughout. *)
+let rec start t = function
+  | [] -> ()
+  | dispatched ->
+    let rest = List.tl dispatched in
+    (match List.hd dispatched with
+    | tk, slot -> ignore (Domain_pool.submit t.pool (fun () -> run_ticket t tk slot)));
+    start t rest
 
 and run_ticket t tk slot =
   let t0 = now_ns () in
   let outcome = match tk.execute () with commit -> Ok commit | exception e -> Error e in
   let busy = now_ns () - t0 in
-  let become_committer =
+  let dispatched, become_committer =
     Ordered_mutex.with_lock t.m (fun () ->
         t.slots.(slot) <- false;
         t.running <- t.running - 1;
@@ -259,13 +277,14 @@ and run_ticket t tk slot =
             | _ -> ())
           end
         | Error e -> fail_locked t tk e);
-        dispatch_locked t;
+        let dispatched = dispatch_locked t in
         if (not t.committing) && head_ready_locked t then begin
           t.committing <- true;
-          true
+          (dispatched, true)
         end
-        else false)
+        else (dispatched, false))
   in
+  start t dispatched;
   if become_committer then committer_loop t
 
 and head_ready_locked t =
@@ -303,11 +322,12 @@ and committer_loop t =
   | `Commit (tk, commit) ->
     (match commit () with
     | () ->
-      Ordered_mutex.with_lock t.m (fun () ->
-          retire_locked t tk;
-          dispatch_locked t;
-          t.hook_domain <- Some (Domain.self ());
-          t.hook_pos <- 0);
+      start t
+        (Ordered_mutex.with_lock t.m (fun () ->
+             retire_locked t tk;
+             t.hook_domain <- Some (Domain.self ());
+             t.hook_pos <- 0;
+             dispatch_locked t));
       let hook_failure = match t.on_commit () with () -> None | exception e -> Some e in
       Ordered_mutex.with_lock t.m (fun () ->
           t.hook_domain <- None;
@@ -321,10 +341,11 @@ and committer_loop t =
             List.iter doom t.order;
             Condition.broadcast t.idle)
     | exception e ->
-      Ordered_mutex.with_lock t.m (fun () ->
-          fail_locked t tk e;
-          retire_locked t tk;
-          dispatch_locked t));
+      start t
+        (Ordered_mutex.with_lock t.m (fun () ->
+             fail_locked t tk e;
+             retire_locked t tk;
+             dispatch_locked t)));
     committer_loop t
 
 let take_failure t =
@@ -340,10 +361,12 @@ let raise_if_failed t = match take_failure t with Some e -> raise e | None -> ()
 (* Submissions from the post-commit hook are sequenced at the insertion
    cursor — directly after the commit that triggered the pick, ahead of
    every already-queued ticket — and consecutive hook submissions keep
-   their relative order. Everyone else appends. *)
+   their relative order. Everyone else appends. A zero-width lane
+   delivers the failure of the job it just ran to this call. *)
 let submit t ~key ~input_bytes ~execute =
   raise_if_failed t;
-  Ordered_mutex.with_lock t.m (fun () ->
+  start t
+  @@ Ordered_mutex.with_lock t.m (fun () ->
       let tk = { key; input_bytes; execute; state = Queued; doomed = false } in
       (match t.hook_domain with
       | Some d when d = Domain.self () ->
@@ -356,7 +379,8 @@ let submit t ~key ~input_bytes ~execute =
       | _ -> t.order <- t.order @ [ tk ]);
       t.unapplied <- t.unapplied + input_bytes;
       Histogram.add t.stats.Stats.sched_queue_depth (List.length t.order);
-      dispatch_locked t)
+      dispatch_locked t);
+  if t.workers = 0 then raise_if_failed t
 
 let enqueue t job =
   submit t ~key:Maintenance ~input_bytes:0
@@ -365,13 +389,10 @@ let enqueue t job =
         job ();
         fun () -> ())
 
-let conflicts_pending ?(ignore_flush = false) t key =
+let conflicts_pending t key =
   Ordered_mutex.with_lock t.m (fun () ->
       List.exists
-        (fun p ->
-          (not (is_discarded p))
-          && (not (ignore_flush && p.key = Flush))
-          && conflicts t.cmp p.key key)
+        (fun p -> (not (is_discarded p)) && p.key <> Flush && conflicts t.cmp p.key key)
         t.order)
 
 let pending t = Ordered_mutex.with_lock t.m (fun () -> List.length t.order)

@@ -11,7 +11,11 @@
     order is ordinarily submission order, except that submissions made
     from inside the post-commit hook are sequenced at the head of the
     uncommitted queue (see {!set_on_commit}). With [workers = 1] this
-    degenerates to the strict FIFO lane of PR 4.
+    degenerates to a strict FIFO lane.
+
+    With [workers = 0] the lane has zero width: no domain, and {!submit}
+    runs the job, its commit and every follow-up the hook submits on
+    the calling domain before returning.
 
     Conflict relation: jobs at the same level conflict; jobs at adjacent
     levels conflict iff their key ranges overlap; [Flush] is a
@@ -39,19 +43,20 @@ type key =
 
 val create : ?workers:int -> ?cmp:(string -> string -> int) -> ?stats:Stats.t -> unit -> t
 (** New per-db scheduler, sharing (and on first call creating, or
-    growing to [workers]) the process-wide background lane. [cmp]
-    orders user keys for the conflict relation (default bytewise).
+    growing to [workers]) the process-wide background lane, unless
+    [workers = 0]. [cmp] orders user keys for the conflict relation.
     [stats] receives per-worker counters and sequencer histograms
     ({!Stats.provision_workers} is called with [workers]).
-    @raise Invalid_argument if [workers < 1]. *)
+    @raise Invalid_argument if [workers < 0]. *)
 
 val workers : t -> int
 (** The concurrency cap this scheduler was created with. *)
 
 val submit : t -> key:key -> input_bytes:int -> execute:(unit -> unit -> unit) -> unit
-(** Queue a two-phase job; returns immediately. [execute ()] runs on a
-    pool worker (concurrently with non-conflicting jobs) and returns
-    the commit thunk, which the sequencer runs in commit order.
+(** Queue a two-phase job; returns immediately (zero width: once it has
+    committed). [execute ()] runs on a pool worker (concurrently with
+    non-conflicting jobs) and returns the commit thunk, which the
+    sequencer runs in commit order.
     Ordinary submissions append to the commit order; submissions made
     from inside the post-commit hook are front-inserted right after the
     commit that triggered them, ahead of already-queued tickets —
@@ -59,7 +64,8 @@ val submit : t -> key:key -> input_bytes:int -> execute:(unit -> unit -> unit) -
     maintenance) have version-independent effects. [input_bytes] feeds
     {!unapplied_bytes} (backpressure debt) and the per-worker
     bytes-moved counter until the ticket commits. Re-raises a
-    previously recorded background failure before queueing. *)
+    previously recorded background failure before queueing (zero
+    width: also the failure of the job it just ran). *)
 
 val enqueue : t -> (unit -> unit) -> unit
 (** [submit] of a [Maintenance] job that does all its work in the
@@ -77,13 +83,13 @@ val set_on_commit : t -> (unit -> unit) -> unit
     {!submit}/{!conflicts_pending}. An exception from the hook latches
     as a failure and discards everything still queued. *)
 
-val conflicts_pending : ?ignore_flush:bool -> t -> key -> bool
-(** Would a job with this key conflict with any uncommitted ticket?
-    Used by the pick hook to stop picking (rather than skip ahead) when
-    the canonical next compaction overlaps in-flight work.
-    [~ignore_flush:true] skips pending [Flush] tickets: a flush's edit
-    only adds a brand-new L0 run, so it never invalidates a pick's
-    captured inputs — refusing on it would defer L0 compaction
+val conflicts_pending : t -> key -> bool
+(** Would a job with this key conflict with any uncommitted non-flush
+    ticket? Used by the pick hook to stop picking (rather than skip
+    ahead) when the canonical next compaction overlaps in-flight work.
+    Pending [Flush] tickets are skipped: a flush's edit only adds a
+    brand-new L0 run, so it never invalidates a pick's captured
+    inputs — refusing on it would defer L0 compaction
     indefinitely under sustained ingest (the writer keeps one flush in
     flight almost always) and leave a backlog whose eventual shape
     depends on timing. The dispatch-level Flush/Compact-L0 conflict is
@@ -110,11 +116,7 @@ val quiesce : t -> unit
 (** Wait until every ticket has committed (or been discarded) and the
     sequencer is idle, then re-raise any recorded failure. *)
 
-val take_failure : t -> exn option
-(** Remove and return the parked background failure, if any — the
-    fail-safe resume path ([Db.try_resume]) clears the latch without
-    re-raising. *)
-
 val shutdown : t -> unit
-(** Wait for every ticket to drain, discarding any recorded failure.
-    The shared lane keeps running (it is shut down at process exit). *)
+(** Wait for every ticket to drain, discarding any recorded failure
+    ([Db.close], and [Db.try_resume] re-arming after one). The shared
+    lane keeps running (it is shut down at process exit). *)

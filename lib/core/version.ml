@@ -213,13 +213,21 @@ let decode_edit r =
 (* Version lifetime pinning.
 
    A version value itself is persistent, but the [.sst] files it points
-   at are not: background compaction installs a new version and then
-   wants the replaced files gone. A reader that grabbed [t.vers] just
-   before the install may still be iterating those files, so deletion
-   must wait for it. The registry numbers installed versions with a
-   sequence; a pin taken while version [s] is current records [s], and a
-   deletion deferred after installing version [d] runs once no pin with
-   sequence [< d] remains ([min_pinned >= d]).
+   at are not: compaction installs a new version and then wants the
+   replaced files gone. A reader that grabbed [t.vers] just before the
+   install may still be iterating those files, so deletion must wait
+   for it. The registry numbers installed versions with a sequence; a
+   pin taken while version [s] is current records [s], and a deletion
+   deferred after installing version [d] runs once no pin with sequence
+   [< d] remains ([min_pinned >= d]).
+
+   Every read pins, so pinning is lock-free (RocksDB's SuperVersion
+   refcount): each install gets a slot, [pin] increments the current
+   slot's [refs] and re-checks that it is still current (retrying if
+   not), so a pin that stands was counted before its slot retired, and
+   the deferral scan after that install sees it (atomics are
+   sequentially consistent). [unpin] takes the lock only when a
+   deletion is [waiting], which [defer] publishes before it scans.
 
    Lock rank: [version_pins] (12) — above [db]'s id lock, below every
    I/O lock, so the deferred closures (device delete + cache evict)
@@ -227,76 +235,82 @@ let decode_edit r =
 module Pins = struct
   module Ordered_mutex = Lsm_util.Ordered_mutex
 
+  type slot = { seq : int; refs : int Atomic.t }
+
   type registry = {
     m : Ordered_mutex.t;
-    pinned : (int, int) Hashtbl.t; (* version seq -> live pin count *)
-    mutable seq : int; (* seq of the currently installed version *)
-    mutable deferred : (int * (unit -> unit)) list; (* (needed seq, deletion) *)
+    current : slot Atomic.t;
+    mutable seq : int; (* seq of [current]; guarded by [m] *)
+    mutable retired : slot list; (* replaced slots that may hold pins; guarded by [m] *)
+    mutable deferred : (int * (unit -> unit)) list; (* (needed seq, deletion); guarded by [m] *)
+    waiting : int Atomic.t; (* [List.length deferred], written only under [m] *)
   }
 
-  type pin = { preg : registry; pseq : int }
+  type pin = { preg : registry; pslot : slot }
 
   let create_registry () =
     {
       m = Ordered_mutex.create ~rank:Ordered_mutex.Rank.version_pins ~name:"version.pins";
-      pinned = Hashtbl.create 8;
+      current = Atomic.make { seq = 0; refs = Atomic.make 0 };
       seq = 0;
+      retired = [];
       deferred = [];
+      waiting = Atomic.make 0;
     }
 
-  let advance reg = Ordered_mutex.with_lock reg.m (fun () -> reg.seq <- reg.seq + 1)
+  (* A retired slot at 0 can only be incremented again by a pinner whose
+     re-check fails, so dropping it loses no pin. *)
+  let live slots = List.filter (fun s -> Atomic.get s.refs > 0) slots
 
-  (* max_int when nothing is pinned: every deferred deletion is runnable. *)
-  let min_pinned_locked reg = Hashtbl.fold (fun s _ acc -> min s acc) reg.pinned max_int
+  let advance reg =
+    Ordered_mutex.with_lock reg.m (fun () ->
+        reg.seq <- reg.seq + 1;
+        let prev = Atomic.exchange reg.current { seq = reg.seq; refs = Atomic.make 0 } in
+        reg.retired <- prev :: live reg.retired)
 
+  (* [deferred] is newest-first; run oldest deletions first. *)
   let runnable_locked reg =
-    let mp = min_pinned_locked reg in
-    let run, keep = List.partition (fun (d, _) -> mp >= d) reg.deferred in
+    reg.retired <- live reg.retired;
+    let min_pinned = List.fold_left (fun acc (s : slot) -> min s.seq acc) max_int reg.retired in
+    let run, keep = List.partition (fun (d, _) -> min_pinned >= d) reg.deferred in
     reg.deferred <- keep;
-    (* [deferred] is newest-first; run oldest deletions first. *)
+    Atomic.set reg.waiting (List.length keep);
     List.rev_map snd run
 
-  let pin reg =
-    Ordered_mutex.with_lock reg.m (fun () ->
-        let s = reg.seq in
-        let c = match Hashtbl.find_opt reg.pinned s with Some c -> c | None -> 0 in
-        Hashtbl.replace reg.pinned s (c + 1);
-        { preg = reg; pseq = s })
+  let run_all fs = List.iter (fun f -> f ()) fs
 
-  let unpin p =
-    let reg = p.preg in
-    let run =
-      Ordered_mutex.with_lock reg.m (fun () ->
-          (match Hashtbl.find_opt reg.pinned p.pseq with
-          | Some c when c > 1 -> Hashtbl.replace reg.pinned p.pseq (c - 1)
-          | Some _ -> Hashtbl.remove reg.pinned p.pseq
-          | None -> ());
-          runnable_locked reg)
-    in
-    List.iter (fun f -> f ()) run
+  let release reg slot =
+    Atomic.decr slot.refs;
+    if Atomic.get reg.waiting > 0 then
+      run_all (Ordered_mutex.with_lock reg.m (fun () -> runnable_locked reg))
+
+  let rec pin reg =
+    let slot = Atomic.get reg.current in
+    Atomic.incr slot.refs;
+    if Atomic.get reg.current == slot then { preg = reg; pslot = slot }
+    else begin
+      release reg slot;
+      pin reg
+    end
+
+  let unpin p = release p.preg p.pslot
 
   let defer reg f =
-    let run =
-      Ordered_mutex.with_lock reg.m (fun () ->
-          let d = reg.seq in
-          if min_pinned_locked reg >= d then [ f ]
-          else begin
-            reg.deferred <- (d, f) :: reg.deferred;
-            []
-          end)
-    in
-    List.iter (fun f -> f ()) run
+    run_all
+      (Ordered_mutex.with_lock reg.m (fun () ->
+           reg.deferred <- (reg.seq, f) :: reg.deferred;
+           Atomic.set reg.waiting (List.length reg.deferred);
+           runnable_locked reg))
 
   let deferred_count reg = Ordered_mutex.with_lock reg.m (fun () -> List.length reg.deferred)
 
   let drain reg =
-    let run =
-      Ordered_mutex.with_lock reg.m (fun () ->
-          let fs = List.rev_map snd reg.deferred in
-          reg.deferred <- [];
-          fs)
-    in
-    List.iter (fun f -> f ()) run
+    run_all
+      (Ordered_mutex.with_lock reg.m (fun () ->
+           let fs = List.rev_map snd reg.deferred in
+           reg.deferred <- [];
+           Atomic.set reg.waiting 0;
+           fs))
 
   let with_pin reg f =
     let p = pin reg in

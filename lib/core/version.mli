@@ -73,12 +73,11 @@ val check_invariants : cmp:Lsm_util.Comparator.t -> t -> (unit, string) result
 (** {1 Lifetime pinning}
 
     Versions are persistent values, but the [.sst] files they reference
-    are deleted after compaction. With a background scheduler a reader
-    can hold a version across an install, so deletion is deferred: the
-    registry numbers installs with a sequence, readers {!Pins.pin} the
-    current sequence, and a deletion deferred after install [d] runs
-    only once no pin older than [d] remains. In inline mode the
-    registry is bypassed entirely (deletions stay eager). *)
+    are deleted after compaction, while a reader can hold a version
+    across the install, so deletion is deferred: the registry numbers
+    installs with a sequence, readers {!Pins.pin} the current sequence
+    (lock-free), and a deletion deferred after install [d] runs only
+    once no pin older than [d] remains. *)
 module Pins : sig
   type registry
   type pin

@@ -19,8 +19,10 @@ let value_of_bucket b =
     let rel = b - linear_limit in
     let exp = (rel lsr sub_bits) + sub_bits + 2 in
     let sub = rel land ((1 lsl sub_bits) - 1) in
-    (* Upper bound of the bucket. *)
-    (1 lsl exp) lor ((sub + 1) lsl (exp - sub_bits)) - 1
+    (* Upper bound of the bucket. A sum, not an [lor]: for the top
+       sub-bucket, [(sub + 1) lsl (exp - sub_bits)] is [1 lsl exp] and
+       must carry into the next power of two. *)
+    (1 lsl exp) + ((sub + 1) lsl (exp - sub_bits)) - 1
 
 let num_buckets = bucket_of_value max_int + 1
 

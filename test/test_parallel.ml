@@ -289,31 +289,45 @@ let test_multi_get_snapshot () =
 
 (* ---------- cross-domain stress ---------- *)
 
-(* One writer domain streams puts into the active memtable (config sized
-   so nothing flushes: no version/file churn) while reader domains hammer
+(* One writer domain streams puts while reader domains hammer
    get/multi_get/scan on a committed prefix. Readers must always see
    exactly the prefix values; keys written concurrently may surface or
-   not, but never corrupt. *)
-let test_writer_reader_stress () =
+   not, but never corrupt. With [quiet] the config is sized so nothing
+   flushes (no version/file churn); otherwise small buffers make the
+   writer flush and compact continuously, retiring tables the readers
+   are probing — a read that loses its table would surface as a typed
+   corruption, quarantine a healthy table, and degrade health. *)
+let writer_reader_stress ~quiet backend () =
   let dev = Device.in_memory () in
-  let config =
+  let base =
     { (Config.default) with
-      write_buffer_size = 64 lsl 20;
       wal_enabled = false;
       compaction_parallelism = 2;
-      block_cache_shards = 4 }
+      block_cache_shards = 4;
+      compaction_backend = backend }
+  in
+  let config =
+    if quiet then { base with write_buffer_size = 64 lsl 20 }
+    else
+      { base with
+        write_buffer_size = 16 * 1024;
+        level1_capacity = 64 * 1024;
+        target_file_size = 16 * 1024;
+        block_size = 1024;
+        compaction = Policy.leveled ~size_ratio:4 () }
   in
   let db = Db.open_db ~config ~dev () in
   let stable = 2000 in
+  let stable_key i = Printf.sprintf "s%06d" i and stable_val i = Printf.sprintf "stable%06d" i in
   for i = 0 to stable - 1 do
-    Db.put db ~key:(Printf.sprintf "s%06d" i) (Printf.sprintf "stable%06d" i)
+    Db.put db ~key:(stable_key i) (stable_val i)
   done;
   let stop = Atomic.make false in
   let writer =
     Domain.spawn (fun () ->
         let i = ref 0 in
         while not (Atomic.get stop) do
-          Db.put db ~key:(Printf.sprintf "w%08d" !i) (Printf.sprintf "live%08d" !i);
+          Db.put db ~key:(Printf.sprintf "w%08d" (!i mod 5000)) (Printf.sprintf "live%08d" !i);
           incr i
         done;
         !i)
@@ -321,22 +335,40 @@ let test_writer_reader_stress () =
   let reader r =
     Domain.spawn (fun () ->
         let rng = Rng.create (r + 1) in
-        let ok = ref true in
-        for _ = 1 to 3000 do
+        let wrong = ref 0 and errors = ref 0 in
+        for n = 1 to 3000 do
           let i = Rng.int rng stable in
-          let key = Printf.sprintf "s%06d" i in
-          match Db.get db key with
-          | Some v -> if v <> Printf.sprintf "stable%06d" i then ok := false
-          | None -> ok := false
+          match
+            if n mod 50 = 0 then begin
+              let idx = List.init 8 (fun k -> (i + k) mod stable) in
+              List.iter2
+                (fun j v -> if v <> Some (stable_val j) then incr wrong)
+                idx
+                (Db.multi_get db (List.map stable_key idx))
+            end
+            else if n mod 100 = 1 then begin
+              match Db.scan db ~limit:3 ~lo:(stable_key i) ~hi:(Some "t") () with
+              | (k, v) :: _ -> if k <> stable_key i || v <> stable_val i then incr wrong
+              | [] -> incr wrong
+            end
+            else if Db.get db (stable_key i) <> Some (stable_val i) then incr wrong
+          with
+          | () -> ()
+          | exception Lsm_util.Lsm_error.Error _ -> incr errors
         done;
-        !ok)
+        (!wrong, !errors))
   in
   let readers = List.init 3 reader in
-  let all_ok = List.for_all Domain.join readers in
+  let results = List.map Domain.join readers in
   Atomic.set stop true;
   let written = Domain.join writer in
-  check_bool "readers saw consistent prefix under write load" true all_ok;
+  check_int "readers saw no wrong values" 0 (List.fold_left (fun a (w, _) -> a + w) 0 results);
+  check_int "readers hit no errors" 0 (List.fold_left (fun a (_, e) -> a + e) 0 results);
   check_bool "writer made progress" true (written > 0);
+  if not quiet then
+    check_bool "writer flushed and compacted" true ((Db.stats db).Stats.compactions > 0);
+  check_bool "health stays Healthy" true (Db.health db = Db.Healthy);
+  check_int "nothing quarantined" 0 (List.length (Db.quarantined_tables db));
   (* Quiesced: everything lands and survives a flush + parallel compaction. *)
   Db.flush db;
   check_int "stable prefix intact" stable
@@ -381,6 +413,11 @@ let suite =
     Alcotest.test_case "subcompactions: reproducible" `Slow test_parallel_self_determinism;
     Alcotest.test_case "multi_get = map get" `Quick test_multi_get_matches_get;
     Alcotest.test_case "multi_get: snapshots" `Quick test_multi_get_snapshot;
-    Alcotest.test_case "stress: writer + readers" `Slow test_writer_reader_stress;
+    Alcotest.test_case "stress: writer + readers" `Slow
+      (writer_reader_stress ~quiet:true Config.default.compaction_backend);
+    Alcotest.test_case "stress: writer + readers, flushing (inline)" `Slow
+      (writer_reader_stress ~quiet:false Config.Inline);
+    Alcotest.test_case "stress: writer + readers, flushing (background)" `Slow
+      (writer_reader_stress ~quiet:false Config.Background);
     Alcotest.test_case "config: new knobs" `Quick test_config_knobs;
   ]

@@ -226,6 +226,56 @@ let test_version_pins () =
       check_int "current-version pin does not block" 0 (Version.Pins.deferred_count reg));
   Alcotest.(check (list string)) "ran inline" [ "c"; "b"; "a" ] !dropped
 
+(* Readers pin/unpin on several domains while one domain installs
+   versions and defers the previous version's deletion, as compaction
+   does: version [v] is published before its install, and deleting its
+   files is deferred after the install of [v + 1]. A reader that pinned
+   and then read version [v] must never see it deleted before it
+   unpins; once every pin has dropped, nothing may stay deferred — the
+   last unpin runs what it was blocking, with no [drain]. *)
+let test_version_pins_concurrent () =
+  let reg = Version.Pins.create_registry () in
+  let versions = 3000 in
+  let deleted = Array.init (versions + 1) (fun _ -> Atomic.make false) in
+  let published = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let reader () =
+    Domain.spawn (fun () ->
+        let violations = ref 0 and pins = ref 0 in
+        while not (Atomic.get stop) do
+          Version.Pins.with_pin reg (fun () ->
+              incr pins;
+              let v = Atomic.get published in
+              if Atomic.get deleted.(v) then incr violations;
+              for _ = 1 to 50 do
+                Domain.cpu_relax ()
+              done;
+              if Atomic.get deleted.(v) then incr violations)
+        done;
+        (!violations, !pins))
+  in
+  let readers = List.init 3 (fun _ -> reader ()) in
+  let installer =
+    Domain.spawn (fun () ->
+        for v = 1 to versions do
+          Atomic.set published v;
+          Version.Pins.advance reg;
+          let old = v - 1 in
+          Version.Pins.defer reg (fun () -> Atomic.set deleted.(old) true);
+          if v mod 64 = 0 then Domain.cpu_relax ()
+        done)
+  in
+  Domain.join installer;
+  Atomic.set stop true;
+  let results = List.map Domain.join readers in
+  check_int "no deletion ran under a pin that predates it" 0
+    (List.fold_left (fun a (v, _) -> a + v) 0 results);
+  check_bool "readers pinned" true (List.for_all (fun (_, p) -> p > 0) results);
+  check_int "nothing left deferred once every pin dropped" 0
+    (Version.Pins.deferred_count reg);
+  check_bool "every superseded version deleted" true
+    (Array.for_all Atomic.get (Array.sub deleted 0 versions))
+
 (* ---------- engine: background = inline ---------- *)
 
 let small_config ~backend =
@@ -335,6 +385,104 @@ let test_worker_count_determinism () =
     Alcotest.(check (list string)) (Printf.sprintf "seed %#x: workers=1 = inline" seed) inline w1;
     Alcotest.(check (list string)) (Printf.sprintf "seed %#x: workers=4 = inline" seed) inline w4
   done
+
+(* ---------- golden trees ---------- *)
+
+(* Digests recorded from the engine whose [Inline] backend ran flushes
+   and compactions through a dedicated synchronous cascade, before that
+   cascade became the zero-width scheduler lane. Each covers the tree
+   shape (every run's group, file ids and sizes) every 250 operations
+   and after the closing [flush] + [major_compact], the final entry
+   stream, and the flush/compaction/trivial-move/stall counts with the
+   stall bytes. So they pin down the intermediate trees too — which is
+   where the throttled configurations' budget-cut rounds show. *)
+let golden_config policy =
+  { Config.default with
+    write_buffer_size = 8 * 1024;
+    level1_capacity = 16 * 1024;
+    target_file_size = 16 * 1024;
+    block_size = 1024;
+    compaction = policy;
+    compaction_backend = Config.Inline;
+    compaction_workers = 1;
+    compaction_parallelism = 1;
+    wal_enabled = false }
+
+let golden_configs =
+  let leveled = Policy.leveled ~size_ratio:4 () in
+  [ ("leveled", golden_config leveled,
+     [ "8979da510382ce8b91a81249fc255105"; "b5b933362e9ce77133219a8dc82b925a";
+       "757a4b0ad6c835420e51dbb05c764a80" ]);
+    ("tiered", golden_config (Policy.tiered ~size_ratio:4 ()),
+     [ "251702fcb51abdb9bca2a5ac1be046fb"; "4bc149298493ed802186e1b6db83adf3";
+       "d2182258638f32c441dfb307c6bbeac3" ]);
+    ("throttled", { (golden_config leveled) with compaction_bytes_per_round = Some 4096 },
+     [ "75752fc64faacb9c2590dcc7fc5ec10e"; "15066face74e3cdf3f646b84e53a105c";
+       "3ab57da1effa1ec6bf160ab6cd65745f" ]);
+    ("throttled-ttl",
+     { (golden_config { leveled with Policy.movement = Policy.Expired_ttl { ttl = 100 } }) with
+       compaction_bytes_per_round = Some 4096 },
+     [ "8917087181e695ccea9b8a33488542af"; "fa22fa8794aa531299ad304cfb5a3ffb";
+       "bac51f8aaa5e4e9a7409259406f6afea" ]);
+    ("monkey-2buf",
+     { (golden_config (Policy.lazy_leveled ~size_ratio:4 ())) with
+       monkey_filters = true; filter_memory_bits = 200_000; max_immutable_buffers = 2 },
+     [ "ba51245ee0254042655b71ff0246f8e3"; "4ed9e3389247481858a7714038741e3a";
+       "daf8f4cbf19687968f5a5bc049e80e63" ]) ]
+
+let golden_digest config ~seed =
+  let db = Db.open_db ~config ~dev:(Device.in_memory ()) () in
+  let b = Buffer.create 4096 in
+  let shape () =
+    let v = Db.version db in
+    for l = 0 to Version.max_levels - 1 do
+      List.iter
+        (fun (r : Version.run) ->
+          Printf.bprintf b "L%d g%d" l r.Version.group;
+          List.iter
+            (fun (f : Lsm_sstable.Table_meta.t) -> Printf.bprintf b " %d:%d" f.file_id f.size)
+            r.Version.files;
+          Buffer.add_char b '\n')
+        (Version.level_runs v l)
+    done
+  in
+  let rng = Rng.create seed in
+  let ops = 6000 in
+  for i = 1 to ops do
+    if i mod 250 = 0 then shape ();
+    let k = Rng.int rng 2000 in
+    let key = Printf.sprintf "key%06d" k in
+    (match Rng.int rng 10 with
+    | 0 -> Db.delete db key
+    | 1 ->
+      let sk = Printf.sprintf "sd%06d" i in
+      Db.put db ~key:sk (Printf.sprintf "sval-%06d" i);
+      Db.single_delete db sk
+    | _ -> Db.put db ~key (Printf.sprintf "val-%06d-%08d" k (Rng.int rng 1_000_000)));
+    if i = ops / 2 then Db.range_delete db ~lo:"key000500" ~hi:"key000600"
+  done;
+  Db.flush db;
+  Db.major_compact db;
+  shape ();
+  List.iter (fun line -> Buffer.add_string b (line ^ "\n")) (dump_strings db);
+  let s = Db.stats db in
+  Printf.bprintf b "flushes=%d compactions=%d trivial_moves=%d stalls=%d burst=%d\n"
+    s.Stats.flushes s.Stats.compactions s.Stats.trivial_moves s.Stats.write_stalls
+    (Lsm_util.Histogram.total s.Stats.stall_burst_bytes);
+  Db.close db;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_trees () =
+  List.iter
+    (fun (name, config, digests) ->
+      List.iteri
+        (fun i expected ->
+          let seed = i + 1 in
+          Alcotest.(check string)
+            (Printf.sprintf "%s, seed %d" name seed)
+            expected (golden_digest config ~seed))
+        digests)
+    golden_configs
 
 (* ---------- concurrent readers vs background compaction ---------- *)
 
@@ -497,8 +645,12 @@ let suite =
     Alcotest.test_case "scheduler: shutdown with parked edits" `Quick
       test_shutdown_with_parked_edits;
     Alcotest.test_case "version pins: deferred deletion" `Quick test_version_pins;
+    Alcotest.test_case "version pins: concurrent pin/unpin vs install" `Quick
+      test_version_pins_concurrent;
     Alcotest.test_case "background = inline" `Slow test_background_equals_inline;
     Alcotest.test_case "background: reproducible" `Slow test_background_self_determinism;
+    Alcotest.test_case "golden trees: inline configs match recorded digests" `Slow
+      test_golden_trees;
     Alcotest.test_case "determinism across worker counts (20 seeds)" `Slow
       test_worker_count_determinism;
     Alcotest.test_case "stress: readers vs background compaction" `Slow

@@ -255,6 +255,25 @@ let test_histogram_percentile_error_bounded () =
         (abs (est - exact) <= max 2 (exact / 12)))
     [ 50.0; 90.0; 99.0 ]
 
+(* A lone sample reports as itself (percentiles clamp to the maximum),
+   including the top sub-bucket of an octave, whose upper bound carries
+   into the next power of two. *)
+let test_histogram_bucket_bounds () =
+  List.iter
+    (fun v ->
+      let h = Histogram.create () in
+      Histogram.add h v;
+      check_int (Printf.sprintf "p50 of {%d}" v) v (Histogram.percentile h 50.0);
+      (* With a larger maximum the estimate is the bucket's upper bound,
+         which must not fall below the sample. *)
+      Histogram.add h (16 * v);
+      Histogram.add h (16 * v);
+      check
+        (Printf.sprintf "p10 of {%d, ...} >= %d" v v)
+        true
+        (Histogram.percentile h 10.0 >= v))
+    [ 4095; 4096; 8000; 8191; 16000 ]
+
 let test_histogram_merge () =
   let a = Histogram.create () and b = Histogram.create () in
   List.iter (Histogram.add a) [ 1; 2; 3 ];
@@ -328,6 +347,7 @@ let suite =
     ("histogram basics", `Quick, test_histogram_basic);
     ("histogram small percentiles exact", `Quick, test_histogram_percentiles_small);
     ("histogram percentile error bounded", `Quick, test_histogram_percentile_error_bounded);
+    ("histogram bucket upper bounds carry", `Quick, test_histogram_bucket_bounds);
     ("histogram merge", `Quick, test_histogram_merge);
     ("histogram empty", `Quick, test_histogram_empty);
     ("comparator orders", `Quick, test_comparator_orders);
