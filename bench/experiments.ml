@@ -408,7 +408,7 @@ let e8 () =
      level, cutting data movement and raising ingest throughput (S2.2.2, \
      PebblesDB); reads pay for extra fragments";
   let total = 60_000 and unique = 12_000 in
-  let run_std name compaction =
+  let run name compaction =
     let dev = Device.in_memory () in
     let config = { (bench_config ~compaction ()) with Config.wal_enabled = false } in
     let db = Db.open_db ~config ~dev () in
@@ -416,51 +416,21 @@ let e8 () =
     let lc = measure_lookups db ~unique in
     let row =
       [ name; f2 (Db.write_amplification db); f1 rate; f3 lc.present_pages;
-        i0 (total_runs db) ]
+        Printf.sprintf "%d|%d" (total_runs db) (Lsm_core.Version.file_count (Db.version db)) ]
     in
     Db.close db;
     row
   in
-  let run_frag () =
-    let dev = Device.in_memory () in
-    let config =
-      {
-        Lsm_frag.Frag_db.default_config with
-        write_buffer_size = 16 * 1024;
-        level1_capacity = 64 * 1024;
-        target_file_size = 32 * 1024;
-        block_size = 1024;
-        size_ratio = 4;
-        level0_limit = 4;
-        guard_stride_base = 2048;
-      }
-    in
-    let db = Lsm_frag.Frag_db.create ~config ~dev () in
-    let rng = Rng.create 42 in
-    let load () =
-      for _ = 1 to total do
-        Lsm_frag.Frag_db.put db ~key:(key (Rng.int rng unique)) (value 64 rng)
-      done;
-      Lsm_frag.Frag_db.flush db
-    in
-    let rate = time_ops load total in
-    let pages_before = Io_stats.pages_read ~cls:Io_stats.C_user_read (Device.stats dev) in
-    let rng2 = Rng.create 7 in
-    for _ = 1 to 2000 do
-      ignore (Lsm_frag.Frag_db.get db (key (Rng.int rng2 unique)))
-    done;
-    let pages = Io_stats.pages_read ~cls:Io_stats.C_user_read (Device.stats dev) - pages_before in
-    [
-      "pebbles(frag)"; f2 (Lsm_frag.Frag_db.write_amplification db); f1 rate;
-      f3 (float_of_int pages /. 2000.0); i0 (Lsm_frag.Frag_db.fragment_count db);
-    ]
-  in
   table
-    [ "store"; "WA"; "ingest ops/s"; "pages/get(hit)"; "runs|frags" ]
+    [ "store"; "WA"; "ingest ops/s"; "pages/get(hit)"; "runs|files" ]
     [
-      run_std "leveled" (Policy.leveled ~size_ratio:4 ());
-      run_std "tiered" (Policy.tiered ~size_ratio:4 ());
-      run_frag ();
+      run "leveled" (Policy.leveled ~size_ratio:4 ());
+      run "tiered" (Policy.tiered ~size_ratio:4 ());
+      run "pebbles(guarded)"
+        {
+          (Policy.leveled ~size_ratio:4 ()) with
+          Policy.layout = Policy.Guarded { stride_base = 2048 };
+        };
     ]
 
 (* ------------------------------------------------------------------ *)

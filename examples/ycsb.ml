@@ -1,6 +1,6 @@
-(* YCSB core workloads A-F against three data layouts (leveled, tiered,
-   lazy-leveled) and the two alternative engines (WiscKey-style
-   key-value separation, PebblesDB-style fragmented guards).
+(* YCSB core workloads A-F against four data layouts (leveled, tiered,
+   lazy-leveled, PebblesDB-style fragmented guards) and WiscKey-style
+   key-value separation.
 
    This is the "which design for which workload" exercise of the
    tutorial's Module III, run end to end.
@@ -39,15 +39,14 @@ let engines =
              ~value_threshold:64 ~dev ()) );
     ( "pebbles",
       fun dev ->
-        Lsm_frag.Frag_db.to_kv_store
-          (Lsm_frag.Frag_db.create
+        Kv_store.of_db
+          (Lsm_core.Db.open_db
              ~config:
-               {
-                 Lsm_frag.Frag_db.default_config with
-                 write_buffer_size = 64 * 1024;
-                 level1_capacity = 256 * 1024;
-                 target_file_size = 128 * 1024;
-               }
+               (small_config
+                  {
+                    (Policy.leveled ~size_ratio:4 ()) with
+                    Policy.layout = Policy.Guarded { stride_base = 4096 };
+                  })
              ~dev ()) );
   ]
 

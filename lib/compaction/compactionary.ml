@@ -52,6 +52,12 @@ let all =
         Policy.granularity = Policy.Single_file;
         movement = Policy.Oldest_file;
       } );
+    ( "pebblesdb",
+      "PebblesDB: guard-partitioned levels, guard compactions append fragments downward",
+      {
+        (Policy.leveled ~size_ratio:4 ()) with
+        Policy.layout = Policy.Guarded { stride_base = 4096 };
+      } );
   ]
 
 let find name =

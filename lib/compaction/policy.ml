@@ -4,6 +4,7 @@ type data_layout =
   | Lazy_leveling of { runs : int }
   | Hybrid of { tiered_levels : int; runs : int }
   | Run_caps of int array
+  | Guarded of { stride_base : int }
 
 type granularity = Whole_level | Single_file
 
@@ -56,6 +57,18 @@ let run_cap t ~level ~last_level =
       if Array.length caps = 0 then 1
       else if level - 1 < Array.length caps then max 1 caps.(level - 1)
       else max 1 caps.(Array.length caps - 1)
+    | Guarded _ -> max_int
+
+(* Strides shrink by [size_ratio] per level, so a guard of level [l] is a
+   guard of every deeper level; the floor of 64 bounds guard density far
+   below the data. *)
+let guard_stride ~stride_base ~size_ratio ~level =
+  let rec div s n = if n <= 0 || s <= 64 then max 64 s else div (s / size_ratio) (n - 1) in
+  div stride_base (level - 1)
+
+let is_guard ~stride_base ~size_ratio ~level key =
+  let h = Int64.to_int (Lsm_util.Hashing.string64 ~seed:0x9aadL key) land max_int in
+  h mod guard_stride ~stride_base ~size_ratio ~level = 0
 
 let layout_name = function
   | Leveling -> "leveling"
@@ -65,6 +78,7 @@ let layout_name = function
   | Run_caps caps ->
     Printf.sprintf "run-caps[%s]"
       (String.concat "," (Array.to_list (Array.map string_of_int caps)))
+  | Guarded { stride_base } -> Printf.sprintf "guarded(%d)" stride_base
 
 let movement_name = function
   | Round_robin -> "round-robin"

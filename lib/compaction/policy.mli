@@ -10,7 +10,8 @@
     Any classical or hybrid strategy is a point in this space: RocksDB
     leveled = (Leveling, Level_size, File, Least_overlap); Cassandra
     STCS ≈ (Tiering T, Run_count, Whole_level, —); Dostoevsky =
-    (Lazy_leveling, …); Lethe = (…, movement = Expired_ttl). *)
+    (Lazy_leveling, …); Lethe = (…, movement = Expired_ttl); PebblesDB =
+    (Guarded, fragment count or level size, one guard, —). *)
 
 type data_layout =
   | Leveling  (** at most one run per level (§2.1.2) *)
@@ -23,6 +24,18 @@ type data_layout =
   | Run_caps of int array
       (** the continuum (E14): explicit per-level run caps; levels beyond
           the array reuse its last element *)
+  | Guarded of { stride_base : int }
+      (** PebblesDB's fragmented LSM (§2.2.2). Guard keys ({!is_guard})
+          partition each level >= 1; a guard holds any number of
+          overlapping runs (fragments). A guard compacts when it holds
+          more than [size_ratio] runs, or, as the heaviest guard of a
+          level over capacity: its runs merge and the output, cut at the
+          next level's guards, is appended there as one new run without
+          rewriting that level (in place at the last level while it is
+          under capacity). ~1 in [stride_base] keys guards level 1;
+          deeper levels divide the stride by [size_ratio]. [granularity]
+          and [movement] do not apply to guarded levels; level 0 merges
+          whole into a fresh level-1 run. *)
 
 type granularity =
   | Whole_level  (** AsterixDB-style full-level merges (§2.2.3) *)
@@ -57,7 +70,15 @@ val lazy_leveled : ?size_ratio:int -> unit -> t
 
 val run_cap : t -> level:int -> last_level:int -> int
 (** Maximum sorted runs the layout allows in [level] (1-based; level 0 is
-    governed by [level0_limit] separately). *)
+    governed by [level0_limit] separately). [max_int] for guarded levels:
+    their runs are bounded per guard, not per level. *)
+
+val is_guard : stride_base:int -> size_ratio:int -> level:int -> string -> bool
+(** Whether [key] is a guard of [level] under [Guarded { stride_base }]: a
+    key hash divisible by the level's stride ([stride_base] divided by
+    [size_ratio] once per level below 1, floored at 64). Pure, so guards
+    are never persisted; a guard of level [l] is one of every deeper level
+    whenever each stride divides the one above. *)
 
 val layout_name : data_layout -> string
 val movement_name : movement -> string

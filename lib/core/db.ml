@@ -311,8 +311,9 @@ let build_config t ~filter_bits_override =
   }
 
 (* Wrap [src] so it stops at a user-key boundary once [target] bytes of
-   entries have passed; returns whether anything remains. *)
-let capped_iter src ~target =
+   entries have passed, or before a key [cut ~prev key] accepts (a
+   guarded level's guard boundaries); returns whether anything remains. *)
+let capped_iter ?cut src ~target =
   let emitted = ref 0 in
   let stopped = ref false in
   let check_boundary () =
@@ -333,7 +334,11 @@ let capped_iter src ~target =
           if src.Iter.valid () then begin
             let nxt = src.Iter.entry () in
             match !last_key with
-            | Some k when not (String.equal k nxt.Entry.key) -> check_boundary ()
+            | Some k when not (String.equal k nxt.Entry.key) -> (
+              check_boundary ();
+              match cut with
+              | Some cut when cut ~prev:k nxt.Entry.key -> stopped := true
+              | _ -> ())
             | _ -> ()
           end
         end);
@@ -350,13 +355,13 @@ let alloc_file_id t =
   id
 
 (* Drain [src] into as many files as needed; returns their metadata. *)
-let write_run t ~cls ~filter_bits_override src =
+let write_run t ~cls ~filter_bits_override ?cut src =
   src.Iter.seek_to_first ();
   let metas = ref [] in
   while src.Iter.valid () do
     let file_id = alloc_file_id t in
     let name = Table_meta.file_name_of_id file_id in
-    let part = capped_iter src ~target:t.cfg.Config.target_file_size in
+    let part = capped_iter ?cut src ~target:t.cfg.Config.target_file_size in
     let props =
       Sstable.build
         ~config:(build_config t ~filter_bits_override)
@@ -448,9 +453,107 @@ type job =
   | J_tier_merge of int  (** merge all runs of the level, append at level+1 *)
   | J_whole_level of int  (** level + next level's run, rewritten at level+1 *)
   | J_file of int * Table_meta.t  (** one file + next-level overlap *)
+  | J_guard of int * guard
+      (** one guard of a guarded level, merged into a fresh run at
+          level+1 (in place at the last level while under capacity) *)
+
+(* A guard of a [Policy.Guarded] level: a key-overlap component of the
+   level's files — its runs restricted to the component's files, newest
+   first — with its inclusive tombstone-widened key span. *)
+and guard = { g_runs : Version.run list; g_lo : string; g_hi : string; g_bytes : int }
 
 let run_cap t ~level =
   Policy.run_cap t.cfg.Config.compaction ~level ~last_level:(max 1 (Version.last_level t.vers))
+
+let guarded t =
+  match t.cfg.Config.compaction.Policy.layout with Policy.Guarded _ -> true | _ -> false
+
+let level_files v l =
+  List.concat_map (fun (r : Version.run) -> r.Version.files) (Version.level_runs v l)
+
+let rds_of_files t files =
+  List.concat_map
+    (fun (f : Table_meta.t) ->
+      if f.range_tombstones = 0 then []
+      else
+        (Sstable.props (Table_cache.get t.tables f.file_name)).Sstable.Props.range_tombstones)
+    files
+
+(* The largest key [f]'s entries can affect: a range tombstone in [f] may
+   extend past [f.max_key]. Overlaps computed with it merge a tombstone's
+   victims along with it (else retiring the tombstone at the bottom would
+   resurrect them). *)
+let reach t (f : Table_meta.t) =
+  List.fold_left
+    (fun acc (rd : Entry.t) -> Comparator.max_key (cmp_of t) acc rd.value)
+    f.max_key (rds_of_files t [ f ])
+
+let overlap_at t level ~lo ~hi =
+  Picker.overlapping ~cmp:(cmp_of t) ~lo ~hi (level_files t.vers level)
+
+(* A single-file job's next-level inputs. *)
+let file_overlap t l (f : Table_meta.t) = overlap_at t (l + 1) ~lo:f.min_key ~hi:(reach t f)
+
+(* The guards of guarded level [l], key-ascending: its files closed under
+   overlap of their [reach]-widened spans, so a range tombstone and all
+   its victims at the level always merge together. *)
+let guards_of_level t l =
+  let cmp = (cmp_of t).Comparator.compare in
+  let spans =
+    List.concat_map
+      (fun (r : Version.run) ->
+        List.map (fun (f : Table_meta.t) -> (r.Version.group, f, reach t f)) r.Version.files)
+      (Version.level_runs t.vers l)
+    |> List.stable_sort (fun (_, (a : Table_meta.t), _) (_, (b : Table_meta.t), _) ->
+           cmp a.min_key b.min_key)
+  in
+  (* [members]: (group, file), key-descending *)
+  let guard (members, lo, hi) =
+    let g_runs =
+      List.fold_right
+        (fun (group, f) (runs : Version.run list) ->
+          match runs with
+          | r :: rest when r.Version.group = group ->
+            { r with Version.files = f :: r.files } :: rest
+          | _ -> { Version.group; files = [ f ] } :: runs)
+        (List.stable_sort (fun (a, _) (b, _) -> compare b a) (List.rev members))
+        []
+    in
+    let g_bytes = List.fold_left (fun a (_, (f : Table_meta.t)) -> a + f.size) 0 members in
+    { g_runs; g_lo = lo; g_hi = hi; g_bytes }
+  in
+  let rec sweep acc cur = function
+    | [] -> List.rev_map guard (Option.fold ~none:acc ~some:(fun c -> c :: acc) cur)
+    | (group, (f : Table_meta.t), r) :: rest -> (
+      match cur with
+      | Some (members, lo, hi) when cmp f.min_key hi <= 0 ->
+        sweep acc (Some ((group, f) :: members, lo, Comparator.max_key (cmp_of t) hi r)) rest
+      | _ ->
+        sweep
+          (Option.fold ~none:acc ~some:(fun c -> c :: acc) cur)
+          (Some ([ (group, f) ], f.min_key, r))
+          rest)
+  in
+  sweep [] None spans
+
+(* PebblesDB's triggers for guarded level [l]: the first guard holding
+   more than [size_ratio] runs (fragments); failing that, when the level
+   is over capacity, its heaviest guard (the first, on ties). *)
+let pick_guard t l =
+  let guards = guards_of_level t l in
+  match
+    List.find_opt
+      (fun g -> List.length g.g_runs > t.cfg.Config.compaction.Policy.size_ratio)
+      guards
+  with
+  | Some g -> Some (J_guard (l, g))
+  | None when Version.level_bytes t.vers l > Config.level_capacity t.cfg l ->
+    List.fold_left
+      (fun best g ->
+        match best with Some b when b.g_bytes >= g.g_bytes -> best | _ -> Some g)
+      None guards
+    |> Option.map (fun g -> J_guard (l, g))
+  | None -> None
 
 let pick_compaction t =
   let v = t.vers in
@@ -463,7 +566,8 @@ let pick_compaction t =
     for l = 1 to Version.max_levels - 2 do
       if !job = None && Version.level_runs v l <> [] then begin
         let cap = run_cap t ~level:l in
-        if cap > 1 then begin
+        if guarded t then job := pick_guard t l
+        else if cap > 1 then begin
           if Version.run_count v l >= cap then job := Some (J_tier_merge l)
         end
         else if Version.level_bytes v l > Config.level_capacity t.cfg l then begin
@@ -473,14 +577,6 @@ let pick_compaction t =
             match policy.Policy.granularity with
             | Policy.Whole_level -> job := Some (J_whole_level l)
             | Policy.Single_file -> (
-              let next_files =
-                List.concat_map (fun (r : Version.run) -> r.Version.files)
-                  (Version.level_runs v (l + 1))
-              in
-              let files =
-                List.concat_map (fun (r : Version.run) -> r.Version.files)
-                  (Version.level_runs v l)
-              in
               let ttl =
                 match policy.Policy.movement with
                 | Policy.Expired_ttl { ttl } -> Some ttl
@@ -488,7 +584,7 @@ let pick_compaction t =
               in
               let candidates =
                 Picker.annotate ~cmp:(cmp_of t) ~now:(Atomic.get t.clock) ~ttl
-                  ~next_level:next_files files
+                  ~next_level:(level_files v (l + 1)) (level_files v l)
               in
               let cursor = Hashtbl.find_opt t.rr_cursors l in
               match Picker.pick policy.Policy.movement ~cursor candidates with
@@ -497,37 +593,25 @@ let pick_compaction t =
         end
       end
     done;
-    (* Lethe's delete-driven trigger: files with expired tombstones force a
-       compaction even when the level is under capacity. *)
+    (* Lethe's delete-driven trigger: the first file (shallowest level
+       first) with expired tombstones forces a compaction even when its
+       level is under capacity. Movement does not apply to guarded
+       levels, so there it watches level 0 only. *)
     (match (policy.Policy.movement, !job) with
     | Policy.Expired_ttl { ttl }, None ->
-      (try
-         for l = 0 to Version.max_levels - 2 do
-           if l < Version.max_levels - 1 then
-             List.iter
-               (fun (r : Version.run) ->
-                 List.iter
-                   (fun (f : Table_meta.t) ->
-                     if
-                       f.point_tombstones + f.range_tombstones > 0
-                       && Atomic.get t.clock - f.created_at > ttl
-                       && l >= 1
-                     then begin
-                       job := Some (J_file (l, f));
-                       raise Exit
-                     end
-                     else if
-                       f.point_tombstones + f.range_tombstones > 0
-                       && Atomic.get t.clock - f.created_at > ttl
-                       && l = 0
-                     then begin
-                       job := Some J_level0;
-                       raise Exit
-                     end)
-                   r.Version.files)
-               (Version.level_runs v l)
-         done
-       with Exit -> ())
+      let now = Atomic.get t.clock in
+      let expired (f : Table_meta.t) =
+        f.point_tombstones + f.range_tombstones > 0 && now - f.created_at > ttl
+      in
+      let deepest = if guarded t then 0 else Version.max_levels - 2 in
+      let rec scan l =
+        if l > deepest then None
+        else
+          match List.find_opt expired (level_files v l) with
+          | Some f -> Some (if l = 0 then J_level0 else J_file (l, f))
+          | None -> scan (l + 1)
+      in
+      job := scan 0
     | _ -> ());
     !job
   end
@@ -535,14 +619,6 @@ let pick_compaction t =
 let file_iter t ~cls ?(use_cache = false) (f : Table_meta.t) =
   let reader = Table_cache.get t.tables f.file_name in
   Sstable.iterator reader ~cls ~use_cache ()
-
-let rds_of_files t files =
-  List.concat_map
-    (fun (f : Table_meta.t) ->
-      if f.range_tombstones = 0 then []
-      else
-        (Sstable.props (Table_cache.get t.tables f.file_name)).Sstable.Props.range_tombstones)
-    files
 
 (* Concurrent readers may still hold a version referencing these files;
    deletion waits for the last pin predating this install. *)
@@ -654,6 +730,8 @@ type merge_plan = {
   mp_target_group : int;
   mp_bottom : bool;
   mp_bits : float option;
+  mp_cut : (prev:string -> string -> bool) option;
+      (** output cut at the target level's guards ({!capped_iter}) *)
   mp_snapshots : int list;
       (** live-snapshot seqnos captured (under [snap_mutex]) at plan
           time; the execute phase filters against exactly this list. A
@@ -661,6 +739,38 @@ type merge_plan = {
           seqno in the captured inputs, so it only needs each key's
           newest input version, which [Merge_filter] always retains. *)
 }
+
+(* Where a merge into guarded [target_level] cuts its output: before
+   every guard key of the level, and at every guard of the level already
+   seen as a file min key at or below it, so guards whose keys are absent
+   from this merge still bound its files. [None] for other layouts. *)
+let guard_cut t ~target_level =
+  match t.cfg.Config.compaction.Policy.layout with
+  | Policy.Guarded { stride_base } when target_level >= 1 ->
+    let cmp = (cmp_of t).Comparator.compare in
+    let is_guard =
+      Policy.is_guard ~stride_base ~size_ratio:t.cfg.Config.compaction.Policy.size_ratio
+        ~level:target_level
+    in
+    let seen =
+      List.init (Version.max_levels - target_level) (fun i ->
+          level_files t.vers (target_level + i))
+      |> List.concat
+      |> List.filter_map (fun (f : Table_meta.t) ->
+             if is_guard f.min_key then Some f.min_key else None)
+      |> List.sort_uniq cmp |> Array.of_list
+    in
+    (* a seen guard in (prev, key]: binary search for the first above prev *)
+    let crosses ~prev key =
+      let lo = ref 0 and hi = ref (Array.length seen) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if cmp seen.(mid) prev <= 0 then lo := mid + 1 else hi := mid
+      done;
+      !lo < Array.length seen && cmp seen.(!lo) key <= 0
+    in
+    Some (fun ~prev key -> is_guard key || crosses ~prev key)
+  | _ -> None
 
 let plan_merge t ~input_runs ~extra_removed ~target_level ~target_group ~bottom =
   let input_files = List.concat_map (fun (r : Version.run) -> r.Version.files) input_runs in
@@ -675,6 +785,7 @@ let plan_merge t ~input_runs ~extra_removed ~target_level ~target_group ~bottom 
     mp_target_group = target_group;
     mp_bottom = bottom;
     mp_bits = monkey_bits t ~target_level ~incoming_entries:input_entries;
+    mp_cut = guard_cut t ~target_level;
     mp_snapshots = live_snapshots t;
   }
 
@@ -728,7 +839,8 @@ let merge_execute t (p : merge_plan) =
       Merge_filter.filtered ~cmp:(cmp_of t) ~snapshots:p.mp_snapshots ~bottom
         ~range_tombstones:rds merged
     in
-    write_run t ~cls:Io_stats.C_compaction_write ~filter_bits_override:bits filtered
+    write_run t ~cls:Io_stats.C_compaction_write ~filter_bits_override:bits ?cut:p.mp_cut
+      filtered
   in
   let metas =
     match (t.pool, ranges) with
@@ -860,20 +972,7 @@ let plan_of_job t job =
          ~target_group:(leveled_target_group t (l + 1)) ~bottom:(last <= l + 1))
   | J_file (l, f) ->
     let target = l + 1 in
-    let next_run_files =
-      List.concat_map (fun (r : Version.run) -> r.Version.files) (Version.level_runs t.vers target)
-    in
-    (* A range tombstone in [f] may extend past [f.max_key]; widen the
-       next-level overlap so its victims are merged (else retiring the
-       tombstone at the bottom would resurrect them). *)
-    let hi =
-      List.fold_left
-        (fun acc (rd : Entry.t) -> Lsm_util.Comparator.max_key (cmp_of t) acc rd.value)
-        f.Table_meta.max_key (rds_of_files t [ f ])
-    in
-    let overlapping =
-      Picker.overlapping ~cmp:(cmp_of t) ~lo:f.Table_meta.min_key ~hi next_run_files
-    in
+    let overlapping = file_overlap t l f in
     Hashtbl.replace t.rr_cursors l f.Table_meta.max_key;
     let bottom = last <= target in
     if
@@ -892,6 +991,18 @@ let plan_of_job t job =
         (plan_merge t ~input_runs ~extra_removed:[] ~target_level:target
            ~target_group:(leveled_target_group t target) ~bottom)
     end
+  | J_guard (l, g) ->
+    (* Appending leaves the target level's own runs in place, so
+       tombstones retire only where nothing there overlaps the guard; in
+       place, the guard holds everything at the last level it covers. *)
+    let in_place = l >= last && Version.level_bytes t.vers l <= Config.level_capacity t.cfg l in
+    let target = if in_place then l else l + 1 in
+    let bottom =
+      in_place || (last <= target && overlap_at t target ~lo:g.g_lo ~hi:g.g_hi = [])
+    in
+    P_merge
+      (plan_merge t ~input_runs:g.g_runs ~extra_removed:[] ~target_level:target
+         ~target_group:(fresh_group t) ~bottom)
 
 let planned_input_bytes = function
   | P_merge p -> p.mp_read_bytes
@@ -899,10 +1010,10 @@ let planned_input_bytes = function
 
 (* Conflict key for a pick: the job's source level plus the
    inclusive key span of everything it may read or rewrite — source and
-   next-level runs, or for a single-file job the file plus its (widened)
-   next-level overlap. Computed before planning, so a refused pick has
-   no side effects. A span wider than the eventual inputs only costs
-   parallelism, never correctness. *)
+   next-level runs, or for a single-file or guard job the file or guard
+   plus its (widened) next-level overlap. Computed before planning, so a
+   refused pick has no side effects. A span wider than the eventual
+   inputs only costs parallelism, never correctness. *)
 let key_of_job t job =
   let span level runs =
     match Version.runs_key_range ~cmp:(cmp_of t) runs with
@@ -913,21 +1024,10 @@ let key_of_job t job =
   | J_level0 -> span 0 (Version.level_runs t.vers 0 @ Version.level_runs t.vers 1)
   | J_tier_merge l | J_whole_level l ->
     span l (Version.level_runs t.vers l @ Version.level_runs t.vers (l + 1))
-  | J_file (l, f) ->
-    let next_run_files =
-      List.concat_map
-        (fun (r : Version.run) -> r.Version.files)
-        (Version.level_runs t.vers (l + 1))
-    in
-    let hi =
-      List.fold_left
-        (fun acc (rd : Entry.t) -> Lsm_util.Comparator.max_key (cmp_of t) acc rd.value)
-        f.Table_meta.max_key (rds_of_files t [ f ])
-    in
-    let overlapping =
-      Picker.overlapping ~cmp:(cmp_of t) ~lo:f.Table_meta.min_key ~hi next_run_files
-    in
-    span l [ { Version.group = 0; files = f :: overlapping } ]
+  | J_file (l, f) -> span l [ { Version.group = 0; files = f :: file_overlap t l f } ]
+  | J_guard (l, g) ->
+    let overlap = overlap_at t (l + 1) ~lo:g.g_lo ~hi:g.g_hi in
+    span l ({ Version.group = 0; files = overlap } :: g.g_runs)
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance lane & backpressure                                      *)

@@ -99,9 +99,9 @@ let point_name = function
 
 (* Run the workload once with no crash armed; returns the sync / mutating
    op / byte extents of the run — the coordinate space of crash points. *)
-let dry_run ~ops =
+let dry_run ?(config = default_config ()) ~ops () =
   let dev = Device.in_memory () in
-  let db = Db.open_db ~config:(default_config ()) ~dev () in
+  let db = Db.open_db ~config ~dev () in
   let s0 = Device.sync_count dev in
   let m0 = Device.mutation_count dev in
   let b0 = Io_stats.bytes_written (Device.stats dev) in
@@ -121,8 +121,7 @@ let bindings db = Db.scan db ~lo:"" ~hi:None ()
    - batches are all-or-nothing (a half-applied batch matches no model);
    - a second power loss immediately after recovery loses nothing (the
      re-logged WAL must already be durable). *)
-let check_crash ?(tear = Device.Tear_none) ?recovery ~ops point =
-  let config = default_config () in
+let check_crash ?(tear = Device.Tear_none) ?recovery ?(config = default_config ()) ~ops point =
   let models = models_of ops in
   let dev = Device.in_memory () in
   let fail fmt =
@@ -182,14 +181,14 @@ let check_crash ?(tear = Device.Tear_none) ?recovery ~ops point =
         else Ok ()
     end
 
-let run_points ~ops ~tears points =
+let run_points ?config ~ops ~tears points =
   let runs = ref 0 and failures = ref [] in
   List.iter
     (fun point ->
       List.iter
         (fun tear ->
           incr runs;
-          match check_crash ~tear ~ops point with
+          match check_crash ~tear ?config ~ops point with
           | Ok () -> ()
           | Error e -> failures := e :: !failures)
         tears)
@@ -201,23 +200,23 @@ let stride_range ~stride n = List.init ((n + stride - 1) / stride) (fun i -> 1 +
 let default_tears = [ Device.Tear_none; Device.Tear_keep 7; Device.Tear_corrupt 23 ]
 
 (* Crash at every sync boundary of the workload (strided if asked). *)
-let sweep_sync_points ?(tears = default_tears) ?(stride = 1) ~ops () =
-  let syncs, _, _ = dry_run ~ops in
-  run_points ~ops ~tears
+let sweep_sync_points ?config ?(tears = default_tears) ?(stride = 1) ~ops () =
+  let syncs, _, _ = dry_run ?config ~ops () in
+  run_points ?config ~ops ~tears
     (List.map (fun n -> Device.After_syncs n) (stride_range ~stride syncs))
 
 (* Crash at every mutating device-op boundary — finer than syncs: windows
    between an unsynced append/delete/rename and the next sync are only
    reachable here. *)
 let sweep_op_points ?(tears = default_tears) ?(stride = 1) ~ops () =
-  let _, muts, _ = dry_run ~ops in
+  let _, muts, _ = dry_run ~ops () in
   run_points ~ops ~tears
     (List.map (fun n -> Device.After_ops n) (stride_range ~stride muts))
 
 (* Crash mid-append at [samples] byte offsets, with torn tails retained
    or scrambled: partial frames must be rejected by the CRC framing. *)
 let sweep_mid_append ?(tears = default_tears) ~samples ~ops () =
-  let _, _, bytes = dry_run ~ops in
+  let _, _, bytes = dry_run ~ops () in
   let points =
     List.init samples (fun i ->
         Device.After_bytes (max 1 ((i + 1) * bytes / (samples + 1))))
@@ -229,7 +228,7 @@ let sweep_mid_append ?(tears = default_tears) ~samples ~ops () =
    open-path bugs (manifest rewrite windows, WAL re-log windows). *)
 let sweep_recovery_crashes ?(tears = default_tears) ~ops () =
   let config = default_config () in
-  let syncs, _, _ = dry_run ~ops in
+  let syncs, _, _ = dry_run ~ops () in
   let first_point = Device.After_syncs (max 1 (syncs / 2)) in
   (* How many mutating ops does one recovery perform? *)
   let recovery_extent tear =

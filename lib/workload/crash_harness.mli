@@ -51,25 +51,34 @@ val apply_db : Lsm_core.Db.t -> op -> unit
 val models_of : op array -> string SMap.t array
 (** [models.(i)] = logical store contents after the first [i] ops. *)
 
-val dry_run : ops:op array -> int * int * int
+val dry_run : ?config:Lsm_core.Config.t -> ops:op array -> unit -> int * int * int
 (** [(syncs, mutating_ops, bytes)] one full run of the workload spans —
-    the coordinate space the sweeps enumerate. *)
+    the coordinate space the sweeps enumerate. [config] defaults to
+    {!default_config}. *)
 
 val check_crash :
   ?tear:Lsm_storage.Device.tear ->
   ?recovery:Lsm_storage.Device.tear * Lsm_storage.Device.crash_point ->
+  ?config:Lsm_core.Config.t ->
   ops:op array ->
   Lsm_storage.Device.crash_point ->
   (unit, string) result
 (** One crash/recover/check cycle. [recovery], if given, injects a second
-    crash into the recovery run itself before the final reopen. *)
+    crash into the recovery run itself before the final reopen. [config]
+    (default {!default_config}) is used for every open of the cycle. *)
 
 val default_tears : Lsm_storage.Device.tear list
 (** Clean truncation, an intact torn tail, and a scrambled torn tail. *)
 
 val sweep_sync_points :
-  ?tears:Lsm_storage.Device.tear list -> ?stride:int -> ops:op array -> unit -> report
-(** Crash after every [stride]-th sync boundary of the workload. *)
+  ?config:Lsm_core.Config.t ->
+  ?tears:Lsm_storage.Device.tear list ->
+  ?stride:int ->
+  ops:op array ->
+  unit ->
+  report
+(** Crash after every [stride]-th sync boundary of the workload, running
+    it under [config] (default {!default_config}). *)
 
 val sweep_op_points :
   ?tears:Lsm_storage.Device.tear list -> ?stride:int -> ops:op array -> unit -> report

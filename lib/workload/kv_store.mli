@@ -1,8 +1,8 @@
 (** The store interface the workload runner drives.
 
-    Each engine variant (the core LSM, the kv-separated WiscKey build, the
-    fragmented/guarded build) adapts itself to this record, so every
-    experiment runs the exact same operation stream against each. *)
+    Each engine variant (the core LSM under any layout, the kv-separated
+    WiscKey build) adapts itself to this record, so every experiment runs
+    the exact same operation stream against each. *)
 
 type t = {
   store_name : string;

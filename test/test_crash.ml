@@ -330,6 +330,26 @@ let test_sweep_every_sync_point () =
   check "covers >= 200 sync-boundary crash points" true (r.Harness.points >= 200);
   check_int "three tear variants of each point" (r.Harness.points * 3) r.Harness.runs
 
+let test_sweep_guarded_layout () =
+  (* The guarded (PebblesDB) layout runs the same flush, compaction,
+     manifest and WAL paths, so it inherits crash recovery: fragment
+     appends, in-place guard merges and their file retirements must land
+     atomically at every sync boundary. *)
+  let config =
+    {
+      (Harness.default_config ()) with
+      Config.level1_capacity = 8 * 1024;
+      compaction =
+        {
+          (Lsm_compaction.Policy.leveled ~size_ratio:2 ()) with
+          Lsm_compaction.Policy.layout = Lsm_compaction.Policy.Guarded { stride_base = 64 };
+        };
+    }
+  in
+  let r = Harness.sweep_sync_points ~config ~ops:(ops_for 5) () in
+  report_check "guarded sync-point sweep" r;
+  check "covers >= 200 sync-boundary crash points" true (r.Harness.points >= 200)
+
 let test_sweep_op_points () =
   let ops = ops_for 7 in
   let stride = if extended then 1 else 9 in
@@ -377,6 +397,7 @@ let suite =
     ("db: stray wal names skipped", `Quick, test_stray_wal_names_skipped);
     ("db: repeated crash/reopen cycles", `Quick, test_repeated_crash_reopen_cycles);
     ("sweep: every sync boundary x 3 tears", `Slow, test_sweep_every_sync_point);
+    ("sweep: guarded layout, every sync boundary", `Slow, test_sweep_guarded_layout);
     ("sweep: device-op boundaries", `Slow, test_sweep_op_points);
     ("sweep: mid-append torn frames", `Slow, test_sweep_mid_append);
     ("sweep: crashes during recovery", `Slow, test_sweep_recovery_crashes);

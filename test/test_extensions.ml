@@ -477,7 +477,7 @@ let test_compactionary_lookup () =
   check "finds rocksdb-leveled" true
     (Lsm_compaction.Compactionary.find "RocksDB-Leveled" <> None);
   check "unknown is none" true (Lsm_compaction.Compactionary.find "nope" = None);
-  check_int "ten strategies" 10 (List.length Lsm_compaction.Compactionary.names);
+  check_int "ten strategies" 11 (List.length Lsm_compaction.Compactionary.names);
   check "describe renders" true
     (String.length (Lsm_compaction.Compactionary.describe_all ()) > 100)
 

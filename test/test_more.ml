@@ -219,38 +219,71 @@ let prop_lru_matches_model =
         ops;
       !ok && Block_cache.used_bytes cache = model_bytes ())
 
-(* ---------- frag model property ---------- *)
+(* ---------- guarded (PebblesDB) layout model property ---------- *)
 
+(* Puts, deletes and range deletes against a model, then a close/reopen.
+   Range tombstones reaching past their file into a neighbouring guard
+   must still find their victims when a guard compacts in place at the
+   bottom: with guards closed over file spans alone, about one case in
+   ten of this size reads a deleted key. *)
 let prop_frag_matches_model =
-  QCheck.Test.make ~name:"frag engine = model (random ops)" ~count:20
-    QCheck.(list_of_size Gen.(50 -- 400) (pair (int_bound 120) (option (int_bound 1000))))
+  QCheck.Test.make ~name:"frag engine = model (random ops)" ~count:60
+    (* Shrink the op list only: element shrinking multiplies the cost of
+       minimizing a 1500-op failure. *)
+    QCheck.(
+      list_of_size Gen.(50 -- 1500) (triple (int_bound 120) (int_bound 9) (int_bound 1000))
+      |> set_shrink (Shrink.list ?shrink:None))
     (fun ops ->
       let dev = Device.in_memory () in
       let config =
         {
-          Lsm_frag.Frag_db.default_config with
-          write_buffer_size = 4 * 1024;
-          level0_limit = 2;
+          Config.default with
+          write_buffer_size = 1024;
           level1_capacity = 8 * 1024;
-          target_file_size = 4 * 1024;
-          block_size = 512;
-          guard_stride_base = 512;
+          target_file_size = 1024;
+          block_size = 256;
+          paranoid_checks = true;
+          compaction =
+            {
+              (Lsm_compaction.Policy.leveled ~size_ratio:4 ()) with
+              Lsm_compaction.Policy.layout = Lsm_compaction.Policy.Guarded { stride_base = 64 };
+              level0_limit = 2;
+            };
         }
       in
-      let db = Lsm_frag.Frag_db.create ~config ~dev () in
+      let db = Db.open_db ~config ~dev () in
       let model = Hashtbl.create 64 in
       List.iter
-        (fun (k, v) ->
-          let k = key k in
-          match v with
-          | Some v ->
-            Lsm_frag.Frag_db.put db ~key:k (string_of_int v);
-            Hashtbl.replace model k (Some (string_of_int v))
-          | None ->
-            Lsm_frag.Frag_db.delete db k;
-            Hashtbl.replace model k None)
+        (fun (k, kind, v) ->
+          if kind = 0 then begin
+            let hi = k + 1 + (v mod 10) in
+            Db.range_delete db ~lo:(key k) ~hi:(key hi);
+            for i = k to hi - 1 do
+              Hashtbl.replace model (key i) None
+            done
+          end
+          else if kind <= 2 then begin
+            Db.delete db (key k);
+            Hashtbl.replace model (key k) None
+          end
+          else begin
+            Db.put db ~key:(key k) (string_of_int v);
+            Hashtbl.replace model (key k) (Some (string_of_int v))
+          end)
         ops;
-      Hashtbl.fold (fun k v ok -> ok && Lsm_frag.Frag_db.get db k = v) model true)
+      let agrees db =
+        Hashtbl.fold (fun k v ok -> ok && Db.get db k = v) model true
+        && Db.scan db ~lo:"" ~hi:None ()
+           = (Hashtbl.fold (fun k v acc -> match v with Some v -> (k, v) :: acc | None -> acc)
+                model []
+             |> List.sort compare)
+      in
+      let before = agrees db in
+      Db.close db;
+      let db = Db.open_db ~config ~dev () in
+      let after = agrees db in
+      Db.close db;
+      before && after)
 
 (* ---------- io accounting sanity ---------- *)
 

@@ -50,7 +50,7 @@ let () =
     [
       "Lsm_util"; "Lsm_record"; "Lsm_storage"; "Lsm_memtable"; "Lsm_filter";
       "Lsm_sstable"; "Lsm_compaction"; "Lsm_core"; "Lsm_cost"; "Lsm_server";
-      "Lsm_workload"; "Lsm_kvsep"; "Lsm_frag"; "Lsm_index";
+      "Lsm_workload"; "Lsm_kvsep"; "Lsm_index";
     ]
 
 (* "Lsm_core__Db" -> wrapper "Lsm_core" (dune also emits a bare
