@@ -34,6 +34,16 @@ type quarantine_entry = {
   q_detail : string;  (** what the detector saw *)
 }
 
+(* An installed version plus what readers derive from it, built once per
+   install rather than once per read. *)
+type read_view = {
+  rv_version : Version.t;
+  rv_rds : (string * string * int) list;  (** table range tombstones of [rv_version] *)
+  rv_runs : Table_meta.t array array;
+      (** every run's files in probe order (level ascending, newest run
+          first), as arrays for the point lookup's binary search *)
+}
+
 type t = {
   cfg : Config.t;
   dev : Device.t;
@@ -58,12 +68,11 @@ type t = {
   mutable vers : Version.t;
       (** the maintenance lane's working state — mutated only by the
           lane's committer (or a foreground caller that has quiesced it) *)
-  mutable read_view : Version.t * (string * string * int) list;
-      (** what readers use: the installed version paired with the
-          range-tombstone list rebuilt from exactly that version, swapped
-          in one field write so a reader can never pair a new version
-          with stale tombstones (or vice versa, which would resurrect
-          range-deleted keys) *)
+  mutable read_view : read_view;
+      (** what readers use: the installed version with what is derived
+          from exactly that version, swapped in one field write so a
+          reader can never pair a new version with stale tombstones (or
+          vice versa, which would resurrect range-deleted keys) *)
   mutable manifest : Manifest.t;
   mutable seqno : int;
       (** last {e allocated} sequence number — may run ahead of what the
@@ -178,35 +187,41 @@ let quarantine_of_meta (f : Table_meta.t) detail =
    through to an older run would silently serve a stale version of the
    key, which is exactly the wrong-data outcome quarantine exists to
    prevent. *)
-let raise_quarantined t (f : Table_meta.t) =
-  match
-    List.find_opt
-      (fun q -> String.equal q.q_file f.Table_meta.file_name)
-      (Atomic.get t.quarantined)
-  with
-  | Some q ->
-    raise (Lsm_error.corruption ~file:q.q_file ("table is quarantined: " ^ q.q_detail))
-  | None -> ()
+let rec raise_quarantined_in (f : Table_meta.t) = function
+  | [] -> ()
+  | q :: rest ->
+    if String.equal q.q_file f.Table_meta.file_name then
+      raise (Lsm_error.corruption ~file:q.q_file ("table is quarantined: " ^ q.q_detail))
+    else raise_quarantined_in f rest
+
+let raise_quarantined t f = raise_quarantined_in f (Atomic.get t.quarantined)
 
 (* Every read touching table [f] goes through this guard: a decode
    failure — or a referenced file that has vanished — quarantines the
-   table, degrades health, and surfaces as a typed error. *)
-let guard_table_read t (f : Table_meta.t) fn =
+   table, degrades health, and surfaces as a typed error. The point
+   lookup calls [table_read_failed] from its own handler instead, to
+   spare a closure per table probe. *)
+let table_read_failed t (f : Table_meta.t) e =
   let quarantine detail =
     note_corruption t;
     add_quarantine t (quarantine_of_meta f detail)
   in
-  try fn () with
-  | Lsm_error.Error (Lsm_error.Corruption _ as c) as e ->
+  match e with
+  | Lsm_error.Error (Lsm_error.Corruption _ as c) ->
     quarantine (Lsm_error.to_string c);
     raise e
   | Lsm_util.Codec.Corrupt msg ->
     quarantine msg;
     raise (Lsm_error.corruption ~file:f.Table_meta.file_name msg)
-  | Not_found ->
+  | _ (* [Not_found]: the file is gone *) ->
     let detail = "referenced table missing" in
     quarantine detail;
     raise (Lsm_error.corruption ~file:f.Table_meta.file_name detail)
+
+let guard_table_read t f fn =
+  try fn () with
+  | (Lsm_error.Error (Lsm_error.Corruption _) | Lsm_util.Codec.Corrupt _ | Not_found) as e ->
+    table_read_failed t f e
 
 let wal_name_of n = Printf.sprintf "wal-%06d.log" n
 
@@ -255,6 +270,15 @@ let rebuild_table_rds t =
     (Version.all_files t.vers);
   !rds
 
+let read_view_of t =
+  let runs =
+    List.concat_map
+      (fun l ->
+        List.map (fun (r : Version.run) -> Array.of_list r.Version.files) (Version.level_runs t.vers l))
+      (List.init Version.max_levels Fun.id)
+  in
+  { rv_version = t.vers; rv_rds = rebuild_table_rds t; rv_runs = Array.of_list runs }
+
 (* Serialized: runs on the lane's committer, or during [open_db] before
    the lane has work — never two at once. Publishing [read_view] before
    [Pins.advance] keeps pinning conservative: a pin taken between the
@@ -272,7 +296,7 @@ let install_edit t edit =
         (Lsm_error.corruption ~file:Manifest.file_name
            ("LSM invariant violation: " ^ e))
   end;
-  t.read_view <- (t.vers, rebuild_table_rds t);
+  t.read_view <- read_view_of t;
   Version.Pins.advance t.pins
 
 (* ------------------------------------------------------------------ *)
@@ -1352,102 +1376,113 @@ let apply_batch t batch =
 
 (* Highest-seqno visible range tombstone covering [key]. [active],
    [immutables], and [table_rds] are the caller's consistent snapshot
-   (see [capture_read_ctx]). *)
+   (see [capture_read_ctx]). Top-level recursions, like the rest of the
+   point-lookup path: a nested closure would cost every get an
+   allocation even with no tombstone anywhere. *)
+let covers (cmp : Comparator.t) ~snap ~best key lo hi seqno =
+  seqno <= snap && seqno > best && cmp.compare lo key <= 0 && cmp.compare key hi < 0
+
+let rec table_rd_seqno cmp ~snap key best = function
+  | [] -> best
+  | (lo, hi, seqno) :: rest ->
+    let best = if covers cmp ~snap ~best key lo hi seqno then seqno else best in
+    table_rd_seqno cmp ~snap key best rest
+
+let rec entry_rd_seqno cmp ~snap key best = function
+  | [] -> best
+  | (e : Entry.t) :: rest ->
+    let best = if covers cmp ~snap ~best key e.key e.value e.seqno then e.seqno else best in
+    entry_rd_seqno cmp ~snap key best rest
+
+let rec buffer_rd_seqno cmp ~snap key best = function
+  | [] -> best
+  | b :: rest ->
+    let best = entry_rd_seqno cmp ~snap key best (Memtable.range_tombstones b.mt) in
+    buffer_rd_seqno cmp ~snap key best rest
+
 let covering_rd_seqno t ~active ~immutables ~table_rds ~snap key =
   let cmp = cmp_of t in
-  let best = ref 0 in
-  let consider (lo, hi, seqno) =
-    if
-      seqno <= snap
-      && cmp.Comparator.compare lo key <= 0
-      && cmp.Comparator.compare key hi < 0
-      && seqno > !best
-    then best := seqno
-  in
-  let mem_rds b =
-    List.iter
-      (fun (e : Entry.t) -> consider (e.key, e.value, e.seqno))
-      (Memtable.range_tombstones b.mt)
-  in
-  mem_rds active;
-  List.iter mem_rds immutables;
-  List.iter consider table_rds;
-  !best
+  let best = entry_rd_seqno cmp ~snap key 0 (Memtable.range_tombstones active.mt) in
+  table_rd_seqno cmp ~snap key (buffer_rd_seqno cmp ~snap key best immutables) table_rds
 
-(* Binary search the file of a sorted run that may hold [key]. *)
-let find_file_in_run (cmp : Comparator.t) (r : Version.run) key =
-  let files = Array.of_list r.Version.files in
+(* Binary search a run's files (sorted, disjoint) for the one that may
+   hold [key]: its index, or -1. *)
+let find_file_in_run (cmp : Comparator.t) (files : Table_meta.t array) key =
   let n = Array.length files in
-  (* last file with min_key <= key *)
-  let lo = ref 0 and hi = ref (n - 1) in
-  if n = 0 || cmp.compare files.(0).Table_meta.min_key key > 0 then None
+  if n = 0 || cmp.compare files.(0).Table_meta.min_key key > 0 then -1
   else begin
+    (* last file with min_key <= key *)
+    let lo = ref 0 and hi = ref (n - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
       if cmp.compare files.(mid).Table_meta.min_key key <= 0 then lo := mid else hi := mid - 1
     done;
-    let f = files.(!lo) in
-    if cmp.compare key f.Table_meta.max_key <= 0 then Some f else None
+    if cmp.compare key files.(!lo).Table_meta.max_key <= 0 then !lo else -1
   end
 
-(* Probe disk runs in recency order, returning the newest visible point
-   entry and the number of runs whose table was searched past its
-   filter; accounts filter statistics when [record] (pool domains pass
-   false — the counters are not domain-safe). *)
-let probe_tables t ~v ~snap ~record key =
-  let cmp = cmp_of t in
-  let result = ref None in
-  let probed = ref 0 in
-  (try
-     for l = 0 to Version.max_levels - 1 do
-       List.iter
-         (fun (r : Version.run) ->
-           match find_file_in_run cmp r key with
-           | None -> ()
-           | Some f -> (
-             (* [find_file_in_run] selected [f] by key range, so a
-                quarantined hit means the key lives in the fenced range. *)
-             raise_quarantined t f;
-             guard_table_read t f @@ fun () ->
-             let reader = Table_cache.get t.tables f.Table_meta.file_name in
-             if not (Sstable.may_contain_key reader key) then begin
-               if record then
-                 t.db_stats.Stats.filter_negatives <- t.db_stats.Stats.filter_negatives + 1
-             end
-             else begin
-               incr probed;
-               match Sstable.get reader ~cls:Io_stats.C_user_read ~max_seqno:snap key with
-               | Some e -> begin
-                 result := Some e;
-                 raise Exit
-               end
-               | None ->
-                 if record then
-                   t.db_stats.Stats.filter_false_positives <-
-                     t.db_stats.Stats.filter_false_positives + 1
-             end))
-         (Version.level_runs v l)
-     done
-   with Exit -> ());
-  (!result, !probed)
+(* What one point lookup did below the memtables. Reader domains
+   (multi_get fan-out) must not touch the shared counters, so every
+   lookup fills its own tally and the caller accounts it on its own
+   domain ([account_lookup]); a delta of the shared counters would
+   absorb other readers' work. *)
+type tally = {
+  mutable probed : int;  (** runs whose table was searched past its filter *)
+  mutable negatives : int;  (** tables the filter ruled out *)
+  mutable false_positives : int;  (** searched past the filter, key absent *)
+}
+
+let new_tally () = { probed = 0; negatives = 0; false_positives = 0 }
+
+(* Newest visible point entry for [key] in table [f]. The filter is
+   probed exactly once: [Sstable.get_unfiltered] trusts this outcome
+   rather than hashing the key and probing again. *)
+let probe_table t (f : Table_meta.t) ~snap tally key =
+  (* [find_file_in_run] selected [f] by key range, so a quarantined hit
+     means the key lives in the fenced range. *)
+  raise_quarantined t f;
+  match
+    let reader = Table_cache.get t.tables f.Table_meta.file_name in
+    if not (Sstable.may_contain_key reader key) then begin
+      tally.negatives <- tally.negatives + 1;
+      None
+    end
+    else begin
+      tally.probed <- tally.probed + 1;
+      let found = Sstable.get_unfiltered reader ~cls:Io_stats.C_user_read ~max_seqno:snap key in
+      if Option.is_none found then tally.false_positives <- tally.false_positives + 1;
+      found
+    end
+  with
+  | found -> found
+  | exception ((Lsm_error.Error (Lsm_error.Corruption _) | Lsm_util.Codec.Corrupt _ | Not_found) as e)
+    ->
+    table_read_failed t f e
+
+(* Probe disk runs [i..] in recency order, returning the newest visible
+   point entry. *)
+let rec probe_runs t (runs : Table_meta.t array array) i ~snap tally key =
+  if i >= Array.length runs then None
+  else
+    let files = runs.(i) in
+    let j = find_file_in_run (cmp_of t) files key in
+    let found = if j < 0 then None else probe_table t files.(j) ~snap tally key in
+    if Option.is_some found then found else probe_runs t runs (i + 1) ~snap tally key
 
 (* Resolve a merge chain by iterating every visible version of [key],
    newest first. Used only when the newest visible entry is a Merge. *)
-let resolve_merge_chain t ~v ~active ~immutables ~snap ~rd_seq key =
+let resolve_merge_chain t ~runs ~active ~immutables ~snap ~rd_seq key =
   let cmp = cmp_of t in
   let sources =
     (Memtable.iterator active.mt :: List.map (fun b -> Memtable.iterator b.mt) immutables)
-    @ List.concat_map
-        (fun l ->
-          List.map
-            (fun (r : Version.run) ->
-              match find_file_in_run cmp r key with
-              | Some f ->
-                Sstable.iterator (Table_cache.get t.tables f.Table_meta.file_name)
-                  ~cls:Io_stats.C_user_read ()
-              | None -> Iter.empty)
-            (Version.level_runs v l))
-        (List.init Version.max_levels Fun.id)
+    @ Array.to_list
+        (Array.map
+           (fun files ->
+             match find_file_in_run cmp files key with
+             | -1 -> Iter.empty
+             | j ->
+               Sstable.iterator (Table_cache.get t.tables files.(j).Table_meta.file_name)
+                 ~cls:Io_stats.C_user_read ())
+           runs)
   in
   let it = Iter.merge cmp sources in
   it.Iter.seek key;
@@ -1491,8 +1526,7 @@ type read_ctx = {
   rc_snap : int;  (** highest visible seqno *)
   rc_active : buffer_unit;
   rc_immutables : buffer_unit list;
-  rc_version : Version.t;
-  rc_rds : (string * string * int) list;  (** table range tombstones of [rc_version] *)
+  rc_view : read_view;
 }
 
 (* Capture order is load-bearing twice over.
@@ -1515,71 +1549,80 @@ type read_ctx = {
    memtables alive no matter what the maintenance lane does.
 
    Buffers before view: the memtable stack is snapshotted *before*
-   [read_view] is read, and the flush job installs the new view *before*
+   [read_view] is read (last, in the same critical section), and the
+   flush job installs the new view *before*
    popping the buffer. So if a buffer is already gone from our snapshot,
    the view we then read must contain its flushed table — entries can be
    seen twice during the overlap (probe order dedupes) but never zero
    times. The caller holds a version pin, keeping every file of
-   [rc_version] on disk.
+   [rc_view] on disk.
 
    An explicit [snapshot] needs none of the ceiling choreography — its
    seqno is protected from GC by the registry ([live_snapshots]) — but
    shares the locked stack copy. *)
 let capture_read_ctx t ?snapshot () =
-  let snap, active, immutables =
-    Ordered_mutex.with_lock t.buf_mutex (fun () ->
-        let snap =
-          match snapshot with
-          | Some s -> Snapshot.seqno s
-          | None -> Atomic.get t.visible_seqno
-        in
-        (snap, t.active, t.immutables))
-  in
-  let v, table_rds = t.read_view in
-  { rc_snap = snap; rc_active = active; rc_immutables = immutables;
-    rc_version = v; rc_rds = table_rds }
+  Ordered_mutex.with_lock t.buf_mutex (fun () ->
+      let snap =
+        match snapshot with
+        | Some s -> Snapshot.seqno s
+        | None -> Atomic.get t.visible_seqno
+      in
+      let active = t.active and immutables = t.immutables in
+      { rc_snap = snap; rc_active = active; rc_immutables = immutables; rc_view = t.read_view })
+
+(* Newest visible entry of [key] in the immutable buffers, newest
+   first. *)
+let rec find_in_buffers buffers ~snap key =
+  match buffers with
+  | [] -> None
+  | b :: older -> (
+    match Memtable.find b.mt ~max_seqno:snap key with
+    | Some _ as found -> found
+    | None -> find_in_buffers older ~snap key)
 
 (* The full read path for one key against a captured context, minus
-   clock/statistics bookkeeping: shared by {!get} (record = true) and
-   both paths of {!multi_get} (record = false — pool domains must not
-   touch the counters). Returns the value and this lookup's own count of
-   runs probed, which the caller accounts on its domain: a delta of the
-   shared counter would absorb other readers' probes. *)
-let lookup_in_ctx t ctx ~record key =
-  let { rc_snap = snap; rc_active = active; rc_immutables = immutables;
-        rc_version = v; rc_rds = table_rds } = ctx in
-  let rd_seq = covering_rd_seqno t ~active ~immutables ~table_rds ~snap key in
-  let newest, probed =
+   clock/statistics bookkeeping: shared by {!get} and both paths of
+   {!multi_get}. What the lookup did below the memtables goes into
+   [tally], which the caller accounts on its own domain. *)
+let lookup_in_ctx t ctx tally key =
+  let { rc_snap = snap; rc_active = active; rc_immutables = immutables; rc_view = view } = ctx in
+  let rd_seq =
+    covering_rd_seqno t ~active ~immutables ~table_rds:view.rv_rds ~snap key
+  in
+  let newest =
     match Memtable.find active.mt ~max_seqno:snap key with
-    | Some _ as found -> (found, 0)
+    | Some _ as found -> found
     | None -> (
-      match List.find_map (fun b -> Memtable.find b.mt ~max_seqno:snap key) immutables with
-      | Some _ as found -> (found, 0)
-      | None -> probe_tables t ~v ~snap ~record key)
+      match find_in_buffers immutables ~snap key with
+      | Some _ as found -> found
+      | None -> probe_runs t view.rv_runs 0 ~snap tally key)
   in
   match newest with
   | Some e when e.Entry.seqno > rd_seq -> (
-    ( match e.Entry.kind with
+    match e.Entry.kind with
     | Entry.Put -> Some e.Entry.value
     | Entry.Delete | Entry.Single_delete | Entry.Range_delete -> None
-    | Entry.Merge -> resolve_merge_chain t ~v ~active ~immutables ~snap ~rd_seq key ),
-    probed )
-  | _ -> (None, probed)
+    | Entry.Merge ->
+      resolve_merge_chain t ~runs:view.rv_runs ~active ~immutables ~snap ~rd_seq key)
+  | _ -> None
 
-let account_probes t probed =
-  t.db_stats.Stats.runs_probed <- t.db_stats.Stats.runs_probed + probed;
-  Lsm_util.Histogram.add t.db_stats.Stats.get_run_probes probed
+let account_lookup t tally found =
+  let st = t.db_stats in
+  st.Stats.runs_probed <- st.Stats.runs_probed + tally.probed;
+  Lsm_util.Histogram.add st.Stats.get_run_probes tally.probed;
+  st.Stats.filter_negatives <- st.Stats.filter_negatives + tally.negatives;
+  st.Stats.filter_false_positives <- st.Stats.filter_false_positives + tally.false_positives;
+  if Option.is_some found then st.Stats.gets_found <- st.Stats.gets_found + 1
 
 let get t ?snapshot key =
   check_open t;
   ignore (Atomic.fetch_and_add t.clock 1);
   t.db_stats.Stats.user_gets <- t.db_stats.Stats.user_gets + 1;
-  let result, probed =
-    with_pin t (fun () ->
-        lookup_in_ctx t (capture_read_ctx t ?snapshot ()) ~record:true key)
+  let tally = new_tally () in
+  let result =
+    with_pin t (fun () -> lookup_in_ctx t (capture_read_ctx t ?snapshot ()) tally key)
   in
-  account_probes t probed;
-  if result <> None then t.db_stats.Stats.gets_found <- t.db_stats.Stats.gets_found + 1;
+  account_lookup t tally result;
   result
 
 (* Split [xs] into at most [n] contiguous chunks of near-equal length. *)
@@ -1599,6 +1642,10 @@ let chunk_list n xs =
   in
   split xs
 
+let lookup_tallied t ctx key =
+  let tally = new_tally () in
+  (lookup_in_ctx t ctx tally key, tally)
+
 let multi_get t ?snapshot keys =
   check_open t;
   ignore (Atomic.fetch_and_add t.clock 1);
@@ -1615,22 +1662,19 @@ let multi_get t ?snapshot keys =
         | Some pool when Domain_pool.size pool > 1 && List.length keys > 1 ->
           (* One chunk per worker: the per-task overhead (queue lock,
              future wakeup) amortizes over the chunk, and results
-             concatenate back in input order. Reads are pure — all
-             statistics except filter counters are accounted below, on
-             the calling domain. *)
+             concatenate back in input order. Reads are pure — every
+             statistic is accounted below, on the calling domain, from
+             the per-key tallies. *)
           let chunks = chunk_list (Domain_pool.size pool) keys in
           List.concat
-            (Domain_pool.map_list pool
-               (fun chunk -> List.map (fun key -> lookup_in_ctx t ctx ~record:false key) chunk)
-               chunks)
-        | _ -> List.map (fun key -> lookup_in_ctx t ctx ~record:false key) keys)
+            (Domain_pool.map_list pool (List.map (lookup_tallied t ctx)) chunks)
+        | _ -> List.map (lookup_tallied t ctx) keys)
   in
   let n = List.length keys in
   t.db_stats.Stats.user_gets <- t.db_stats.Stats.user_gets + n;
   List.map
-    (fun (r, probed) ->
-      account_probes t probed;
-      if r <> None then t.db_stats.Stats.gets_found <- t.db_stats.Stats.gets_found + 1;
+    (fun (r, tally) ->
+      account_lookup t tally r;
       r)
     results
 
@@ -1661,10 +1705,10 @@ let fold t ?snapshot ?(limit = max_int) ~lo ~hi ~init ~f () =
   with_pin t @@ fun () ->
   (* Same capture discipline as [get]/[multi_get]: ceiling first, then
      buffers, then view, one read each. *)
-  let { rc_snap = snap; rc_active = active; rc_immutables = immutables;
-        rc_version = v; rc_rds = table_rds } =
+  let { rc_snap = snap; rc_active = active; rc_immutables = immutables; rc_view } =
     capture_read_ctx t ?snapshot ()
   in
+  let v = rc_view.rv_version and table_rds = rc_view.rv_rds in
   let rds = scan_rds t ~active ~immutables ~table_rds ~snap ~lo ~hi in
   let rd_covering key seqno =
     List.exists
@@ -1865,7 +1909,7 @@ let verify_integrity t =
   (* 2. Every live table, under a pin so a concurrent compaction cannot
      delete files out from under the walk. *)
   with_pin t (fun () ->
-      let v, _ = t.read_view in
+      let v = t.read_view.rv_version in
       List.iter
         (fun (f : Table_meta.t) ->
           if not (is_quarantined t f.Table_meta.file_name) then
@@ -1903,12 +1947,12 @@ let verify_integrity t =
    zero-width lane runs the pass on the caller before returning. *)
 let scrub t =
   check_open t;
-  let v, _ = t.read_view in
+  let v = t.read_view.rv_version in
   List.iter
     (fun (f : Table_meta.t) ->
       Scheduler.enqueue t.sched (fun () ->
           with_pin t (fun () ->
-              let live, _ = t.read_view in
+              let live = t.read_view.rv_version in
               let still_live =
                 List.exists
                   (fun (g : Table_meta.t) ->
@@ -1983,7 +2027,7 @@ let open_db ?(config = Config.default) ~dev () =
       imm_bytes = 0;
       flush_claims = 0;
       vers = recovered;
-      read_view = (Version.empty, []);
+      read_view = { rv_version = Version.empty; rv_rds = []; rv_runs = [||] };
       manifest;
       seqno = recovered.Version.last_seqno;
       visible_seqno = Atomic.make recovered.Version.last_seqno;
@@ -2216,7 +2260,7 @@ let last_seqno t = t.seqno
    kinds, and values), whatever the file boundaries. *)
 let dump_entries t =
   with_pin t @@ fun () ->
-  let v, _ = t.read_view in
+  let v = t.read_view.rv_version in
   List.concat_map
     (fun l ->
       List.concat_map
@@ -2247,7 +2291,7 @@ let space_amplification t =
       ()
   in
   let active, immutables = buffers t in
-  let v, _ = t.read_view in
+  let v = t.read_view.rv_version in
   let physical =
     Version.total_bytes v
     + Memtable.footprint active.mt

@@ -284,14 +284,16 @@ module Pins = struct
     if Atomic.get reg.waiting > 0 then
       run_all (Ordered_mutex.with_lock reg.m (fun () -> runnable_locked reg))
 
-  let rec pin reg =
+  let rec pin_slot reg =
     let slot = Atomic.get reg.current in
     Atomic.incr slot.refs;
-    if Atomic.get reg.current == slot then { preg = reg; pslot = slot }
+    if Atomic.get reg.current == slot then slot
     else begin
       release reg slot;
-      pin reg
+      pin_slot reg
     end
+
+  let pin reg = { preg = reg; pslot = pin_slot reg }
 
   let unpin p = release p.preg p.pslot
 
@@ -312,9 +314,18 @@ module Pins = struct
            Atomic.set reg.waiting 0;
            fs))
 
+  (* Every read takes a pin: hold the bare slot and release it without
+     [Fun.protect]'s per-call closure and exception wrapper. *)
   let with_pin reg f =
-    let p = pin reg in
-    Fun.protect ~finally:(fun () -> unpin p) f
+    let slot = pin_slot reg in
+    match f () with
+    | v ->
+      release reg slot;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      release reg slot;
+      Printexc.raise_with_backtrace e bt
 end
 
 let pp ppf t =

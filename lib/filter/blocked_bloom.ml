@@ -23,38 +23,32 @@ let get_bit b i =
   let byte = i lsr 3 and bit = i land 7 in
   Char.code (Bytes.get b byte) land (1 lsl bit) <> 0
 
-let probe_base t key =
-  let h1, h2 = Hashing.double_hash key in
-  let block = h1 mod t.nblocks in
-  (block * block_bits, h2)
+(* [h1] picks the 64-byte block, [h2] the probes inside it. As in
+   {!Bloom}, the pair arrives through [Hashing.double_hash_with] and a
+   top-level continuation, so a probe allocates nothing. *)
+let add_hashed t h1 h2 =
+  let base = h1 mod t.nblocks * block_bits in
+  let pos = ref (h2 land (block_bits - 1)) in
+  let step = ((h2 lsr 9) lor 1) land (block_bits - 1) in
+  for _ = 1 to t.k do
+    set_bit t.bits (base + !pos);
+    pos := (!pos + step) land (block_bits - 1)
+  done
 
-let add t key =
-  if t.nblocks > 0 then begin
-    let base, h2 = probe_base t key in
-    let pos = ref (h2 land (block_bits - 1)) in
-    let step = ((h2 lsr 9) lor 1) land (block_bits - 1) in
-    for _ = 1 to t.k do
-      set_bit t.bits (base + !pos);
-      pos := (!pos + step) land (block_bits - 1)
-    done
-  end
+let add t key = if t.nblocks > 0 then Hashing.double_hash_with key t add_hashed
 
-let mem t key =
-  if t.nblocks = 0 then true
-  else begin
-    let base, h2 = probe_base t key in
-    let pos = ref (h2 land (block_bits - 1)) in
-    let step = ((h2 lsr 9) lor 1) land (block_bits - 1) in
-    let rec loop i =
-      if i > t.k then true
-      else if not (get_bit t.bits (base + !pos)) then false
-      else begin
-        pos := (!pos + step) land (block_bits - 1);
-        loop (i + 1)
-      end
-    in
-    loop 1
-  end
+let mem_hashed t h1 h2 =
+  let base = h1 mod t.nblocks * block_bits in
+  let pos = ref (h2 land (block_bits - 1)) in
+  let step = ((h2 lsr 9) lor 1) land (block_bits - 1) in
+  let i = ref 1 in
+  while !i <= t.k && get_bit t.bits (base + !pos) do
+    pos := (!pos + step) land (block_bits - 1);
+    incr i
+  done;
+  !i > t.k
+
+let mem t key = t.nblocks = 0 || Hashing.double_hash_with key t mem_hashed
 
 let bit_count t = t.nblocks * block_bits
 

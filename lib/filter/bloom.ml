@@ -22,35 +22,33 @@ let get_bit b i =
   let byte = i lsr 3 and bit = i land 7 in
   Char.code (Bytes.get b byte) land (1 lsl bit) <> 0
 
-let add t key =
-  if t.nbits > 0 then begin
-    let h1, h2 = Hashing.double_hash key in
-    let pos = ref (h1 mod t.nbits) in
-    let step = h2 mod t.nbits in
-    for _ = 1 to t.k do
-      set_bit t.bits !pos;
-      pos := !pos + step;
-      if !pos >= t.nbits then pos := !pos - t.nbits
-    done
-  end
+(* Probe positions follow Kirsch–Mitzenmacher double hashing. [add] and
+   [mem] take the hash pair through [Hashing.double_hash_with] and a
+   top-level continuation, and loop with [while] over local refs: a probe
+   builds no tuple and no closure. *)
+let add_hashed t h1 h2 =
+  let pos = ref (h1 mod t.nbits) in
+  let step = h2 mod t.nbits in
+  for _ = 1 to t.k do
+    set_bit t.bits !pos;
+    pos := !pos + step;
+    if !pos >= t.nbits then pos := !pos - t.nbits
+  done
 
-let mem t key =
-  if t.nbits = 0 then true
-  else begin
-    let h1, h2 = Hashing.double_hash key in
-    let pos = ref (h1 mod t.nbits) in
-    let step = h2 mod t.nbits in
-    let rec loop i =
-      if i > t.k then true
-      else if not (get_bit t.bits !pos) then false
-      else begin
-        pos := !pos + step;
-        if !pos >= t.nbits then pos := !pos - t.nbits;
-        loop (i + 1)
-      end
-    in
-    loop 1
-  end
+let add t key = if t.nbits > 0 then Hashing.double_hash_with key t add_hashed
+
+let mem_hashed t h1 h2 =
+  let pos = ref (h1 mod t.nbits) in
+  let step = h2 mod t.nbits in
+  let i = ref 1 in
+  while !i <= t.k && get_bit t.bits !pos do
+    pos := !pos + step;
+    if !pos >= t.nbits then pos := !pos - t.nbits;
+    incr i
+  done;
+  !i > t.k
+
+let mem t key = t.nbits = 0 || Hashing.double_hash_with key t mem_hashed
 
 let bit_count t = t.nbits
 let num_probes t = t.k

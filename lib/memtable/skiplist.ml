@@ -94,25 +94,28 @@ let add t e =
   t.footprint <- t.footprint + Entry.footprint e
 
 (* First node with user key >= target (any seqno). Seqno sorts descending,
-   so within the target key this is the newest version. *)
-let seek_node t target =
-  find_greater_or_equal t
-    (fun n ->
-      let c = t.cmp.compare n.Entry.key target in
-      if c <> 0 then c else 1 (* same key: every version is >= "key at +inf seqno" *))
-    ()
+   so within the target key this is the newest version. A top-level
+   recursion rather than [find_greater_or_equal] with a comparison
+   closure: it runs on every point lookup, where a closure would be an
+   allocation per call. *)
+let rec seek_from t target x lvl =
+  if lvl < 0 then Atomic.get x.forward.(0)
+  else
+    match Atomic.get x.forward.(lvl) with
+    | Some nxt when t.cmp.compare (entry_of nxt).Entry.key target < 0 -> seek_from t target nxt lvl
+    | _ -> seek_from t target x (lvl - 1)
 
-let find t ?(max_seqno = max_int) key =
-  let rec walk node =
-    match node with
-    | None -> None
-    | Some n ->
-      let e = entry_of n in
-      if t.cmp.compare e.Entry.key key <> 0 then None
-      else if e.Entry.seqno <= max_seqno && e.Entry.kind <> Entry.Range_delete then Some e
-      else walk (Atomic.get n.forward.(0))
-  in
-  walk (seek_node t key)
+let seek_node t target = seek_from t target t.head (t.level - 1)
+
+let rec walk_versions t key max_seqno = function
+  | None -> None
+  | Some n ->
+    let e = entry_of n in
+    if t.cmp.compare e.Entry.key key <> 0 then None
+    else if e.Entry.seqno <= max_seqno && e.Entry.kind <> Entry.Range_delete then Some e
+    else walk_versions t key max_seqno (Atomic.get n.forward.(0))
+
+let find t ?(max_seqno = max_int) key = walk_versions t key max_seqno (seek_node t key)
 
 let count t = t.count
 let footprint t = t.footprint

@@ -36,11 +36,6 @@ let range_delete ~start_key ~end_key ~seqno =
 
 let merge ~key ~seqno value = { key; seqno; kind = Merge; value }
 
-(* Materialize an entry from a borrowed value view: the one place the
-   zero-copy cursor copies a value out of the block body, and only when
-   the caller actually takes the record. *)
-let of_value_slice ~key ~seqno ~kind value = { key; seqno; kind; value = Slice.to_string value }
-
 let is_tombstone e =
   match e.kind with
   | Delete | Single_delete | Range_delete -> true

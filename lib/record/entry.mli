@@ -41,11 +41,6 @@ val single_delete : key:string -> seqno:int -> t
 val range_delete : start_key:string -> end_key:string -> seqno:int -> t
 val merge : key:string -> seqno:int -> string -> t
 
-val of_value_slice : key:string -> seqno:int -> kind:kind -> Slice.t -> t
-(** Materialize an entry whose value still lives in a block body. The
-    single value copy on the zero-copy read path — called only when the
-    caller actually takes the record. *)
-
 val is_tombstone : t -> bool
 (** [Delete], [Single_delete], and [Range_delete] entries. *)
 

@@ -119,10 +119,13 @@ module Cursor = struct
      [kbuf] (one reusable buffer, extended in place when the shared
      prefix grows); the current value is an [(off, len)] window into the
      block body. Nothing per-record is allocated until the caller
-     materializes via [entry]/[key]/[value]. *)
+     materializes via [entry]/[key]/[value]. [cmp] and [p] are mutable so
+     one cursor can be re-aimed at another block ({!reset}) and reused
+     across point lookups. *)
   type t = {
-    cmp : Comparator.t;
-    p : parsed;
+    mutable cmp : Comparator.t;
+    mutable bytewise : bool;  (** [cmp] is the bytewise order: {!seek} may track prefixes *)
+    mutable p : parsed;
     mutable pos : int;  (** read position of the next record *)
     mutable kbuf : Bytes.t;
     mutable klen : int;
@@ -133,9 +136,12 @@ module Cursor = struct
     mutable cvalid : bool;
   }
 
+  let is_bytewise (cmp : Comparator.t) = String.equal cmp.name Comparator.bytewise.name
+
   let make cmp p =
     {
       cmp;
+      bytewise = is_bytewise cmp;
       p;
       pos = p.pdata_end;
       kbuf = Bytes.create 64;
@@ -146,6 +152,19 @@ module Cursor = struct
       vlen = 0;
       cvalid = false;
     }
+
+  let empty_block = { pbody = ""; pbase = 0; pdata_end = 0; prestarts = [||] }
+  let create () = make Comparator.bytewise empty_block
+
+  let reset c cmp p =
+    if c.cmp != cmp then begin
+      c.cmp <- cmp;
+      c.bytewise <- is_bytewise cmp
+    end;
+    c.p <- p;
+    c.pos <- p.pdata_end;
+    c.klen <- 0;
+    c.cvalid <- false
 
   (* Manual byte readers over [p.pbody] bounded by [pdata_end]: the hot
      loop must not allocate a Codec.reader per record. *)
@@ -173,8 +192,16 @@ module Cursor = struct
     Bytes.blit c.kbuf 0 nb 0 c.klen;
     c.kbuf <- nb
 
-  let advance c =
-    if c.pos >= c.p.pdata_end then c.cvalid <- false
+  (* Decode the record at [c.pos] with a bound check per byte — the
+     reference decoder, and the path for the last few records of a
+     block. Sets the cursor on it and returns its [shared] count, or -1
+     (cursor invalid) at the end of the block. A record is [shared |
+     unshared | key bytes | seqno | kind | vlen | value]. *)
+  let advance_checked c =
+    if c.pos >= c.p.pdata_end then begin
+      c.cvalid <- false;
+      -1
+    end
     else begin
       let shared = varint c in
       let unshared = varint c in
@@ -191,14 +218,75 @@ module Cursor = struct
       c.voff <- c.pos;
       c.vlen <- vlen;
       c.pos <- c.pos + vlen;
-      c.cvalid <- true
+      c.cvalid <- true;
+      shared
     end
+
+  (* Fast-path varint read at [pos] with no bound check (the caller has
+     checked [max_varint] bytes fit): [(value lsl 4) lor length] for an
+     encoding of at most 8 bytes, else -1, and the caller redoes the
+     record on the checked path, which owns the over-long-varint error. *)
+  let max_varint = 10
+
+  let rec packed_loop s pos i acc =
+    if i >= 8 then -1
+    else
+      let b = Char.code (String.unsafe_get s (pos + i)) in
+      let acc = acc lor ((b land 0x7f) lsl (7 * i)) in
+      if b < 0x80 then (acc lsl 4) lor (i + 1) else packed_loop s pos (i + 1) acc
+
+  let[@inline] packed_varint s pos =
+    let b = Char.code (String.unsafe_get s pos) in
+    if b < 0x80 then (b lsl 4) lor 1 else packed_loop s pos 0 0
+
+  (* [advance_checked] with one bound check for the two varints ahead of
+     the key and one for the three fields after it, instead of one per
+     byte. The record is decoded into locals and committed at the end,
+     so falling back to the checked path (a varint over 8 bytes, or the
+     worst case not fitting before [pdata_end]) redoes it from its
+     start. Corruption raises [Codec.Corrupt] as on the checked path. *)
+  let advance c =
+    let body = c.p.pbody and data_end = c.p.pdata_end and pos = c.pos in
+    if pos + (2 * max_varint) > data_end then advance_checked c
+    else
+      let a = packed_varint body pos in
+      let b = if a < 0 then -1 else packed_varint body (pos + (a land 15)) in
+      if b < 0 then advance_checked c
+      else begin
+        let shared = a lsr 4 and unshared = b lsr 4 in
+        let kpos = pos + (a land 15) + (b land 15) in
+        if shared > c.klen then raise (Codec.Corrupt "bad shared prefix");
+        if kpos + unshared > data_end then raise (Codec.Corrupt "truncated key");
+        let q = kpos + unshared in
+        if q + (2 * max_varint) + 1 > data_end then advance_checked c
+        else
+          let sq = packed_varint body q in
+          let q = q + (sq land 15) in
+          let v = if sq < 0 then -1 else packed_varint body (q + 1) in
+          if v < 0 then advance_checked c
+          else begin
+            let kind = Entry.kind_of_int (Char.code (String.unsafe_get body q)) in
+            let voff = q + 1 + (v land 15) and vlen = v lsr 4 in
+            if voff + vlen > data_end then raise (Codec.Corrupt "truncated value");
+            let klen = shared + unshared in
+            if Bytes.length c.kbuf < klen then grow_kbuf c klen;
+            Bytes.blit_string body kpos c.kbuf shared unshared;
+            c.klen <- klen;
+            c.cseqno <- sq lsr 4;
+            c.ckind <- kind;
+            c.voff <- voff;
+            c.vlen <- vlen;
+            c.pos <- voff + vlen;
+            c.cvalid <- true;
+            shared
+          end
+      end
 
   let reset_to c off =
     c.pos <- off;
     c.klen <- 0;
     c.cvalid <- false;
-    advance c
+    ignore (advance c)
 
   let seek_to_first c =
     if Array.length c.p.prestarts = 0 then c.cvalid <- false
@@ -218,6 +306,44 @@ module Cursor = struct
     c.pos <- saved;
     r
 
+  (* Prefix-tracking forward scan, bytewise order only.
+
+     Invariant relied on: inside a restart interval the builder writes
+     each record's [shared] as the {e maximal} common prefix with the
+     previous key ([Builder.add]); a restart record writes 0. Let [m] be
+     the common prefix of the current key (known < target) and the
+     target. For the next record:
+     - [shared > m]: it agrees with the current key past byte [m], so it
+       is still < target with the same [m]; skip the compare;
+     - [shared < m]: it first differs from the current key at byte
+       [shared], upward (keys ascend), where the current key agrees with
+       the target; so it is > target: the first key >= target; stop;
+     - [shared = m]: compare from byte [m] onward only.
+     A restart record (shared = 0 < m) is stopped at by the second case,
+     which is right because the restart binary search in {!seek} already
+     placed the target at or before that restart's key. Other orders
+     give no such prefix/order link and keep the full-compare loop. *)
+  let rec lcp_from kbuf target i n =
+    if i < n && Bytes.unsafe_get kbuf i = String.unsafe_get target i then
+      lcp_from kbuf target (i + 1) n
+    else i
+
+  let rec scan_prefix c target m =
+    let shared = advance c in
+    if shared > m then scan_prefix c target m
+    else if shared = m then compare_from c target m
+
+  (* The current key agrees with [target] on [0, m): finish the compare
+     from byte [m], and keep scanning while the key is below target. *)
+  and compare_from c target m =
+    let tlen = String.length target in
+    let n = min c.klen tlen in
+    let j = lcp_from c.kbuf target m n in
+    if j < n then begin
+      if Bytes.unsafe_get c.kbuf j < String.unsafe_get target j then scan_prefix c target j
+    end
+    else if c.klen < tlen then scan_prefix c target j
+
   let seek c target =
     if Array.length c.p.prestarts = 0 then c.cvalid <- false
     else begin
@@ -229,15 +355,17 @@ module Cursor = struct
         if restart_cmp c mid target < 0 then lo := mid else hi := mid - 1
       done;
       reset_to c c.p.prestarts.(!lo);
-      let continue = ref true in
-      while !continue do
-        if c.cvalid && Comparator.compare_bytes c.cmp c.kbuf ~len:c.klen target < 0 then advance c
-        else continue := false
-      done
+      if c.bytewise then begin
+        if c.cvalid then compare_from c target 0
+      end
+      else
+        while c.cvalid && Comparator.compare_bytes c.cmp c.kbuf ~len:c.klen target < 0 do
+          ignore (advance c)
+        done
     end
 
   let valid c = c.cvalid
-  let next c = if c.cvalid then advance c
+  let next c = if c.cvalid then ignore (advance c)
 
   let require c who = if not c.cvalid then invalid_arg ("Block.Cursor." ^ who ^ ": not valid")
 
@@ -267,10 +395,12 @@ module Cursor = struct
 
   let entry c =
     require c "entry";
-    Entry.of_value_slice
-      ~key:(Bytes.sub_string c.kbuf 0 c.klen)
-      ~seqno:c.cseqno ~kind:c.ckind
-      (Slice.v c.p.pbody ~off:c.voff ~len:c.vlen)
+    {
+      Entry.key = Bytes.sub_string c.kbuf 0 c.klen;
+      seqno = c.cseqno;
+      kind = c.ckind;
+      value = String.sub c.p.pbody c.voff c.vlen;
+    }
 end
 
 (* Point lookup: a seek-positioned cursor, skipping Iter.t construction.

@@ -74,10 +74,22 @@ module Cursor : sig
   val make : Lsm_util.Comparator.t -> parsed -> t
   (** Starts invalid; position with {!seek} or {!seek_to_first}. *)
 
+  val create : unit -> t
+  (** An invalid cursor over an empty block, to be aimed with {!reset}:
+      scratch that a caller reuses across lookups. *)
+
+  val reset : t -> Lsm_util.Comparator.t -> parsed -> unit
+  (** Re-aim the cursor at another block (and order), keeping its key
+      arena. Starts invalid, as after {!make}. *)
+
   val seek : t -> string -> unit
   (** Position at the first record with key >= target: binary search
       over the restart points (comparing borrowed key windows, no
-      materialization), then a forward scan comparing the arena key. *)
+      materialization), then a forward scan. Under the bytewise order
+      the scan tracks the common prefix of the current key and the
+      target, so most records are passed over without a key compare;
+      other orders compare the arena key against the target for every
+      record. *)
 
   val seek_to_first : t -> unit
   val next : t -> unit
@@ -104,8 +116,8 @@ module Cursor : sig
 end
 
 val find : Lsm_util.Comparator.t -> parsed -> string -> Cursor.t
-(** [find cmp p key] is a cursor positioned at the first record with
-    key >= [key] — the point-get path, skipping iterator construction. *)
+(** [find cmp p key] is a fresh cursor positioned at the first record
+    with key >= [key], skipping iterator construction. *)
 
 val iterator : Lsm_util.Comparator.t -> parsed -> Lsm_record.Iter.t
 (** Iterator over a parsed block, backed by a {!Cursor}; [entry] is

@@ -728,10 +728,10 @@ let decode_block t (ie : index_entry) raw =
 (* Record-level decode happens lazily, after the block-level CRC has
    passed; a [Codec.Corrupt] escaping a cursor at that point still has
    to surface as a typed corruption pinned to this block. *)
-let run_typed t (ie : index_entry) f =
-  try f () with
-  | Codec.Corrupt d ->
-    raise (Lsm_error.corruption ~file:t.rname ~offset:ie.off ("data block: " ^ d))
+let record_corruption t (ie : index_entry) d =
+  Lsm_error.corruption ~file:t.rname ~offset:ie.off ("data block: " ^ d)
+
+let run_typed t ie f x = try f x with Codec.Corrupt d -> raise (record_corruption t ie d)
 
 let cache_insert t (ie : index_entry) p =
   Block_cache.insert t.cache ~file:t.rname ~off:ie.off ~bytes:(Block.parsed_cost p) p
@@ -773,20 +773,21 @@ let read_block_repairing t ~cls (ie : index_entry) =
           t.on_ecc Ecc_unrecoverable;
           raise e2)))
 
-let with_block t ~cls ~use_cache (ie : index_entry) f =
-  let fetch_fresh () = read_block_repairing t ~cls ie in
+let with_fresh_block t ~cls ~use_cache ie f x =
+  let p = read_block_repairing t ~cls ie in
+  if use_cache then cache_insert t ie p;
+  try f p x with Codec.Corrupt d -> raise (record_corruption t ie d)
+
+(* [f p x] rather than a closure over [x]: the point lookup passes a
+   top-level [f] and its scratch, so a cache hit allocates nothing here. *)
+let with_block t ~cls ~use_cache (ie : index_entry) f x =
   match Block_cache.find t.cache ~file:t.rname ~off:ie.off with
   | Some p -> (
-    try run_typed t ie (fun () -> f p)
+    try try f p x with Codec.Corrupt d -> raise (record_corruption t ie d)
     with Lsm_error.Error (Lsm_error.Corruption _) ->
       Block_cache.remove t.cache ~file:t.rname ~off:ie.off;
-      let p = fetch_fresh () in
-      if use_cache then cache_insert t ie p;
-      run_typed t ie (fun () -> f p))
-  | None ->
-    let p = fetch_fresh () in
-    if use_cache then cache_insert t ie p;
-    run_typed t ie (fun () -> f p)
+      with_fresh_block t ~cls ~use_cache ie f x)
+  | None -> with_fresh_block t ~cls ~use_cache ie f x
 
 (* First index slot whose fence key is >= target: the only block that can
    contain [target]. *)
@@ -799,31 +800,62 @@ let index_seek t target =
   done;
   !lo
 
-(* Point lookup on the zero-copy path: [Block.find] positions a cursor
-   without building an iterator, the version walk compares and inspects
-   borrowed views, and [Cursor.entry] materializes only the one record
-   the read actually returns. *)
-let get t ~cls ?(max_seqno = max_int) key =
-  if not (may_contain_key t key) then None
+(* Point lookup on the zero-copy path: a cursor positioned by
+   [Block.Cursor.seek] (no iterator), a version walk over borrowed views,
+   and [Cursor.entry] materializing only the one record the read returns.
+
+   The cursor and the lookup's arguments live in per-domain scratch,
+   reused by every lookup on the domain: the cursor never escapes (the
+   result is materialized before return), and a lookup that finds the
+   scratch [busy] — re-entered on the same domain — takes a fresh one. *)
+type lookup = {
+  cur : Block.Cursor.t;
+  mutable lcmp : Comparator.t;
+  mutable lkey : string;
+  mutable lmax : int;  (** max_seqno *)
+  mutable busy : bool;
+}
+
+let fresh_lookup () =
+  { cur = Block.Cursor.create (); lcmp = Comparator.bytewise; lkey = ""; lmax = 0; busy = false }
+
+let lookup_scratch = Domain.DLS.new_key fresh_lookup
+
+let rec walk_versions cur key max_seqno =
+  if not (Block.Cursor.valid cur) || Block.Cursor.key_compare cur key <> 0 then None
+  else if Block.Cursor.seqno cur <= max_seqno && Block.Cursor.kind cur <> Entry.Range_delete then
+    Some (Block.Cursor.entry cur)
   else begin
-    let slot = index_seek t key in
-    if slot >= Array.length t.index then None
-    else
-      with_block t ~cls ~use_cache:true t.index.(slot) (fun p ->
-          let cur = Block.find t.cmp p key in
-          let rec walk () =
-            if not (Block.Cursor.valid cur) then None
-            else if Block.Cursor.key_compare cur key <> 0 then None
-            else if
-              Block.Cursor.seqno cur <= max_seqno && Block.Cursor.kind cur <> Entry.Range_delete
-            then Some (Block.Cursor.entry cur)
-            else begin
-              Block.Cursor.next cur;
-              walk ()
-            end
-          in
-          walk ())
+    Block.Cursor.next cur;
+    walk_versions cur key max_seqno
   end
+
+let lookup_block p l =
+  Block.Cursor.reset l.cur l.lcmp p;
+  Block.Cursor.seek l.cur l.lkey;
+  walk_versions l.cur l.lkey l.lmax
+
+let get_unfiltered t ~cls ~max_seqno key =
+  let slot = index_seek t key in
+  if slot >= Array.length t.index then None
+  else begin
+    let l = Domain.DLS.get lookup_scratch in
+    let l = if l.busy then fresh_lookup () else l in
+    l.busy <- true;
+    l.lcmp <- t.cmp;
+    l.lkey <- key;
+    l.lmax <- max_seqno;
+    match with_block t ~cls ~use_cache:true t.index.(slot) lookup_block l with
+    | r ->
+      l.busy <- false;
+      r
+    | exception e ->
+      l.busy <- false;
+      raise e
+  end
+
+let get t ~cls ?(max_seqno = max_int) key =
+  if not (may_contain_key t key) then None else get_unfiltered t ~cls ~max_seqno key
 
 (* A block iterator that escapes [with_block] keeps decoding records
    lazily; wrap its operations so a stray [Codec.Corrupt] surfaces as a
@@ -831,10 +863,10 @@ let get t ~cls ?(max_seqno = max_int) key =
 let typed_iter t ie (it : Iter.t) =
   {
     Iter.valid = it.Iter.valid;
-    entry = (fun () -> run_typed t ie it.Iter.entry);
-    next = (fun () -> run_typed t ie it.Iter.next);
-    seek = (fun target -> run_typed t ie (fun () -> it.Iter.seek target));
-    seek_to_first = (fun () -> run_typed t ie it.Iter.seek_to_first);
+    entry = (fun () -> run_typed t ie it.Iter.entry ());
+    next = (fun () -> run_typed t ie it.Iter.next ());
+    seek = (fun target -> run_typed t ie it.Iter.seek target);
+    seek_to_first = (fun () -> run_typed t ie it.Iter.seek_to_first ());
   }
 
 let iterator t ~cls ?(use_cache = true) () =
@@ -845,7 +877,8 @@ let iterator t ~cls ?(use_cache = true) () =
     slot := i;
     if i < nblocks then begin
       let ie = t.index.(i) in
-      block_iter := with_block t ~cls ~use_cache ie (fun p -> typed_iter t ie (Block.iterator t.cmp p));
+      block_iter :=
+        with_block t ~cls ~use_cache ie (fun p ie -> typed_iter t ie (Block.iterator t.cmp p)) ie;
       !block_iter.Iter.seek_to_first ()
     end
     else block_iter := Iter.empty

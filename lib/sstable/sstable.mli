@@ -126,6 +126,16 @@ val get :
     the caller interprets it). Probes the filter first; on a filter
     negative, performs no I/O. Never returns [Range_delete] entries. *)
 
+val get_unfiltered :
+  reader ->
+  cls:Lsm_storage.Io_stats.op_class ->
+  max_seqno:int ->
+  string ->
+  Lsm_record.Entry.t option
+(** {!get} without the point-filter probe, for a caller that has just
+    asked {!may_contain_key} itself and got [true]: one hash and one
+    filter probe per table, not two. *)
+
 val iterator :
   reader ->
   cls:Lsm_storage.Io_stats.op_class ->

@@ -4,6 +4,15 @@
    mutex guards the whole structure — opens are rare next to gets, and a
    get is just a hashtable probe plus two pointer swaps. *)
 
+(* Probed on every table read: [String.equal] keys, not the generic
+   table's polymorphic compare. *)
+module Tbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type node = {
   name : string;
   reader : Sstable.reader;
@@ -18,7 +27,7 @@ type t = {
   on_ecc : Sstable.ecc_event -> unit;
   m : Lsm_util.Ordered_mutex.t;
   mutable cap : int;
-  readers : (string, node) Hashtbl.t;
+  readers : node Tbl.t;
   mutable head : node option;
   mutable tail : node option;
   mutable opens : int;
@@ -35,7 +44,7 @@ let create ?(capacity = max_int) ?(on_ecc = fun (_ : Sstable.ecc_event) -> ()) ~
     on_ecc;
     m = Lsm_util.Ordered_mutex.create ~rank:Lsm_util.Ordered_mutex.Rank.table_cache ~name:"table_cache";
     cap = capacity;
-    readers = Hashtbl.create 64;
+    readers = Tbl.create 64;
     head = None;
     tail = None;
     opens = 0;
@@ -58,10 +67,10 @@ let push_front t n =
 
 let drop_node t n =
   unlink t n;
-  Hashtbl.remove t.readers n.name
+  Tbl.remove t.readers n.name
 
 let evict_until_fits t =
-  while Hashtbl.length t.readers > t.cap do
+  while Tbl.length t.readers > t.cap do
     match t.tail with
     | Some n ->
       (* The reader itself stays valid for anyone still iterating it —
@@ -74,7 +83,7 @@ let evict_until_fits t =
   done
 
 let find_and_touch t name =
-  match Hashtbl.find_opt t.readers name with
+  match Tbl.find_opt t.readers name with
   | Some n ->
     unlink t n;
     push_front t n;
@@ -96,7 +105,7 @@ let get t name =
     | Some winner -> winner
     | None ->
       let n = { name; reader = r; prev = None; next = None } in
-      Hashtbl.replace t.readers name n;
+      Tbl.replace t.readers name n;
       push_front t n;
       t.opens <- t.opens + 1;
       evict_until_fits t;
@@ -104,7 +113,7 @@ let get t name =
 
 let evict t name =
   locked t (fun () ->
-      match Hashtbl.find_opt t.readers name with
+      match Tbl.find_opt t.readers name with
       | Some n -> drop_node t n
       | None -> ());
   ignore (Lsm_storage.Block_cache.evict_file t.cache name)
@@ -116,7 +125,7 @@ let set_capacity t capacity =
   evict_until_fits t
 
 let capacity t = t.cap
-let open_count t = locked t (fun () -> Hashtbl.length t.readers)
+let open_count t = locked t (fun () -> Tbl.length t.readers)
 let total_opens t = t.opens
 let evictions t = t.evictions
 let block_cache t = t.cache

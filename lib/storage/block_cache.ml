@@ -12,6 +12,16 @@
 
 type key = string * int
 
+(* Every block read probes this table, so keys compare with
+   [String.equal] on the file name rather than the polymorphic compare
+   the generic [Hashtbl] would run over the tuple. *)
+module Tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal ((f1 : string), (o1 : int)) (f2, o2) = o1 = o2 && String.equal f1 f2
+  let hash = Hashtbl.hash
+end)
+
 module Shard = struct
   type 'a node = {
     nkey : key;
@@ -24,7 +34,7 @@ module Shard = struct
   type 'a t = {
     m : Lsm_util.Ordered_mutex.t;
     mutable cap : int;
-    table : (key, 'a node) Hashtbl.t;
+    table : 'a node Tbl.t;
     mutable head : 'a node option;  (** most recently used *)
     mutable tail : 'a node option;  (** least recently used *)
     mutable used : int;
@@ -39,7 +49,7 @@ module Shard = struct
         Lsm_util.Ordered_mutex.create ~rank:Lsm_util.Ordered_mutex.Rank.block_cache_shard
           ~name:"block_cache.shard";
       cap = capacity;
-      table = Hashtbl.create 256;
+      table = Tbl.create 256;
       head = None;
       tail = None;
       used = 0;
@@ -64,12 +74,12 @@ module Shard = struct
 
   let remove_node t n =
     unlink t n;
-    Hashtbl.remove t.table n.nkey;
+    Tbl.remove t.table n.nkey;
     t.used <- t.used - n.nbytes
 
   let find t ~file ~off =
     locked t @@ fun () ->
-    match Hashtbl.find_opt t.table (file, off) with
+    match Tbl.find_opt t.table (file, off) with
     | Some n ->
       t.hits <- t.hits + 1;
       unlink t n;
@@ -97,11 +107,11 @@ module Shard = struct
     if bytes < 0 then invalid_arg "Block_cache.insert: negative byte charge";
     locked t @@ fun () ->
     if bytes <= t.cap && t.cap > 0 then begin
-      (match Hashtbl.find_opt t.table (file, off) with
+      (match Tbl.find_opt t.table (file, off) with
       | Some old -> remove_node t old
       | None -> ());
       let n = { nkey = (file, off); data; nbytes = bytes; prev = None; next = None } in
-      Hashtbl.replace t.table n.nkey n;
+      Tbl.replace t.table n.nkey n;
       push_front t n;
       t.used <- t.used + bytes;
       evict_until_fits t
@@ -112,21 +122,21 @@ module Shard = struct
      blocks hot. Not counted as a capacity eviction. *)
   let remove t ~file ~off =
     locked t @@ fun () ->
-    match Hashtbl.find_opt t.table (file, off) with
+    match Tbl.find_opt t.table (file, off) with
     | Some n -> remove_node t n
     | None -> ()
 
   let evict_file t file =
     locked t @@ fun () ->
     let victims =
-      Hashtbl.fold (fun (f, _) n acc -> if String.equal f file then n :: acc else acc) t.table []
+      Tbl.fold (fun (f, _) n acc -> if String.equal f file then n :: acc else acc) t.table []
     in
     List.iter (remove_node t) victims;
     List.length victims
 
   let clear t =
     locked t @@ fun () ->
-    Hashtbl.reset t.table;
+    Tbl.reset t.table;
     t.head <- None;
     t.tail <- None;
     t.used <- 0
@@ -161,7 +171,7 @@ let sum f t = Array.fold_left (fun acc s -> acc + f s) 0 t
 
 let capacity t = sum (fun (s : _ Shard.t) -> s.Shard.cap) t
 let used_bytes t = sum (fun (s : _ Shard.t) -> s.Shard.used) t
-let block_count t = sum (fun (s : _ Shard.t) -> Hashtbl.length s.Shard.table) t
+let block_count t = sum (fun (s : _ Shard.t) -> Tbl.length s.Shard.table) t
 
 let set_capacity t capacity =
   if capacity < 0 then invalid_arg "Block_cache.set_capacity: negative capacity";

@@ -346,7 +346,14 @@ let append w s =
   let s, tripped = append_prefix_on_plan w s in
   (match w.sink with
   | Mem_sink f ->
-    if f.sealed then invalid_arg "Device.append: file sealed (crashed?)";
+    if f.sealed then begin
+      (* Sealed under an open writer: a crash fired on another domain
+         (a maintenance lane) since [check_alive] above. The crash holds
+         the device lock until it has marked the device dead, so read
+         that under the lock. A writer that outlived a revive is a bug. *)
+      if locked w.dev (fun () -> w.dev.is_crashed) then raise Crashed;
+      invalid_arg "Device.append: file sealed (crashed?)"
+    end;
     Buffer.add_string f.buf s
   | Disk_sink oc -> output_string oc s);
   account_write w (String.length s);

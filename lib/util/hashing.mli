@@ -19,6 +19,11 @@ val double_hash : string -> int * int
     [h2] is forced odd so successive probes cycle through power-of-two
     table sizes. *)
 
+val double_hash_with : string -> 'a -> ('a -> int -> int -> 'b) -> 'b
+(** [double_hash_with s x k] is [let h1, h2 = double_hash s in k x h1 h2]
+    without building the pair: the filter probe path passes a top-level
+    [k] and its state [x], so one probe allocates nothing. *)
+
 val fingerprint : string -> bits:int -> int
 (** [fingerprint s ~bits] is a non-zero fingerprint of [s] in [1, 2^bits - 1]
     (Cuckoo filters reserve 0 for "empty slot"). *)

@@ -276,9 +276,19 @@ let unlock t =
   end;
   Mutex.unlock t.m
 
+(* [match ... with exception] rather than [Fun.protect]: the guard sits
+   on every cache probe of every read, and [Fun.protect] allocates its
+   [finally] closure and exception wrapper on each call. *)
 let with_lock t f =
   lock t;
-  Fun.protect ~finally:(fun () -> unlock t) f
+  match f () with
+  | v ->
+    unlock t;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    unlock t;
+    Printexc.raise_with_backtrace e bt
 
 (* [Condition.wait] atomically releases and re-acquires [t.m]. The held
    stack deliberately keeps [t] on it for the duration: the domain is

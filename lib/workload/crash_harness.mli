@@ -48,6 +48,12 @@ val key_of : int -> string
 
 val apply_db : Lsm_core.Db.t -> op -> unit
 
+val drain_crashed : Lsm_core.Db.t -> unit
+(** Model the death of the process that owned a crashed database: wait
+    until its maintenance lane is idle, dropping the failure the crash
+    left there, so none of its jobs outlives [Device.revive] and writes
+    into the recovered store. *)
+
 val models_of : op array -> string SMap.t array
 (** [models.(i)] = logical store contents after the first [i] ops. *)
 

@@ -13,3 +13,8 @@ let drain buf n =
     out := Bytes.to_string buf :: !out
   done;
   !out
+
+let sum s =
+  let acc = ref 0 in
+  String.iter (fun c -> acc := !acc + Char.code c) s;
+  !acc

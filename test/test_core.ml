@@ -651,6 +651,53 @@ let qt t =
   let name, _speed, fn = QCheck_alcotest.to_alcotest t in
   (name, `Quick, fn)
 
+(* ---------- allocation ceiling of a cached point lookup ---------- *)
+
+(* Minor words one [Db.get] allocates on a warmed store (DESIGN.md
+   §13.4): every filter, index and data block is cached, so what is left
+   is the read path's own bookkeeping plus the returned value. Measured
+   in this test's dev build: 71 and 27 words, 92 and 34 with runtime
+   lockdep on (which allocates per lock taken). The ceilings add
+   headroom to the lockdep figures and sit far below the 373 and 78
+   words the read path cost with closures and boxed hashing in it. *)
+let table_hit_words_ceiling = 110.
+let memtable_hit_words_ceiling = 45.
+
+let words_per_get db key =
+  let n = 2000 in
+  ignore (Db.get db key);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Db.get db key))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_get_allocation_ceiling () =
+  let config =
+    {
+      (small_config ~compaction:(Policy.leveled ~size_ratio:4 ()) ()) with
+      Config.memtable = Memtable.Skiplist;
+      block_cache_bytes = 8 * 1024 * 1024;
+      compaction_backend = Config.Inline;
+      compaction_parallelism = 1;
+    }
+  in
+  let _, db = fresh ~config () in
+  for i = 0 to 1999 do
+    Db.put db ~key:(key i) (value i)
+  done;
+  Db.flush db;
+  Db.major_compact db;
+  Db.put db ~key:"memtable-only" "v";
+  check_opt "table hit" (Some (value 777)) (Db.get db (key 777));
+  check_opt "memtable hit" (Some "v") (Db.get db "memtable-only");
+  let table = words_per_get db (key 777) and mem = words_per_get db "memtable-only" in
+  check (Printf.sprintf "table hit %.1f words <= %.0f" table table_hit_words_ceiling) true
+    (table <= table_hit_words_ceiling);
+  check (Printf.sprintf "memtable hit %.1f words <= %.0f" mem memtable_hit_words_ceiling) true
+    (mem <= memtable_hit_words_ceiling);
+  Db.close db
+
 let suite =
   [
     ("put/get", `Quick, test_put_get_small);
@@ -689,4 +736,5 @@ let suite =
   ]
   @ List.map test_model_layout layouts
   @ List.map test_model_memtables Memtable.all_kinds
-  @ [ qt prop_db_matches_map; qt prop_recovery_preserves_state ]
+  @ [ qt prop_db_matches_map; qt prop_recovery_preserves_state;
+      ("Db.get allocation ceiling", `Quick, test_get_allocation_ceiling) ]

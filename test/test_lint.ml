@@ -46,7 +46,7 @@ let test_r8 = check_flagged "R8" ~bad:"r8_bad" ~ok:"r8_ok" ~expect:2
 (* r12_ok also contains other_module.ml carrying the same bad idioms
    under a non-hot file name: a clean pass proves both the blessed
    arena idioms and the file-name scoping. *)
-let test_r12 = check_flagged "R12" ~bad:"r12_bad" ~ok:"r12_ok" ~expect:4
+let test_r12 = check_flagged "R12" ~bad:"r12_bad" ~ok:"r12_ok" ~expect:5
 
 let test_r2_only_in_cache_modules () =
   (* The same I/O-under-lock shape in a non-cache module is not R2's

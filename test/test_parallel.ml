@@ -270,6 +270,40 @@ let test_multi_get_matches_get () =
   Db.close db;
   Db.close db1
 
+(* multi_get resolves keys on pool domains, which must not touch the
+   shared counters; the filter outcomes they saw still have to reach
+   [Stats] (a server GET is a one-key multi_get). The same keys through
+   [get] and through [multi_get] move every read counter alike. *)
+let read_counters db =
+  let s = Db.stats db in
+  (s.Stats.filter_negatives, s.Stats.filter_false_positives, s.Stats.runs_probed)
+
+let test_multi_get_filter_counters () =
+  List.iter
+    (fun parallelism ->
+      let dev = Device.in_memory () in
+      let db = Db.open_db ~config:(small_config ~parallelism) ~dev () in
+      run_workload db ~seed:11 ~ops:5000;
+      Db.quiesce db;
+      let keys =
+        List.init 400 (fun i ->
+            let k = Printf.sprintf "key%06d" (i * 5) in
+            if i mod 4 = 3 then k ^ "-absent" else k)
+      in
+      let delta (a, b, c) (a', b', c') = (a' - a, b' - b, c' - c) in
+      let c0 = read_counters db in
+      List.iter (fun k -> ignore (Db.get db k)) keys;
+      let c1 = read_counters db in
+      ignore (Db.multi_get db keys);
+      let c2 = read_counters db in
+      let ((negatives, _, _) as via_get) = delta c0 c1 in
+      check_bool "the keys exercise the filters" true (negatives > 0);
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "multi_get = get, parallelism %d" parallelism)
+        via_get (delta c1 c2);
+      Db.close db)
+    [ 1; 4 ]
+
 let test_multi_get_snapshot () =
   let dev = Device.in_memory () in
   let db = Db.open_db ~config:(small_config ~parallelism:2) ~dev () in
@@ -413,6 +447,7 @@ let suite =
     Alcotest.test_case "subcompactions: reproducible" `Slow test_parallel_self_determinism;
     Alcotest.test_case "multi_get = map get" `Quick test_multi_get_matches_get;
     Alcotest.test_case "multi_get: snapshots" `Quick test_multi_get_snapshot;
+    Alcotest.test_case "multi_get: filter counters = get" `Quick test_multi_get_filter_counters;
     Alcotest.test_case "stress: writer + readers" `Slow
       (writer_reader_stress ~quiet:true Config.default.compaction_backend);
     Alcotest.test_case "stress: writer + readers, flushing (inline)" `Slow

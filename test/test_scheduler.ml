@@ -617,6 +617,7 @@ let test_background_crash_cycle () =
      Alcotest.fail "crash never fired"
    with Device.Crashed -> ());
   check_bool "made progress before the crash" true (List.length !acked > 0);
+  Lsm_workload.Crash_harness.drain_crashed db;
   Device.revive dev;
   let db2 = Db.open_db ~config ~dev () in
   List.iter
@@ -627,8 +628,7 @@ let test_background_crash_cycle () =
   Db.put db2 ~key:"post-crash" "alive";
   Db.flush db2;
   Alcotest.(check (option string)) "post-crash write" (Some "alive") (Db.get db2 "post-crash");
-  Db.close db2;
-  ignore db
+  Db.close db2
 
 let suite =
   [

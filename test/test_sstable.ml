@@ -224,6 +224,141 @@ let prop_seek_at_restart_boundaries =
             boundary_keys)
         restart_intervals)
 
+(* ---------- prefix-tracking seek vs a full-compare scan ---------- *)
+
+(* Keys over a tiny alphabet (including 0x00 and 0xff bytes) so blocks
+   are full of shared prefixes, keys that prefix other keys, the empty
+   key, and several versions of one key. *)
+let gen_seek_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return "");
+        (8, map (String.concat "") (list_size (1 -- 6) (oneofl [ "a"; "b"; "ab"; "\x00"; "\xff" ])));
+      ])
+
+let gen_seek_case =
+  QCheck.Gen.(pair (list_size (1 -- 120) (pair gen_seek_key (1 -- 3))) (list_size (0 -- 20) gen_seek_key))
+
+(* Entries sorted by [order], each key with 1-3 versions. *)
+let seek_entries order raw =
+  List.concat_map
+    (fun (k, versions) -> List.init versions (fun v -> (k, v)))
+    (List.sort_uniq (fun (a, _) (b, _) -> compare a b) raw)
+  |> List.mapi (fun i (k, v) -> e k ((100 * i) + v + 1) ~value:(String.make (i mod 23) 'v'))
+  |> List.sort (Entry.compare order)
+
+(* Targets: every key, just above and just below each, the raw extra
+   keys, and bounds before the first and after the last key. *)
+let seek_targets entries extra =
+  [ ""; "\x00"; "\xff\xff\xff\xff\xff\xff\xff\xff" ]
+  @ extra
+  @ List.concat_map
+      (fun (x : Entry.t) ->
+        let k = x.Entry.key in
+        k :: (k ^ "\x00") :: (if k = "" then [] else [ String.sub k 0 (String.length k - 1) ]))
+      entries
+
+(* The reference: the first record whose key is >= target under [order],
+   found by comparing every key in full. *)
+let check_seek_matches_scan order entries targets =
+  List.for_all
+    (fun ri ->
+      let block = build_block_ri ri entries in
+      let reference = reference_decode block in
+      let p = Block.parse_checked ~base:1 ("\x00" ^ block) in
+      let cur = Block.Cursor.create () in
+      List.for_all
+        (fun target ->
+          let expected =
+            List.find_opt (fun (x : Entry.t) -> order.Comparator.compare x.Entry.key target >= 0) reference
+          in
+          Block.Cursor.reset cur order p;
+          Block.Cursor.seek cur target;
+          match expected with
+          | None -> not (Block.Cursor.valid cur)
+          | Some x -> Block.Cursor.valid cur && Block.Cursor.entry cur = x)
+        targets)
+    [ 1; 2; 16 ]
+
+let prop_seek_matches_scan =
+  QCheck.Test.make ~name:"prefix-tracking seek = full-compare scan" ~count:200
+    (QCheck.make gen_seek_case)
+    (fun (raw, extra) ->
+      let entries = seek_entries cmp raw in
+      check_seek_matches_scan cmp entries (seek_targets entries extra))
+
+(* Orders with no prefix/order link must keep the full-compare scan: a
+   prefix shortcut would land on the wrong record under either. *)
+let length_first =
+  {
+    Comparator.name = "length-first";
+    compare =
+      (fun a b ->
+        let c = Int.compare (String.length a) (String.length b) in
+        if c <> 0 then c else String.compare a b);
+  }
+
+let prop_seek_other_orders =
+  QCheck.Test.make ~name:"seek under reverse and custom orders = full-compare scan" ~count:100
+    (QCheck.make gen_seek_case)
+    (fun (raw, extra) ->
+      List.for_all
+        (fun order ->
+          let entries = seek_entries order raw in
+          check_seek_matches_scan order entries (seek_targets entries extra))
+        [ Comparator.reverse_bytewise; length_first ])
+
+(* A sealed block around hand-written record bytes: one good record
+   ("abc") at the only restart, the [bad] record, then padding records
+   with long values, so the bad record sits far enough from the end for
+   the one-check-per-header decoder to read it. *)
+let block_with_bad_record bad =
+  let body = Buffer.create 512 in
+  let record ~shared key ~seqno ~kind value =
+    Codec.put_varint body shared;
+    Codec.put_varint body (String.length key);
+    Buffer.add_string body key;
+    Codec.put_varint body seqno;
+    Codec.put_u8 body kind;
+    Codec.put_lp_string body value
+  in
+  record ~shared:0 "abc" ~seqno:1 ~kind:0 "v";
+  Buffer.add_string body bad;
+  for i = 0 to 3 do
+    record ~shared:0 (Printf.sprintf "z%d" i) ~seqno:1 ~kind:0 (String.make 60 'p')
+  done;
+  Codec.put_u32 body 0;
+  Codec.put_u32 body 1;
+  let sealed = Buffer.contents body in
+  Codec.put_u32 body (Int32.to_int (Crc32c.mask (Crc32c.string sealed)) land 0xffffffff);
+  Block.parse_checked (Buffer.contents body)
+
+let test_seek_fast_path_corruption () =
+  (* [shared | unshared | key | seqno | kind | vlen | value] *)
+  let cases =
+    [
+      ("bad shared prefix", "\x04\x01d\x01\x00\x01v");
+      ("truncated key", "\x03\xff\x7fd");
+      ("over-long varint", "\x03\x01d" ^ String.make 11 '\x80' ^ "\x00\x01v");
+      ("unknown kind", "\x03\x01d\x01\x09\x01v");
+      ("truncated value", "\x03\x01d\x01\x00\xff\x7f");
+    ]
+  in
+  List.iter
+    (fun (what, bad) ->
+      let p = block_with_bad_record bad in
+      let raised =
+        match
+          let c = Block.Cursor.make cmp p in
+          Block.Cursor.seek c "zzz"
+        with
+        | () -> false
+        | exception Codec.Corrupt _ -> true
+      in
+      check (what ^ " raises Codec.Corrupt") true raised)
+    cases
+
 (* ---------- Sstable ---------- *)
 
 let fresh_env () =
@@ -511,5 +646,8 @@ let suite =
     qt prop_block_roundtrip;
     qt prop_cursor_matches_reference;
     qt prop_seek_at_restart_boundaries;
+    qt prop_seek_matches_scan;
+    qt prop_seek_other_orders;
+    ("block seek: corrupt records raise on the fast path", `Quick, test_seek_fast_path_corruption);
     qt prop_sstable_get_matches_model;
   ]

@@ -125,6 +125,43 @@ let test_double_hash_properties () =
   check "h1 non-negative" true (h1 >= 0);
   check "h2 positive odd" true (h2 > 0 && h2 land 1 = 1)
 
+(* Filters on disk, shard routing, memtable hash buckets and guard
+   selection all depend on these exact values: a rewrite of the hash
+   loop must reproduce them bit for bit. Recorded from the original
+   [String.iter] implementation. *)
+let test_hash_goldens () =
+  let goldens =
+    [
+      ("", -3750763034362895579L, -4359066618775142608L, -5206754407241891973L,
+       (252619399652245296, 2448385507222971125), 3142, 773270598);
+      ("a", -5808556873153909620L, 6857225946766476583L, -6221328849573856893L,
+       (2245539928339088679, 1637206505037242155), 2805, 1031219957);
+      ("abc", -1792535898324117685L, 3018304574923447344L, -7477251394381199385L,
+       (3018304574923447344, 3703981268217922623), 924, 415040412);
+      ("k000012345", 1790788318923952833L, 4992115126190130911L, 4619633976827267493L,
+       (380429107762743007, 3184816197722724361), 3450, 107208058);
+      ("user:42", 7788164824035369410L, 4659431455776223581L, 8467437498103753828L,
+       (47745437348835677, 451191871518500885), 1579, 665794091);
+      (String.make 100 'x', 372847128541728821L, -1262187416113149077L, 4467383341144024021L,
+       (3349498602314238827, 1588694470217335341), 3421, 395418973);
+      ("\000\255\128", -2971117807906288224L, 8410457994513606289L, -1453984765586957581L,
+       (3798771976086218385, 2656520553201893263), 2053, 370333701);
+    ]
+  in
+  List.iter
+    (fun (s, fnv, h, seeded, dh, fp12, fp30) ->
+      let name what = Printf.sprintf "%s %S" what s in
+      Alcotest.(check int64) (name "fnv1a64") fnv (Hashing.fnv1a64 s);
+      Alcotest.(check int64) (name "string64") h (Hashing.string64 s);
+      Alcotest.(check int64) (name "string64 ~seed") seeded (Hashing.string64 ~seed:0x9aadL s);
+      Alcotest.(check (pair int int)) (name "double_hash") dh (Hashing.double_hash s);
+      Alcotest.(check (pair int int))
+        (name "double_hash_with") dh
+        (Hashing.double_hash_with s () (fun () h1 h2 -> (h1, h2)));
+      Alcotest.(check int) (name "fingerprint 12") fp12 (Hashing.fingerprint s ~bits:12);
+      Alcotest.(check int) (name "fingerprint 30") fp30 (Hashing.fingerprint s ~bits:30))
+    goldens
+
 let test_fingerprint_range () =
   for i = 0 to 199 do
     let fp = Hashing.fingerprint (string_of_int i) ~bits:8 in
@@ -336,6 +373,7 @@ let suite =
     ("hashing deterministic", `Quick, test_hash_deterministic);
     ("double hash shape", `Quick, test_double_hash_properties);
     ("fingerprint range", `Quick, test_fingerprint_range);
+    ("hash goldens", `Quick, test_hash_goldens);
     ("rng deterministic", `Quick, test_rng_deterministic);
     ("rng bounds", `Quick, test_rng_bounds);
     ("rng split independence", `Quick, test_rng_split_independent);

@@ -17,7 +17,8 @@ let usage =
   \  R7  failwith / raise (Failure _) in library code (use typed Lsm_error)\n\
   \  R8  unbounded busy-wait loop without backoff\n\
   \  R12 allocation-heavy idioms (String.sub ^, String.concat, Bytes.to_string\n\
-  \      in loops) in the block hot modules (block.ml)\n\n\
+  \      in loops, String.iter/Bytes.iter closures) in the get-path hot modules\n\
+  \      (block.ml, hashing.ml, bloom.ml, blocked_bloom.ml)\n\n\
    Typedtree rules (need --typed DIR with built .cmt files):\n\
   \  R9  static lockdep: whole-program acquired-before relation vs the Rank table\n\
   \  R10 iterator/read-view escape past its pin combinator\n\n\

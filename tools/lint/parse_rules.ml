@@ -34,15 +34,18 @@
          single [if] — or by nothing — proceeds on a predicate that may
          no longer hold. Only ordered_mutex.ml itself is exempt (it
          defines the delegating wrapper).
-     R12 allocation-heavy idioms in the block hot modules (files named
-         block.ml, the per-record decode path): [String.sub ... ^ ...]
-         (two copies per record — blit into a reusable arena),
-         [String.concat] (a list plus a fresh string per record), and
-         [Bytes.to_string] inside a [while]/[for] loop (a copy per
-         iteration — hoist it or compare in place). Scoped by file name
-         because these idioms are fine in cold code; on the block
-         cursor they are exactly the allocations the zero-copy read
-         path exists to avoid. *)
+     R12 allocation-heavy idioms in the point-lookup hot modules (the
+         per-record block decoder block.ml, and the per-probe hashing
+         and bloom filters): [String.sub ... ^ ...] (two copies per
+         record — blit into a reusable arena), [String.concat] (a list
+         plus a fresh string per record), [Bytes.to_string] inside a
+         [while]/[for] loop (a copy per iteration — hoist it or compare
+         in place), and a [String.iter]/[Bytes.iter] closure (a closure
+         per call, and a boxed accumulator when it folds into an
+         [int64] ref — use a [for] loop over a local ref). Scoped by
+         file name because these idioms are fine in cold code; on the
+         get path they are exactly the allocations the read path
+         exists to avoid. *)
 
 let all_rules = [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R12" ]
 
@@ -71,8 +74,9 @@ let r7_exempt = [ "xor_filter.ml" ]
    [Condition.wait] is a one-line delegation, not a wait site. *)
 let r8_exempt = [ "ordered_mutex.ml" ]
 
-(* Files on the per-record block decode path; R12 applies here. *)
-let r12_hot_modules = [ "block.ml" ]
+(* Files on the per-record block decode and per-probe filter paths;
+   R12 applies here. *)
+let r12_hot_modules = [ "block.ml"; "hashing.ml"; "bloom.ml"; "blocked_bloom.ml" ]
 
 (* ---------------- AST helpers ---------------- *)
 
@@ -177,7 +181,7 @@ let check_r8 ctx ~in_while e =
            (String.concat "." path))
   end
 
-(* R12: allocation-heavy per-record idioms, scoped to the block hot
+(* R12: allocation-heavy per-record idioms, scoped to the hot
    modules. [in_loop] counts enclosing [while]/[for] bodies (maintained
    by [lint_structure]); the [Bytes.to_string] pattern only fires inside
    one — a single post-loop materialization is the blessed idiom. *)
@@ -202,6 +206,13 @@ let check_r12 ctx ~in_loop e =
       | [ "Bytes"; "to_string" ] when in_loop > 0 ->
         emit ctx "R12" (line_of e)
           "Bytes.to_string inside a loop copies every iteration on the block hot path; hoist the materialization or compare in place"
+      | [ ("String" | "Bytes"); ("iter" | "iteri") ]
+        when List.exists
+               (fun (_, (a : expression)) ->
+                 match a.pexp_desc with Pexp_fun _ | Pexp_function _ -> true | _ -> false)
+               args ->
+        emit ctx "R12" (line_of e)
+          "String.iter/Bytes.iter closure on the get path allocates per call and boxes an int64 accumulator; use a for loop over a local ref"
       | _ -> ())
     | _ -> ()
 
