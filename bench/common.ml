@@ -91,11 +91,6 @@ let total_runs db =
   done;
   !n
 
-let device_write_bytes db =
-  let st = Db.io_stats db in
-  Io_stats.bytes_written ~cls:Io_stats.C_flush st
-  + Io_stats.bytes_written ~cls:Io_stats.C_compaction_write st
-
 (* ---------------- table rendering ---------------- *)
 
 let banner id title claim =

@@ -403,14 +403,6 @@ module Cursor = struct
     }
 end
 
-(* Point lookup: a seek-positioned cursor, skipping Iter.t construction.
-   The caller walks versions with [Cursor.next] and materializes only
-   the record it takes. *)
-let find cmp p target =
-  let c = Cursor.make cmp p in
-  Cursor.seek c target;
-  c
-
 let iterator (cmp : Comparator.t) p =
   let c = Cursor.make cmp p in
   (* Merging iterators call [entry] several times per record; memoize

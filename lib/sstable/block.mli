@@ -115,10 +115,6 @@ module Cursor : sig
       the taken path). *)
 end
 
-val find : Lsm_util.Comparator.t -> parsed -> string -> Cursor.t
-(** [find cmp p key] is a fresh cursor positioned at the first record
-    with key >= [key], skipping iterator construction. *)
-
 val iterator : Lsm_util.Comparator.t -> parsed -> Lsm_record.Iter.t
 (** Iterator over a parsed block, backed by a {!Cursor}; [entry] is
     memoized so merging iterators materialize each record at most once.

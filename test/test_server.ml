@@ -9,6 +9,7 @@ module Shard_map = Lsm_server.Shard_map
 module Server = Lsm_server.Server
 module Server_harness = Lsm_workload.Server_harness
 module Config = Lsm_core.Config
+module Policy = Lsm_compaction.Policy
 module Db = Lsm_core.Db
 
 let check_int = Alcotest.(check int)
@@ -184,25 +185,25 @@ let rpc server c args =
   done;
   Option.get !result
 
-let small_server ?quota ~name ~shards ~fanout () =
-  let config =
-    {
-      Config.default with
-      write_buffer_size = 16 * 1024;
-      level1_capacity = 64 * 1024;
-      compaction_backend = Config.Background;
-      compaction_workers = 2;
-      wal_enabled = false;
-    }
-  in
+let small_shard_config =
+  {
+    Config.default with
+    write_buffer_size = 16 * 1024;
+    level1_capacity = 64 * 1024;
+    compaction_backend = Config.Background;
+    compaction_workers = 2;
+    wal_enabled = false;
+  }
+
+let open_server ?quota ?backlog ?(config = small_shard_config) ~name ~shards ~fanout () =
   let map = Shard_map.open_shards ~config ~fanout_workers:fanout ~count:shards ~mode:`Memory () in
-  let server = Server.create ?quota ~shards:map ~sock_path:(sock_path name) () in
+  let server = Server.create ?quota ?backlog ~shards:map ~sock_path:(sock_path name) () in
   (map, server)
 
 (* ---------- wire-level behavior ---------- *)
 
 let test_server_basic_commands () =
-  let map, server = small_server ~name:"basic" ~shards:4 ~fanout:0 () in
+  let map, server = open_server ~name:"basic" ~shards:4 ~fanout:0 () in
   Fun.protect ~finally:(fun () ->
       Server.close server;
       Shard_map.close_all map)
@@ -231,7 +232,7 @@ let test_server_basic_commands () =
   check_bool "get after flush" true (rpc server c [ "GET"; "a" ] = Resp.Bulk "1")
 
 let test_server_tenant_isolation () =
-  let map, server = small_server ~name:"iso" ~shards:4 ~fanout:0 () in
+  let map, server = open_server ~name:"iso" ~shards:4 ~fanout:0 () in
   Fun.protect ~finally:(fun () ->
       Server.close server;
       Shard_map.close_all map)
@@ -251,7 +252,7 @@ let test_server_tenant_isolation () =
 
 let test_server_quota_denial () =
   let quota = Quota.create ~window_s:3600.0 () in
-  let map, server = small_server ~quota ~name:"quota" ~shards:2 ~fanout:0 () in
+  let map, server = open_server ~quota ~name:"quota" ~shards:2 ~fanout:0 () in
   Fun.protect ~finally:(fun () ->
       Server.close server;
       Shard_map.close_all map)
@@ -280,30 +281,19 @@ let test_server_quota_denial () =
 
 (* ---------- end-to-end: simulator against a live server ---------- *)
 
-let run_e2e ~name ~fanout ~connections ~ops () =
-  let map, server = small_server ~name ~shards:4 ~fanout () in
+(* One closed-loop run of [harness] ([sock_path] and [pump] are filled
+   in here) against [shards] engines opened from [config] (default
+   [small_shard_config]), then the graceful SHUTDOWN drain. *)
+let run_e2e ~name ?config ~shards ~fanout ?backlog (harness : Server_harness.config) () =
+  let map, server = open_server ?backlog ?config ~name ~shards ~fanout () in
   Fun.protect ~finally:(fun () -> Shard_map.close_all map) @@ fun () ->
   let report =
     Server_harness.run
-      {
-        Server_harness.default with
-        sock_path = Server.sock_path server;
-        connections;
-        tenants = 6;
-        keys_per_client = 32;
-        value_size = 64;
-        total_ops = ops;
-        mget_group = 6;
-        seed = 11;
-        (* Low enough that every client reconnects at least once within
-           its ~ops/connections share of the run. *)
-        reconnect_every = 15;
-        pump = pump server;
-      }
+      { harness with sock_path = Server.sock_path server; pump = pump server }
   in
   (* In-flight ops finish after the global target is reached, so the
      count can overshoot by up to one op per connection. *)
-  check_bool "all ops completed" true (report.Server_harness.ops_done >= ops);
+  check_bool "all ops completed" true (report.Server_harness.ops_done >= harness.total_ops);
   check_int "zero model violations" 0 report.Server_harness.model_violations;
   check_int "zero torn group reads" 0 report.Server_harness.torn_mgets;
   check_int "zero server errors" 0 report.Server_harness.server_errors;
@@ -321,8 +311,65 @@ let run_e2e ~name ~fanout ~connections ~ops () =
   done;
   check_bool "socket file removed" false (Sys.file_exists (Server.sock_path server))
 
-let test_e2e_sequential () = run_e2e ~name:"e2e-seq" ~fanout:0 ~connections:40 ~ops:2_500 ()
-let test_e2e_fanout () = run_e2e ~name:"e2e-fan" ~fanout:4 ~connections:60 ~ops:3_000 ()
+let small_harness ~connections ~ops =
+  {
+    Server_harness.default with
+    connections;
+    tenants = 6;
+    keys_per_client = 32;
+    value_size = 64;
+    total_ops = ops;
+    mget_group = 6;
+    seed = 11;
+    (* Low enough that every client reconnects at least once within
+       its ~ops/connections share of the run. *)
+    reconnect_every = 15;
+  }
+
+let test_e2e_sequential =
+  run_e2e ~name:"e2e-seq" ~shards:4 ~fanout:0
+    (small_harness ~connections:40 ~ops:2_500)
+
+let test_e2e_fanout =
+  run_e2e ~name:"e2e-fan" ~shards:4 ~fanout:4
+    (small_harness ~connections:60 ~ops:3_000)
+
+(* The serving-correctness gate at full scale: 240 connections over
+   zipfian tenants and keys against 4 shard engines with 2-worker
+   background lanes and parallel subcompactions. The backend is pinned
+   so the suite's environment cannot swap it for the inline lane; the
+   whole fleet connects at once, so the accept queue holds two
+   connections' worth per client. *)
+let test_e2e_full_scale =
+  let config =
+    {
+      Config.default with
+      write_buffer_size = 64 * 1024;
+      level1_capacity = 512 * 1024;
+      target_file_size = 32 * 1024;
+      block_size = 1024;
+      block_cache_bytes = 8 lsl 20;
+      compaction = Policy.leveled ~size_ratio:4 ();
+      wal_sync_every_write = false;
+      compaction_backend = Config.Background;
+      compaction_workers = 2;
+      compaction_parallelism = 2;
+      wal_enabled = false;
+    }
+  in
+  run_e2e ~name:"e2e-full" ~config ~shards:4 ~fanout:2 ~backlog:480
+    {
+      Server_harness.default with
+      connections = 240;
+      tenants = 16;
+      keys_per_client = 64;
+      value_size = 256;
+      total_ops = 60_000;
+      mget_group = 8;
+      theta = 0.99;
+      seed = 97;
+      reconnect_every = 120;
+    }
 
 let suite =
   [
@@ -342,4 +389,6 @@ let suite =
     Alcotest.test_case "server: e2e simulator, sequential shards" `Slow test_e2e_sequential;
     Alcotest.test_case "server: e2e simulator, pooled fan-out + shutdown drain" `Slow
       test_e2e_fanout;
+    Alcotest.test_case "server: e2e simulator, 240 connections over background shards" `Slow
+      test_e2e_full_scale;
   ]

@@ -220,7 +220,9 @@ let prop_seek_at_restart_boundaries =
                 done;
                 List.rev !out
               in
-              via_iter = expected && drain_cursor (Block.find cmp p target) = expected)
+              let cur = Block.Cursor.make cmp p in
+              Block.Cursor.seek cur target;
+              via_iter = expected && drain_cursor cur = expected)
             boundary_keys)
         restart_intervals)
 
