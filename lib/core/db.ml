@@ -38,7 +38,7 @@ type quarantine_entry = {
    install rather than once per read. *)
 type read_view = {
   rv_version : Version.t;
-  rv_rds : (string * string * int) list;  (** table range tombstones of [rv_version] *)
+  rv_rds : Entry.t list;  (** table range tombstones of [rv_version] *)
   rv_runs : Table_meta.t array array;
       (** every run's files in probe order (level ascending, newest run
           first), as arrays for the point lookup's binary search *)
@@ -223,27 +223,8 @@ let guard_table_read t f fn =
   | (Lsm_error.Error (Lsm_error.Corruption _) | Lsm_util.Codec.Corrupt _ | Not_found) as e ->
     table_read_failed t f e
 
-let wal_name_of n = Printf.sprintf "wal-%06d.log" n
-
-(* Accept exactly the names [wal_name_of] generates. Anything else — a
-   stray "wal-backup", a truncated "wal-1" — is not ours to replay or
-   delete, and must above all not abort recovery (a [String.sub] on an
-   unchecked name used to do exactly that). *)
-let wal_seq_of_name n =
-  let plen = String.length "wal-" and slen = String.length ".log" in
-  if
-    String.length n > plen + slen
-    && String.sub n 0 plen = "wal-"
-    && Filename.check_suffix n ".log"
-  then begin
-    let stem = String.sub n plen (String.length n - plen - slen) in
-    if String.for_all (fun c -> c >= '0' && c <= '9') stem then int_of_string_opt stem
-    else None
-  end
-  else None
-
 let new_buffer t =
-  let name = wal_name_of t.wal_counter in
+  let name = Wal.file_name_of_seq t.wal_counter in
   t.wal_counter <- t.wal_counter + 1;
   let wal = if t.cfg.Config.wal_enabled then Some (Wal.create t.dev ~name) else None in
   {
@@ -256,19 +237,13 @@ let new_buffer t =
 (* Version-edit installation                                           *)
 (* ------------------------------------------------------------------ *)
 
-let rebuild_table_rds t =
-  let rds = ref [] in
-  List.iter
+let rds_of_files t files =
+  List.concat_map
     (fun (f : Table_meta.t) ->
-      if f.range_tombstones > 0 then begin
-        let reader = Table_cache.get t.tables f.file_name in
-        List.iter
-          (fun (e : Entry.t) ->
-            if e.kind = Entry.Range_delete then rds := (e.key, e.value, e.seqno) :: !rds)
-          (Sstable.props reader).Sstable.Props.range_tombstones
-      end)
-    (Version.all_files t.vers);
-  !rds
+      if f.range_tombstones = 0 then []
+      else
+        (Sstable.props (Table_cache.get t.tables f.file_name)).Sstable.Props.range_tombstones)
+    files
 
 let read_view_of t =
   let runs =
@@ -277,7 +252,11 @@ let read_view_of t =
         List.map (fun (r : Version.run) -> Array.of_list r.Version.files) (Version.level_runs t.vers l))
       (List.init Version.max_levels Fun.id)
   in
-  { rv_version = t.vers; rv_rds = rebuild_table_rds t; rv_runs = Array.of_list runs }
+  {
+    rv_version = t.vers;
+    rv_rds = rds_of_files t (Version.all_files t.vers);
+    rv_runs = Array.of_list runs;
+  }
 
 (* Serialized: runs on the lane's committer, or during [open_db] before
    the lane has work — never two at once. Publishing [read_view] before
@@ -494,14 +473,6 @@ let guarded t =
 
 let level_files v l =
   List.concat_map (fun (r : Version.run) -> r.Version.files) (Version.level_runs v l)
-
-let rds_of_files t files =
-  List.concat_map
-    (fun (f : Table_meta.t) ->
-      if f.range_tombstones = 0 then []
-      else
-        (Sstable.props (Table_cache.get t.tables f.file_name)).Sstable.Props.range_tombstones)
-    files
 
 (* The largest key [f]'s entries can affect: a range tombstone in [f] may
    extend past [f.max_key]. Overlaps computed with it merge a tombstone's
@@ -749,7 +720,6 @@ type merge_plan = {
   mp_input_runs : Version.run list;
   mp_input_files : Table_meta.t list;
   mp_read_bytes : int;
-  mp_extra_removed : int list;
   mp_target_level : int;
   mp_target_group : int;
   mp_bottom : bool;
@@ -796,7 +766,7 @@ let guard_cut t ~target_level =
     Some (fun ~prev key -> is_guard key || crosses ~prev key)
   | _ -> None
 
-let plan_merge t ~input_runs ~extra_removed ~target_level ~target_group ~bottom =
+let plan_merge t ~input_runs ~target_level ~target_group ~bottom =
   let input_files = List.concat_map (fun (r : Version.run) -> r.Version.files) input_runs in
   let read_bytes = List.fold_left (fun a (f : Table_meta.t) -> a + f.size) 0 input_files in
   let input_entries = List.fold_left (fun a (f : Table_meta.t) -> a + f.entries) 0 input_files in
@@ -804,7 +774,6 @@ let plan_merge t ~input_runs ~extra_removed ~target_level ~target_group ~bottom 
     mp_input_runs = input_runs;
     mp_input_files = input_files;
     mp_read_bytes = read_bytes;
-    mp_extra_removed = extra_removed;
     mp_target_level = target_level;
     mp_target_group = target_group;
     mp_bottom = bottom;
@@ -878,8 +847,7 @@ let merge_commit t (p : merge_plan) (metas, nranges, exec_ns) =
   let edit =
     {
       Version.added = List.map (fun m -> (p.mp_target_level, p.mp_target_group, m)) metas;
-      removed =
-        List.map (fun (f : Table_meta.t) -> f.file_id) p.mp_input_files @ p.mp_extra_removed;
+      removed = List.map (fun (f : Table_meta.t) -> f.file_id) p.mp_input_files;
       seqno_watermark = t.seqno;
     }
   in
@@ -951,17 +919,15 @@ let plan_of_job t job =
     let target_tiered = run_cap t ~level:1 > 1 in
     if target_tiered then
       P_merge
-        (plan_merge t ~input_runs:l0_runs ~extra_removed:[] ~target_level:1
+        (plan_merge t ~input_runs:l0_runs ~target_level:1
            ~target_group:(fresh_group t)
            ~bottom:(last <= 1 && Version.level_runs t.vers 1 = []))
     else begin
       (* Merge with the whole overlapping portion of L1's run. *)
       let l1_runs = Version.level_runs t.vers 1 in
       P_merge
-        (plan_merge t
-           ~input_runs:(l0_runs @ l1_runs)
-           ~extra_removed:[] ~target_level:1 ~target_group:(leveled_target_group t 1)
-           ~bottom:(last <= 1))
+        (plan_merge t ~input_runs:(l0_runs @ l1_runs) ~target_level:1
+           ~target_group:(leveled_target_group t 1) ~bottom:(last <= 1))
     end
   | J_tier_merge l ->
     let runs = Version.level_runs t.vers l in
@@ -979,20 +945,20 @@ let plan_of_job t job =
           { files = r.Version.files; target_level = target; target_group = fresh_group t }
       | _ ->
         P_merge
-          (plan_merge t ~input_runs:runs ~extra_removed:[] ~target_level:target
-             ~target_group:(fresh_group t) ~bottom)
+          (plan_merge t ~input_runs:runs ~target_level:target ~target_group:(fresh_group t)
+             ~bottom)
     end
     else begin
       let next_runs = Version.level_runs t.vers target in
       P_merge
-        (plan_merge t ~input_runs:(runs @ next_runs) ~extra_removed:[] ~target_level:target
+        (plan_merge t ~input_runs:(runs @ next_runs) ~target_level:target
            ~target_group:(leveled_target_group t target) ~bottom:(last <= target))
     end
   | J_whole_level l ->
     let runs = Version.level_runs t.vers l in
     let next_runs = Version.level_runs t.vers (l + 1) in
     P_merge
-      (plan_merge t ~input_runs:(runs @ next_runs) ~extra_removed:[] ~target_level:(l + 1)
+      (plan_merge t ~input_runs:(runs @ next_runs) ~target_level:(l + 1)
          ~target_group:(leveled_target_group t (l + 1)) ~bottom:(last <= l + 1))
   | J_file (l, f) ->
     let target = l + 1 in
@@ -1012,7 +978,7 @@ let plan_of_job t job =
           { Version.group = 0; files = overlapping } ]
       in
       P_merge
-        (plan_merge t ~input_runs ~extra_removed:[] ~target_level:target
+        (plan_merge t ~input_runs ~target_level:target
            ~target_group:(leveled_target_group t target) ~bottom)
     end
   | J_guard (l, g) ->
@@ -1025,7 +991,7 @@ let plan_of_job t job =
       in_place || (last <= target && overlap_at t target ~lo:g.g_lo ~hi:g.g_hi = [])
     in
     P_merge
-      (plan_merge t ~input_runs:g.g_runs ~extra_removed:[] ~target_level:target
+      (plan_merge t ~input_runs:g.g_runs ~target_level:target
          ~target_group:(fresh_group t) ~bottom)
 
 let planned_input_bytes = function
@@ -1266,10 +1232,8 @@ let check_writable t =
       (Lsm_error.read_only
          "fail-safe mode after a maintenance failure (Db.try_resume to re-arm)")
 
-(* Shared tail of [write]/[apply_batch]: rotation trigger plus the
-   follow-up lane work. [throttle] is true only for single writes —
-   batches never paid the throttled-mode slice, and keeping that exact
-   shape keeps the cost-model experiments bit-stable. *)
+(* The tail of {!write}: rotation trigger plus the follow-up lane work;
+   [throttle] adds the throttled-mode slice. *)
 let after_memtable_add t ~throttle =
   if Memtable.footprint t.active.mt >= t.dyn_buffer_size then begin
     rotate t;
@@ -1281,68 +1245,27 @@ let after_memtable_add t ~throttle =
        at a time on ordinary writes instead of in bursts at flush points. *)
     new_round t
 
-let write t (e : Entry.t) =
-  check_writable t;
-  let t0 = now_ns () in
-  ignore (Atomic.fetch_and_add t.clock 1);
-  (match t.active.wal with
-  | Some w -> Wal.append w ~sync:t.cfg.Config.wal_sync_every_write [ e ]
-  | None -> ());
-  Memtable.add t.active.mt e;
-  (* Publish only after the memtable insert: readers that observe this
-     ceiling are guaranteed to find the entry (SC atomics order the
-     plain insert before the store, and the reader's load before its
-     traversal). *)
-  Atomic.set t.visible_seqno e.Entry.seqno;
-  after_memtable_add t ~throttle:true;
-  Lsm_util.Histogram.add t.db_stats.Stats.write_latency_ns (now_ns () - t0)
-
 let next_seqno t =
   t.seqno <- t.seqno + 1;
   t.seqno
 
-let put t ~key value =
-  let e = Entry.put ~key ~seqno:(next_seqno t) value in
-  t.db_stats.Stats.user_puts <- t.db_stats.Stats.user_puts + 1;
-  t.db_stats.Stats.user_bytes_ingested <-
-    t.db_stats.Stats.user_bytes_ingested + String.length key + String.length value;
-  write t e
-
-let delete t key =
-  let e = Entry.delete ~key ~seqno:(next_seqno t) in
-  t.db_stats.Stats.user_deletes <- t.db_stats.Stats.user_deletes + 1;
-  t.db_stats.Stats.user_bytes_ingested <- t.db_stats.Stats.user_bytes_ingested + String.length key;
-  write t e
-
-let single_delete t key =
-  let e = Entry.single_delete ~key ~seqno:(next_seqno t) in
-  t.db_stats.Stats.user_deletes <- t.db_stats.Stats.user_deletes + 1;
-  t.db_stats.Stats.user_bytes_ingested <- t.db_stats.Stats.user_bytes_ingested + String.length key;
-  write t e
-
-let range_delete t ~lo ~hi =
-  if (cmp_of t).Comparator.compare lo hi >= 0 then
-    invalid_arg "Db.range_delete: lo must be < hi";
-  let e = Entry.range_delete ~start_key:lo ~end_key:hi ~seqno:(next_seqno t) in
-  t.db_stats.Stats.user_deletes <- t.db_stats.Stats.user_deletes + 1;
-  t.db_stats.Stats.user_bytes_ingested <-
-    t.db_stats.Stats.user_bytes_ingested + String.length lo + String.length hi;
-  write t e
-
-let merge t ~key operand =
-  let e = Entry.merge ~key ~seqno:(next_seqno t) operand in
-  t.db_stats.Stats.user_puts <- t.db_stats.Stats.user_puts + 1;
-  t.db_stats.Stats.user_bytes_ingested <-
-    t.db_stats.Stats.user_bytes_ingested + String.length key + String.length operand;
-  write t e
-
-(* One WAL record, one sequence-number range, one durability point: the
-   batch recovers all-or-nothing after a crash. *)
-let apply_batch t batch =
+(* The one write path: every mutation, single or batched, enters here
+   as a list of [(kind, key, value)]. Nothing is charged before the
+   checks — a rejected write allocates no seqno, counts as no ingest,
+   and writes no WAL byte. One WAL record, one sequence-number range,
+   one durability point: a batch recovers all-or-nothing after a crash.
+   [throttle] is true only for single writes — batches never paid the
+   throttled-mode slice, and keeping that exact shape keeps the
+   cost-model experiments bit-stable. *)
+let write t ~throttle ops =
   check_writable t;
-  match Write_batch.operations batch with
-  | [] -> ()
-  | ops ->
+  List.iter
+    (function
+      | Entry.Range_delete, lo, hi when (cmp_of t).Comparator.compare lo hi >= 0 ->
+        invalid_arg "Db.range_delete: lo must be < hi"
+      | _ -> ())
+    ops;
+  if ops <> [] then begin
     let t0 = now_ns () in
     let entries =
       List.map
@@ -1363,12 +1286,22 @@ let apply_batch t batch =
     | Some w -> Wal.append w ~sync:t.cfg.Config.wal_sync_every_write entries
     | None -> ());
     List.iter (Memtable.add t.active.mt) entries;
-    (* The whole batch becomes visible at once: the ceiling moves only
-       after the last entry is inserted, so no reader can resolve part
-       of the batch without the rest (multi_get atomicity). *)
+    (* Publish only after the last insert: readers that observe this
+       ceiling find every entry of the write, so none can resolve part of
+       a batch without the rest (multi_get atomicity). SC atomics order
+       the plain inserts before the store, and the reader's load before
+       its traversal. *)
     Atomic.set t.visible_seqno t.seqno;
-    after_memtable_add t ~throttle:false;
+    after_memtable_add t ~throttle;
     Lsm_util.Histogram.add t.db_stats.Stats.write_latency_ns (now_ns () - t0)
+  end
+
+let put t ~key value = write t ~throttle:true [ (Entry.Put, key, value) ]
+let delete t key = write t ~throttle:true [ (Entry.Delete, key, "") ]
+let single_delete t key = write t ~throttle:true [ (Entry.Single_delete, key, "") ]
+let range_delete t ~lo ~hi = write t ~throttle:true [ (Entry.Range_delete, lo, hi) ]
+let merge t ~key operand = write t ~throttle:true [ (Entry.Merge, key, operand) ]
+let apply_batch t batch = write t ~throttle:false (Write_batch.operations batch)
 
 (* ------------------------------------------------------------------ *)
 (* Read path                                                           *)
@@ -1381,12 +1314,6 @@ let apply_batch t batch =
    allocation even with no tombstone anywhere. *)
 let covers (cmp : Comparator.t) ~snap ~best key lo hi seqno =
   seqno <= snap && seqno > best && cmp.compare lo key <= 0 && cmp.compare key hi < 0
-
-let rec table_rd_seqno cmp ~snap key best = function
-  | [] -> best
-  | (lo, hi, seqno) :: rest ->
-    let best = if covers cmp ~snap ~best key lo hi seqno then seqno else best in
-    table_rd_seqno cmp ~snap key best rest
 
 let rec entry_rd_seqno cmp ~snap key best = function
   | [] -> best
@@ -1403,7 +1330,7 @@ let rec buffer_rd_seqno cmp ~snap key best = function
 let covering_rd_seqno t ~active ~immutables ~table_rds ~snap key =
   let cmp = cmp_of t in
   let best = entry_rd_seqno cmp ~snap key 0 (Memtable.range_tombstones active.mt) in
-  table_rd_seqno cmp ~snap key (buffer_rd_seqno cmp ~snap key best immutables) table_rds
+  entry_rd_seqno cmp ~snap key (buffer_rd_seqno cmp ~snap key best immutables) table_rds
 
 (* Binary search a run's files (sorted, disjoint) for the one that may
    hold [key]: its index, or -1. *)
@@ -1468,52 +1395,70 @@ let rec probe_runs t (runs : Table_meta.t array array) i ~snap tally key =
     let found = if j < 0 then None else probe_table t files.(j) ~snap tally key in
     if Option.is_some found then found else probe_runs t runs (i + 1) ~snap tally key
 
-(* Resolve a merge chain by iterating every visible version of [key],
-   newest first. Used only when the newest visible entry is a Merge. *)
+(* The one visibility rule: [key]'s value as of ceiling [snap], given
+   [it] positioned at the key's versions, newest first, and [rd_seq],
+   the newest visible range tombstone covering the key. The first
+   visible point version at or below [rd_seq], or a put or point delete,
+   decides; merge operands on the way accumulate and fold over the base
+   with the merge operator (without one, the newest operand wins).
+   Stops at the deciding version, so [it] may still hold older versions
+   of [key]. *)
+let resolve_key t ~snap ~rd_seq key (it : Iter.t) =
+  let rec walk operands =
+    if not (it.Iter.valid ()) then finish operands None
+    else
+      let e = it.Iter.entry () in
+      if not (String.equal e.Entry.key key) then finish operands None
+      else if e.Entry.seqno > snap || e.Entry.kind = Entry.Range_delete then begin
+        it.Iter.next ();
+        walk operands
+      end
+      else if e.Entry.seqno <= rd_seq then finish operands None
+      else
+        match e.Entry.kind with
+        | Entry.Put -> finish operands (Some e.Entry.value)
+        | Entry.Delete | Entry.Single_delete | Entry.Range_delete -> finish operands None
+        | Entry.Merge ->
+          it.Iter.next ();
+          walk (e.Entry.value :: operands)
+  (* Consing along a newest-to-oldest walk leaves [operands]
+     oldest-first — the operator's expected order. *)
+  and finish operands base =
+    match (operands, t.cfg.Config.merge_operator) with
+    | [], _ -> base
+    | oldest_first, Some f -> Some (f key base oldest_first)
+    | oldest_first, None -> Some (List.hd (List.rev oldest_first))
+  in
+  walk []
+
+(* Every read-path table open goes through here: the quarantine fence,
+   then [guard_table_read] around [fn]. *)
+let with_table t (f : Table_meta.t) fn =
+  raise_quarantined t f;
+  guard_table_read t f (fun () -> fn (Table_cache.get t.tables f.Table_meta.file_name))
+
+(* A point read whose newest visible entry is a merge: every version of
+   [key] in the memtable stack and in the one file per run that may hold
+   it, merged newest first and resolved by {!resolve_key}. *)
 let resolve_merge_chain t ~runs ~active ~immutables ~snap ~rd_seq key =
   let cmp = cmp_of t in
-  let sources =
-    (Memtable.iterator active.mt :: List.map (fun b -> Memtable.iterator b.mt) immutables)
-    @ Array.to_list
-        (Array.map
-           (fun files ->
-             match find_file_in_run cmp files key with
-             | -1 -> Iter.empty
-             | j ->
-               Sstable.iterator (Table_cache.get t.tables files.(j).Table_meta.file_name)
-                 ~cls:Io_stats.C_user_read ())
-           runs)
+  let table_sources =
+    Array.to_list runs
+    |> List.filter_map (fun files ->
+           match find_file_in_run cmp files key with
+           | -1 -> None
+           | j ->
+             Some
+               (with_table t files.(j) (fun reader ->
+                    Sstable.iterator reader ~cls:Io_stats.C_user_read ())))
   in
-  let it = Iter.merge cmp sources in
+  let it =
+    Iter.merge cmp
+      ((Memtable.iterator active.mt :: List.map (fun b -> Memtable.iterator b.mt) immutables)
+      @ table_sources)
+  in
   it.Iter.seek key;
-  let operands = ref [] in
-  let base = ref None in
-  (try
-     while it.Iter.valid () do
-       let e = it.Iter.entry () in
-       if not (String.equal e.Entry.key key) then raise Exit;
-       if e.Entry.seqno <= snap && e.Entry.kind <> Entry.Range_delete then begin
-         if e.Entry.seqno <= rd_seq then raise Exit (* rest is range-deleted *)
-         else
-           match e.Entry.kind with
-           | Entry.Put ->
-             base := Some e.Entry.value;
-             raise Exit
-           | Entry.Delete | Entry.Single_delete -> raise Exit
-           | Entry.Merge -> operands := e.Entry.value :: !operands
-           | Entry.Range_delete -> ()
-       end;
-       it.Iter.next ()
-     done
-   with Exit -> ());
-  (* Encounter order was newest-to-oldest; consing reversed it, so
-     [operands] is oldest-first — the operator's expected order. *)
-  match (!operands, !base) with
-  | [], base -> base
-  | oldest_first, base -> (
-    match t.cfg.Config.merge_operator with
-    | Some f -> Some (f key base oldest_first)
-    | None -> Some (List.hd (List.rev oldest_first)))
+  resolve_key t ~snap ~rd_seq key it
 
 (* One coherent view of the database, captured once and then used to
    resolve any number of keys: the snapshot ceiling, the memtable stack,
@@ -1680,23 +1625,6 @@ let multi_get t ?snapshot keys =
 
 (* ---------------- scan ---------------- *)
 
-let scan_rds t ~active ~immutables ~table_rds ~snap ~lo ~hi =
-  let cmp = cmp_of t in
-  (* rd [rlo, rhi) overlaps scan [lo, hi)? *)
-  let overlaps (rlo, rhi, seqno) =
-    let below_hi = match hi with None -> true | Some h -> cmp.Comparator.compare rlo h < 0 in
-    seqno <= snap && below_hi && cmp.Comparator.compare lo rhi < 0
-  in
-  let out = ref [] in
-  let consider (rlo, rhi, seqno) = if overlaps (rlo, rhi, seqno) then out := (rlo, rhi, seqno) :: !out in
-  let mem_rds b =
-    List.iter (fun (e : Entry.t) -> consider (e.key, e.value, e.seqno)) (Memtable.range_tombstones b.mt)
-  in
-  mem_rds active;
-  List.iter mem_rds immutables;
-  List.iter consider table_rds;
-  !out
-
 let fold t ?snapshot ?(limit = max_int) ~lo ~hi ~init ~f () =
   check_open t;
   ignore (Atomic.fetch_and_add t.clock 1);
@@ -1708,13 +1636,19 @@ let fold t ?snapshot ?(limit = max_int) ~lo ~hi ~init ~f () =
   let { rc_snap = snap; rc_active = active; rc_immutables = immutables; rc_view } =
     capture_read_ctx t ?snapshot ()
   in
-  let v = rc_view.rv_version and table_rds = rc_view.rv_rds in
-  let rds = scan_rds t ~active ~immutables ~table_rds ~snap ~lo ~hi in
-  let rd_covering key seqno =
-    List.exists
-      (fun (rlo, rhi, rseq) ->
-        rseq > seqno && cmp.Comparator.compare rlo key <= 0 && cmp.Comparator.compare key rhi < 0)
-      rds
+  let in_range key =
+    match hi with None -> true | Some h -> cmp.Comparator.compare key h < 0
+  in
+  (* The visible range tombstones overlapping [lo, hi), gathered once;
+     each key's covering seqno is then the point read's rule over them. *)
+  let rds =
+    List.filter
+      (fun (e : Entry.t) ->
+        e.seqno <= snap && cmp.Comparator.compare lo e.value < 0 && in_range e.key)
+      (List.concat_map
+         (fun b -> Memtable.range_tombstones b.mt)
+         (active :: immutables)
+      @ rc_view.rv_rds)
   in
   let mem_sources =
     Memtable.iterator active.mt :: List.map (fun b -> Memtable.iterator b.mt) immutables
@@ -1722,78 +1656,37 @@ let fold t ?snapshot ?(limit = max_int) ~lo ~hi ~init ~f () =
   let table_sources =
     List.concat_map
       (fun (_, r) ->
-        let files = Version.files_of_run_overlapping ~cmp ~lo ~hi r in
-        let files =
-          List.filter
+        let iters =
+          List.filter_map
             (fun (f : Table_meta.t) ->
-              raise_quarantined t f;
-              guard_table_read t f @@ fun () ->
-              let reader = Table_cache.get t.tables f.file_name in
-              let keep = Sstable.may_overlap_range reader ~lo ~hi in
-              if not keep then
+              with_table t f @@ fun reader ->
+              if Sstable.may_overlap_range reader ~lo ~hi then
+                Some (Sstable.iterator reader ~cls:Io_stats.C_user_read ())
+              else begin
                 t.db_stats.Stats.range_filter_skips <- t.db_stats.Stats.range_filter_skips + 1;
-              keep)
-            files
+                None
+              end)
+            (Version.files_of_run_overlapping ~cmp ~lo ~hi r)
         in
-        match files with
-        | [] -> []
-        | files ->
-          [ Iter.concat
-              (List.map
-                 (fun (f : Table_meta.t) ->
-                   Sstable.iterator (Table_cache.get t.tables f.file_name)
-                     ~cls:Io_stats.C_user_read ())
-                 files) ])
-      (Version.runs_overlapping ~cmp ~lo ~hi v)
+        match iters with [] -> [] | iters -> [ Iter.concat iters ])
+      (Version.runs_overlapping ~cmp ~lo ~hi rc_view.rv_version)
   in
   let it = Iter.merge cmp (mem_sources @ table_sources) in
   it.Iter.seek lo;
   let acc = ref init in
   let count = ref 0 in
-  let in_range key =
-    match hi with None -> true | Some h -> cmp.Comparator.compare key h < 0
-  in
   while it.Iter.valid () && !count < limit && in_range (it.Iter.entry ()).Entry.key do
     let key = (it.Iter.entry ()).Entry.key in
-    (* Resolve this key: first visible version decides; merges accumulate. *)
-    let operands = ref [] in
-    let base = ref None in
-    let decided = ref false in
-    while it.Iter.valid () && String.equal (it.Iter.entry ()).Entry.key key do
-      let e = it.Iter.entry () in
-      if
-        (not !decided)
-        && e.Entry.seqno <= snap
-        && e.Entry.kind <> Entry.Range_delete
-      then begin
-        if rd_covering key e.Entry.seqno then decided := true
-        else
-          match e.Entry.kind with
-          | Entry.Put ->
-            base := Some e.Entry.value;
-            decided := true
-          | Entry.Delete | Entry.Single_delete -> decided := true
-          | Entry.Merge -> operands := e.Entry.value :: !operands
-          | Entry.Range_delete -> ()
-      end;
-      it.Iter.next ()
-    done;
-    (* [operands] accumulated by consing along a newest-to-oldest walk,
-       so it sits oldest-first already. *)
-    let value =
-      match (!operands, !base) with
-      | [], b -> b
-      | oldest_first, b -> (
-        match t.cfg.Config.merge_operator with
-        | Some f -> Some (f key b oldest_first)
-        | None -> (
-          match List.rev oldest_first with newest :: _ -> Some newest | [] -> b))
-    in
-    (match value with
+    let rd_seq = entry_rd_seqno cmp ~snap key 0 rds in
+    (match resolve_key t ~snap ~rd_seq key it with
     | Some v ->
       acc := f !acc key v;
       incr count
-    | None -> ())
+    | None -> ());
+    (* skip the versions older than the deciding one *)
+    while it.Iter.valid () && String.equal (it.Iter.entry ()).Entry.key key do
+      it.Iter.next ()
+    done
   done;
   !acc
 
@@ -1919,7 +1812,7 @@ let verify_integrity t =
      deleted by a concurrent flush between listing and reading is fine. *)
   List.iter
     (fun name ->
-      match wal_seq_of_name name with
+      match Wal.seq_of_file_name name with
       | None -> ()
       | Some _ -> (
         match Wal.salvage t.dev ~name (fun _ -> ()) with
@@ -2102,20 +1995,16 @@ let open_db ?(config = Config.default) ~dev () =
       (fun acc (f : Table_meta.t) -> f.file_name :: acc)
       [] (Version.all_files t.vers)
   in
-  let is_table_name n =
-    String.length n = 10
-    && Filename.check_suffix n ".sst"
-    && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub n 0 6)
-  in
   List.iter
     (fun name ->
-      if is_table_name name && not (List.mem name live) then Device.delete dev name)
+      if Option.is_some (Table_meta.id_of_file_name name) && not (List.mem name live) then
+        Device.delete dev name)
     (Device.list_files dev);
   (* Replay surviving WALs (in sequence order) into a fresh buffer. *)
   let old_wals =
     Device.list_files dev
     |> List.filter_map (fun n ->
-           match wal_seq_of_name n with Some s -> Some (s, n) | None -> None)
+           match Wal.seq_of_file_name n with Some s -> Some (s, n) | None -> None)
     |> List.sort compare
   in
   let recovered_entries = ref [] in
@@ -2165,7 +2054,7 @@ let major_compact t =
      have since been released, or tombstones to retire. *)
   if all_runs <> [] then begin
     let p =
-      plan_merge t ~input_runs:all_runs ~extra_removed:[]
+      plan_merge t ~input_runs:all_runs
         ~target_level:(max 1 (Version.last_level t.vers))
         ~target_group:(fresh_group t) ~bottom:true
     in

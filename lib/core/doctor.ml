@@ -58,21 +58,7 @@ type report = {
   findings : Lsm_error.t list;  (** every defect encountered *)
 }
 
-let is_sst name = Filename.check_suffix name ".sst"
-
-let sst_id name =
-  if String.length name = 10 && is_sst name then
-    int_of_string_opt (String.sub name 0 6)
-  else None
-
-let wal_seq name =
-  let plen = String.length "wal-" and slen = String.length ".log" in
-  if
-    String.length name > plen + slen
-    && String.sub name 0 plen = "wal-"
-    && Filename.check_suffix name ".log"
-  then int_of_string_opt (String.sub name plen (String.length name - plen - slen))
-  else None
+let is_sst name = Option.is_some (Table_meta.id_of_file_name name)
 
 (* A throwaway cache: doctor reads every block exactly once. *)
 let scratch_cache () = Block_cache.create ~shards:1 ~capacity:0 ()
@@ -111,7 +97,7 @@ let verify ?(cmp = Comparator.bytewise) dev =
     tables_to_check;
   List.iter
     (fun name ->
-      match wal_seq name with
+      match Wal.seq_of_file_name name with
       | None -> ()
       | Some _ ->
         let _, gaps = Wal.salvage dev ~name (fun _ -> ()) in
@@ -177,7 +163,7 @@ let rebuild_manifest ~cmp dev names =
   let metas =
     List.filter_map
       (fun name ->
-        match sst_id name with
+        match Table_meta.id_of_file_name name with
         | None -> None
         | Some id ->
           let reader = Sstable.open_reader ~cmp ~dev ~cache name in
@@ -231,7 +217,8 @@ let repair ?(cmp = Comparator.bytewise) dev =
   in
   let max_id =
     List.fold_left
-      (fun acc n -> match sst_id n with Some i -> max acc i | None -> acc)
+      (fun acc n ->
+        match Table_meta.id_of_file_name n with Some i -> max acc i | None -> acc)
       0 ssts
   in
   let next_id = ref (max_id + 1) in
@@ -267,7 +254,8 @@ let repair ?(cmp = Comparator.bytewise) dev =
      then re-log the survivors into one fresh sealed WAL. *)
   let wal_files =
     Device.list_files dev
-    |> List.filter_map (fun n -> match wal_seq n with Some s -> Some (s, n) | None -> None)
+    |> List.filter_map (fun n ->
+           match Wal.seq_of_file_name n with Some s -> Some (s, n) | None -> None)
     |> List.sort compare
   in
   let batches = ref [] in
@@ -293,7 +281,7 @@ let repair ?(cmp = Comparator.bytewise) dev =
   (match List.rev !batches with
   | [] -> ()
   | salvaged ->
-    let w = Wal.create dev ~name:"wal-000000.log" in
+    let w = Wal.create dev ~name:(Wal.file_name_of_seq 0) in
     List.iter (fun b -> Wal.append w ~sync:false b) salvaged;
     Wal.sync w;
     Wal.close w);

@@ -7,9 +7,7 @@ let put t ~key value = t.ops <- (Entry.Put, key, value) :: t.ops
 let delete t key = t.ops <- (Entry.Delete, key, "") :: t.ops
 let single_delete t key = t.ops <- (Entry.Single_delete, key, "") :: t.ops
 
-let range_delete t ~lo ~hi =
-  if String.compare lo hi >= 0 then invalid_arg "Write_batch.range_delete: lo must be < hi";
-  t.ops <- (Entry.Range_delete, lo, hi) :: t.ops
+let range_delete t ~lo ~hi = t.ops <- (Entry.Range_delete, lo, hi) :: t.ops
 
 let merge t ~key operand = t.ops <- (Entry.Merge, key, operand) :: t.ops
 let length t = List.length t.ops

@@ -11,7 +11,13 @@ val create : unit -> t
 val put : t -> key:string -> string -> unit
 val delete : t -> string -> unit
 val single_delete : t -> string -> unit
+
 val range_delete : t -> lo:string -> hi:string -> unit
+(** Deletes [\[lo, hi)]. The order of [lo] and [hi] is judged when the
+    batch is applied, under the database's comparator: {!Db.apply_batch}
+    rejects a batch holding an empty or inverted range with
+    [Invalid_argument] before writing any of it. *)
+
 val merge : t -> key:string -> string -> unit
 
 val length : t -> int

@@ -36,6 +36,21 @@ let of_props ~file_id ~file_name ~size (p : Sstable.Props.t) =
 
 let file_name_of_id id = Printf.sprintf "%06d.sst" id
 
+(* Accept exactly the names [file_name_of_id] generates: an all-digit
+   stem that formats back to the same name ("notes.sst", "-00001.sst"
+   and "0x0010.sst" are not tables of ours). *)
+let id_of_file_name name =
+  let n = String.length name in
+  if n >= 10 && String.ends_with ~suffix:".sst" name then begin
+    let stem = String.sub name 0 (n - 4) in
+    if String.for_all (fun c -> c >= '0' && c <= '9') stem then
+      match int_of_string_opt stem with
+      | Some id when String.equal (file_name_of_id id) name -> Some id
+      | _ -> None
+    else None
+  end
+  else None
+
 let overlaps (c : Comparator.t) t ~lo ~hi =
   c.compare t.min_key hi <= 0 && c.compare lo t.max_key <= 0
 

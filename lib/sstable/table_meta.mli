@@ -31,6 +31,11 @@ val of_props : file_id:int -> file_name:string -> size:int -> Sstable.Props.t ->
 val file_name_of_id : int -> string
 (** ["%06d.sst"]. *)
 
+val id_of_file_name : string -> int option
+(** The inverse of {!file_name_of_id}: [Some id] exactly for the names it
+    generates, [None] for every other file (which the engine and its
+    repair tool must neither open nor delete). *)
+
 val overlaps : Lsm_util.Comparator.t -> t -> lo:string -> hi:string -> bool
 (** Closed-interval key-range intersection test. *)
 

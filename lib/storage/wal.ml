@@ -9,6 +9,25 @@ let create dev ~name =
 
 let seal_size = Framed_log.seal_size
 
+let file_name_of_seq n = Printf.sprintf "wal-%06d.log" n
+
+(* Accept exactly the names [file_name_of_seq] generates: an all-digit
+   stem that formats back to the same name. Anything else — a stray
+   "wal-backup", a truncated "wal-1", "wal-0x10.log", "wal-1_0.log" — is
+   not ours to replay or delete, and must above all not abort recovery. *)
+let seq_of_file_name name =
+  let n = String.length name in
+  if n > 8 && String.starts_with ~prefix:"wal-" name && String.ends_with ~suffix:".log" name
+  then begin
+    let stem = String.sub name 4 (n - 8) in
+    if String.for_all (fun c -> c >= '0' && c <= '9') stem then
+      match int_of_string_opt stem with
+      | Some s when String.equal (file_name_of_seq s) name -> Some s
+      | _ -> None
+    else None
+  end
+  else None
+
 let append t ?(sync = true) entries =
   if t.closed then invalid_arg "Wal.append: closed";
   match entries with

@@ -17,6 +17,14 @@
 
 type t
 
+val file_name_of_seq : int -> string
+(** ["wal-%06d.log"]: the name of the [n]th log. *)
+
+val seq_of_file_name : string -> int option
+(** The inverse of {!file_name_of_seq}: [Some n] exactly for the names it
+    generates, [None] for every other file (which the engine and its
+    repair tool must neither replay nor delete). *)
+
 val create : Device.t -> name:string -> t
 (** Opens a fresh log file for appending (truncates an existing one). *)
 

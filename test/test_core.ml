@@ -435,8 +435,17 @@ let test_merge_operator_counter () =
 let test_merge_without_operator_acts_as_put () =
   let _, db = fresh () in
   Db.put db ~key:"k" "base";
+  Db.merge db ~key:"k" "older";
   Db.merge db ~key:"k" "operand";
-  check_opt "newest operand wins" (Some "operand") (Db.get db "k");
+  let both_paths label =
+    check_opt (label ^ ": newest operand wins") (Some "operand") (Db.get db "k");
+    Alcotest.(check (list (pair string string)))
+      (label ^ ": scan agrees") [ ("k", "operand") ]
+      (Db.scan db ~lo:"k" ~hi:(Some "k\x00") ())
+  in
+  both_paths "memtable";
+  Db.flush db;
+  both_paths "after flush";
   Db.close db
 
 (* ---------- recovery ---------- *)
@@ -577,6 +586,10 @@ let test_space_amp_shrinks_with_compaction () =
 
 (* ---------- model-based property across random op streams ---------- *)
 
+(* Puts, deletes, range deletes, merges and flushes against an assoc-list
+   model; [get], [multi_get] and [scan] must agree with it at the head
+   and at a snapshot taken mid-stream. *)
+
 let prop_db_matches_map =
   QCheck.Test.make ~name:"db = Map model (random ops incl. range deletes)" ~count:15
     QCheck.(
@@ -585,43 +598,58 @@ let prop_db_matches_map =
         (triple (int_bound 60) (int_bound 99) (option (string_gen_of_size Gen.(0 -- 10) Gen.printable))))
     (fun ops ->
       let dev = Device.in_memory () in
-      let db = Db.open_db ~config:(small_config ()) ~dev () in
+      (* Concatenation: the model folds operands oldest-first over the base
+         exactly as the operator does. *)
+      let concat _key base operands = String.concat "" (Option.to_list base @ operands) in
+      let config = { (small_config ()) with Config.merge_operator = Some concat } in
+      let db = Db.open_db ~config ~dev () in
       let model = ref [] in
       (* model: assoc list key -> value *)
       let set k v = model := (k, v) :: List.remove_assoc k !model in
       let unset k = model := List.remove_assoc k !model in
-      List.iter
-        (fun (k, action, vopt) ->
+      let snap = ref None in
+      List.iteri
+        (fun i (k, action, vopt) ->
+          if i = List.length ops / 2 then snap := Some (Db.snapshot db, !model);
           let k = key k in
-          match (action mod 10, vopt) with
-          | (0 | 1 | 2 | 3 | 4 | 5), Some v ->
-            Db.put db ~key:k v;
-            set k v
-          | (0 | 1 | 2 | 3 | 4 | 5), None ->
-            Db.put db ~key:k "";
-            set k ""
-          | (6 | 7), _ ->
-            Db.delete db k;
-            unset k
-          | 8, _ ->
-            let hi = k ^ "\xff" in
-            Db.range_delete db ~lo:k ~hi;
-            List.iter
-              (fun (mk, _) -> if mk >= k && mk < hi then unset mk)
-              (List.of_seq (List.to_seq !model))
-          | _, _ -> Db.flush db)
+          let v = Option.value vopt ~default:"" in
+          if action >= 80 then begin
+            Db.merge db ~key:k v;
+            set k (Option.value (List.assoc_opt k !model) ~default:"" ^ v)
+          end
+          else
+            match action mod 10 with
+            | 0 | 1 | 2 | 3 | 4 | 5 ->
+              Db.put db ~key:k v;
+              set k v
+            | 6 | 7 ->
+              Db.delete db k;
+              unset k
+            | 8 ->
+              let hi = k ^ "\xff" in
+              Db.range_delete db ~lo:k ~hi;
+              List.iter (fun (mk, _) -> if mk >= k && mk < hi then unset mk) !model
+            | _ -> Db.flush db)
         ops;
-      let ok = ref true in
-      for i = 0 to 60 do
-        let k = key i in
-        let expected = List.assoc_opt k !model in
-        if Db.get db k <> expected then ok := false
-      done;
-      let scan_got = Db.scan db ~lo:"" ~hi:None () in
-      let scan_expected = List.sort compare !model in
-      if scan_got <> scan_expected then ok := false;
+      let keys = List.init 61 key in
+      let matches ?snapshot model =
+        let expected = List.map (fun k -> List.assoc_opt k model) keys in
+        List.map (fun k -> Db.get db ?snapshot k) keys = expected
+        && Db.multi_get db ?snapshot keys = expected
+        && Db.scan db ?snapshot ~lo:"" ~hi:None () = List.sort compare model
+      in
+      let ok =
+        matches !model
+        &&
+        match !snap with
+        | None -> true
+        | Some (s, at_snap) ->
+          let ok = matches ~snapshot:s at_snap in
+          Db.release db s;
+          ok
+      in
       Db.close db;
-      !ok)
+      ok)
 
 (* Reopen-equivalence: recover after every burst, state must match. *)
 let prop_recovery_preserves_state =

@@ -187,6 +187,39 @@ let test_background_scrub () =
   check "scrub run counted" true (stats.Stats.scrub_runs >= 1);
   Db.close db
 
+(* A merge chain reads the same tables a put-newest get would, so a
+   quarantined table under it must fail loudly too, not fold the
+   operand over a base served from the fenced file. *)
+let test_merge_chain_over_quarantined_table () =
+  let dev = Device.in_memory () in
+  let plus _key base operands =
+    let start = match base with Some b -> int_of_string b | None -> 0 in
+    string_of_int (List.fold_left (fun a op -> a + int_of_string op) start operands)
+  in
+  let config = { (small_config ()) with Config.merge_operator = Some plus } in
+  let db = Db.open_db ~config ~dev () in
+  for i = 0 to 399 do
+    Db.put db ~key:(Printf.sprintf "key-%04d" i) "10"
+  done;
+  Db.flush db;
+  ignore (Device.plan_corruption dev ~seed:5 ~classes:[ Device.F_sst ] ~pages:1 ());
+  check "scrub found the rot" true (Db.verify_integrity db <> []);
+  let q = List.hd (Db.quarantined_tables db) in
+  let k = q.Db.q_min in
+  Db.merge db ~key:k "5";
+  let raises_quarantined name read =
+    check name true
+      (match read () with
+      | _ -> false
+      | exception Lsm_error.Error (Lsm_error.Corruption { detail; _ }) ->
+        String.starts_with ~prefix:"table is quarantined" detail)
+  in
+  raises_quarantined "get through a merge chain" (fun () -> ignore (Db.get db k));
+  raises_quarantined "multi_get through a merge chain" (fun () -> ignore (Db.multi_get db [ k ]));
+  raises_quarantined "scan of the key" (fun () ->
+      ignore (Db.scan db ~lo:k ~hi:(Some (k ^ "\000")) ()));
+  Db.close db
+
 (* ------------------------------------------------------------------ *)
 (* Fail-safe read-only mode                                             *)
 (* ------------------------------------------------------------------ *)
@@ -224,11 +257,28 @@ let test_bg_failure_enters_failsafe_and_resume () =
   | Some _ | None -> ()
   | exception Lsm_error.Error (Lsm_error.Corruption _) -> ());
   (* ...writes are rejected with the typed Read_only, not a crash. *)
-  check "put rejected" true
-    (try
-       Db.put db ~key:"rejected" "w";
-       false
-     with Lsm_error.Error (Lsm_error.Read_only _) -> true);
+  let counters () =
+    let st = Db.stats db in
+    (Db.last_seqno db, st.Stats.user_puts, st.Stats.user_deletes, st.Stats.user_bytes_ingested)
+  in
+  let before = counters () in
+  let rejected name write =
+    check (name ^ " rejected") true
+      (try
+         write ();
+         false
+       with Lsm_error.Error (Lsm_error.Read_only _) -> true)
+  in
+  rejected "put" (fun () -> Db.put db ~key:"rejected" "w");
+  rejected "merge" (fun () -> Db.merge db ~key:"rejected" "w");
+  rejected "range_delete" (fun () -> Db.range_delete db ~lo:"a" ~hi:"b");
+  rejected "apply_batch" (fun () ->
+      let b = Lsm_core.Write_batch.create () in
+      Lsm_core.Write_batch.put b ~key:"rejected" "w";
+      Db.apply_batch db b);
+  (* A rejected write allocates no seqno and counts as no ingest (it
+     would inflate write amplification's denominator). *)
+  check "rejected writes charged nothing" true (counters () = before);
   check "flush rejected" true
     (try
        Db.flush db;
@@ -316,6 +366,23 @@ let test_doctor_salvages_unhit_keys () =
   done;
   check "salvage kept most keys" true (!salvaged > n / 2);
   Db.close db2
+
+(* Files whose names the engine never generates are not the engine's:
+   neither recovery nor repair may touch them. *)
+let test_doctor_leaves_stray_files () =
+  let dev = Device.in_memory () in
+  build_store ~n:200 dev;
+  let strays = [ "notes.sst"; "wal-0x10.log"; "wal--1.log"; "wal-1_0.log"; "-00001.sst" ] in
+  List.iter (fun name -> write_synced dev name "not a table or a log") strays;
+  let present () = List.filter (Device.exists dev) strays in
+  let db = Db.open_db ~config:(small_config ()) ~dev () in
+  Db.close db;
+  Alcotest.(check (list string)) "open_db leaves them" strays (present ());
+  ignore (Doctor.repair dev);
+  Alcotest.(check (list string)) "repair leaves them" strays (present ());
+  let db = Db.open_db ~config:(small_config ()) ~dev () in
+  check "store still reads" true (Db.get db "key-0100" <> None);
+  Db.close db
 
 (* Two rot sites in one log: the per-block resync must recover the
    batches on every side — before, between, and after the damage — and
@@ -434,4 +501,8 @@ let suite =
     Alcotest.test_case "repair_manifest rebuilds exact state" `Quick
       test_repair_manifest_rebuilds_exact_state;
     Alcotest.test_case "corruption sweep" `Quick test_corruption_sweep;
+    Alcotest.test_case "merge chain over a quarantined table raises" `Quick
+      test_merge_chain_over_quarantined_table;
+    Alcotest.test_case "doctor repair leaves stray files alone" `Quick
+      test_doctor_leaves_stray_files;
   ]

@@ -91,6 +91,46 @@ let test_batch_empty_and_clear () =
   check_opt "nothing applied" None (Db.get db "k");
   Db.close db
 
+(* A batch's range delete is judged by the database's comparator, like
+   [Db.range_delete], and a rejected range leaves the whole batch
+   unwritten: no seqno, no WAL record, none of its other operations. *)
+let test_batch_range_delete_order () =
+  let config =
+    { (small_config ()) with Config.comparator = Lsm_util.Comparator.reverse_bytewise }
+  in
+  let _, db = fresh ~config () in
+  Db.put db ~key:"m" "1";
+  Db.put db ~key:"a" "2";
+  (* Under reverse order "z" < "m" < "b": [z, b) covers "m", not "a". *)
+  let b = Write_batch.create () in
+  Write_batch.range_delete b ~lo:"z" ~hi:"b";
+  Db.apply_batch db b;
+  check_opt "z..b deletes m" None (Db.get db "m");
+  check_opt "a is outside z..b" (Some "2") (Db.get db "a");
+  let wal_bytes () =
+    Lsm_storage.Io_stats.bytes_written ~cls:Lsm_storage.Io_stats.C_user_write (Db.io_stats db)
+  in
+  let seqno = Db.last_seqno db and ingested = (Db.stats db).Stats.user_bytes_ingested in
+  let wal_before = wal_bytes () in
+  let bad = Write_batch.create () in
+  Write_batch.put bad ~key:"k" "v";
+  Write_batch.range_delete bad ~lo:"b" ~hi:"z";
+  check "b..z rejected" true
+    (try
+       Db.apply_batch db bad;
+       false
+     with Invalid_argument _ -> true);
+  check_opt "nothing of the bad batch applied" None (Db.get db "k");
+  check_int "no seqno allocated" seqno (Db.last_seqno db);
+  check_int "nothing ingested" ingested (Db.stats db).Stats.user_bytes_ingested;
+  check_int "no WAL byte written" wal_before (wal_bytes ());
+  check "Db.range_delete agrees" true
+    (try
+       Db.range_delete db ~lo:"b" ~hi:"z";
+       false
+     with Invalid_argument _ -> true);
+  Db.close db
+
 (* ---------- fold ---------- *)
 
 let test_fold_equals_scan () =
@@ -510,6 +550,7 @@ let suite =
     ("batch applies all ops", `Quick, test_batch_applies_all_ops);
     ("batch crash atomicity", `Quick, test_batch_crash_atomicity);
     ("batch empty & clear", `Quick, test_batch_empty_and_clear);
+    ("batch range delete: db comparator judges order", `Quick, test_batch_range_delete_order);
     ("fold equals scan", `Quick, test_fold_equals_scan);
     ("fold limit", `Quick, test_fold_limit_and_early_bound);
     ("trivial move fires, data intact", `Quick, test_trivial_move_fires_and_preserves_data);
