@@ -12,7 +12,6 @@ module Sstable = Lsm_sstable.Sstable
 module Table_meta = Lsm_sstable.Table_meta
 module Table_cache = Lsm_sstable.Table_cache
 module Policy = Lsm_compaction.Policy
-module Picker = Lsm_compaction.Picker
 module Domain_pool = Lsm_util.Domain_pool
 module Ordered_mutex = Lsm_util.Ordered_mutex
 module Lsm_error = Lsm_util.Lsm_error
@@ -451,165 +450,17 @@ let pop_buffer t buffer =
 (* Compaction                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type job =
-  | J_level0
-  | J_tier_merge of int  (** merge all runs of the level, append at level+1 *)
-  | J_whole_level of int  (** level + next level's run, rewritten at level+1 *)
-  | J_file of int * Table_meta.t  (** one file + next-level overlap *)
-  | J_guard of int * guard
-      (** one guard of a guarded level, merged into a fresh run at
-          level+1 (in place at the last level while under capacity) *)
-
-(* A guard of a [Policy.Guarded] level: a key-overlap component of the
-   level's files — its runs restricted to the component's files, newest
-   first — with its inclusive tombstone-widened key span. *)
-and guard = { g_runs : Version.run list; g_lo : string; g_hi : string; g_bytes : int }
-
-let run_cap t ~level =
-  Policy.run_cap t.cfg.Config.compaction ~level ~last_level:(max 1 (Version.last_level t.vers))
-
-let guarded t =
-  match t.cfg.Config.compaction.Policy.layout with Policy.Guarded _ -> true | _ -> false
-
-let level_files v l =
-  List.concat_map (fun (r : Version.run) -> r.Version.files) (Version.level_runs v l)
-
 (* The largest key [f]'s entries can affect: a range tombstone in [f] may
-   extend past [f.max_key]. Overlaps computed with it merge a tombstone's
-   victims along with it (else retiring the tombstone at the bottom would
-   resurrect them). *)
+   extend past [f.max_key]. The planner widens overlaps and guards with
+   it. *)
 let reach t (f : Table_meta.t) =
   List.fold_left
     (fun acc (rd : Entry.t) -> Comparator.max_key (cmp_of t) acc rd.value)
     f.max_key (rds_of_files t [ f ])
 
-let overlap_at t level ~lo ~hi =
-  Picker.overlapping ~cmp:(cmp_of t) ~lo ~hi (level_files t.vers level)
-
-(* A single-file job's next-level inputs. *)
-let file_overlap t l (f : Table_meta.t) = overlap_at t (l + 1) ~lo:f.min_key ~hi:(reach t f)
-
-(* The guards of guarded level [l], key-ascending: its files closed under
-   overlap of their [reach]-widened spans, so a range tombstone and all
-   its victims at the level always merge together. *)
-let guards_of_level t l =
-  let cmp = (cmp_of t).Comparator.compare in
-  let spans =
-    List.concat_map
-      (fun (r : Version.run) ->
-        List.map (fun (f : Table_meta.t) -> (r.Version.group, f, reach t f)) r.Version.files)
-      (Version.level_runs t.vers l)
-    |> List.stable_sort (fun (_, (a : Table_meta.t), _) (_, (b : Table_meta.t), _) ->
-           cmp a.min_key b.min_key)
-  in
-  (* [members]: (group, file), key-descending *)
-  let guard (members, lo, hi) =
-    let g_runs =
-      List.fold_right
-        (fun (group, f) (runs : Version.run list) ->
-          match runs with
-          | r :: rest when r.Version.group = group ->
-            { r with Version.files = f :: r.files } :: rest
-          | _ -> { Version.group; files = [ f ] } :: runs)
-        (List.stable_sort (fun (a, _) (b, _) -> compare b a) (List.rev members))
-        []
-    in
-    let g_bytes = List.fold_left (fun a (_, (f : Table_meta.t)) -> a + f.size) 0 members in
-    { g_runs; g_lo = lo; g_hi = hi; g_bytes }
-  in
-  let rec sweep acc cur = function
-    | [] -> List.rev_map guard (Option.fold ~none:acc ~some:(fun c -> c :: acc) cur)
-    | (group, (f : Table_meta.t), r) :: rest -> (
-      match cur with
-      | Some (members, lo, hi) when cmp f.min_key hi <= 0 ->
-        sweep acc (Some ((group, f) :: members, lo, Comparator.max_key (cmp_of t) hi r)) rest
-      | _ ->
-        sweep
-          (Option.fold ~none:acc ~some:(fun c -> c :: acc) cur)
-          (Some ([ (group, f) ], f.min_key, r))
-          rest)
-  in
-  sweep [] None spans
-
-(* PebblesDB's triggers for guarded level [l]: the first guard holding
-   more than [size_ratio] runs (fragments); failing that, when the level
-   is over capacity, its heaviest guard (the first, on ties). *)
-let pick_guard t l =
-  let guards = guards_of_level t l in
-  match
-    List.find_opt
-      (fun g -> List.length g.g_runs > t.cfg.Config.compaction.Policy.size_ratio)
-      guards
-  with
-  | Some g -> Some (J_guard (l, g))
-  | None when Version.level_bytes t.vers l > Config.level_capacity t.cfg l ->
-    List.fold_left
-      (fun best g ->
-        match best with Some b when b.g_bytes >= g.g_bytes -> best | _ -> Some g)
-      None guards
-    |> Option.map (fun g -> J_guard (l, g))
-  | None -> None
-
-let pick_compaction t =
-  let v = t.vers in
-  let policy = t.cfg.Config.compaction in
-  if Version.run_count v 0 >= policy.Policy.level0_limit && Version.run_count v 0 > 0 then
-    Some J_level0
-  else begin
-    let job = ref None in
-    (* Capacity / run-count triggers, shallowest level first. *)
-    for l = 1 to Version.max_levels - 2 do
-      if !job = None && Version.level_runs v l <> [] then begin
-        let cap = run_cap t ~level:l in
-        if guarded t then job := pick_guard t l
-        else if cap > 1 then begin
-          if Version.run_count v l >= cap then job := Some (J_tier_merge l)
-        end
-        else if Version.level_bytes v l > Config.level_capacity t.cfg l then begin
-          let target_tiered = run_cap t ~level:(l + 1) > 1 in
-          if target_tiered then job := Some (J_tier_merge l)
-          else
-            match policy.Policy.granularity with
-            | Policy.Whole_level -> job := Some (J_whole_level l)
-            | Policy.Single_file -> (
-              let ttl =
-                match policy.Policy.movement with
-                | Policy.Expired_ttl { ttl } -> Some ttl
-                | _ -> None
-              in
-              let candidates =
-                Picker.annotate ~cmp:(cmp_of t) ~now:(Atomic.get t.clock) ~ttl
-                  ~next_level:(level_files v (l + 1)) (level_files v l)
-              in
-              let cursor = Hashtbl.find_opt t.rr_cursors l in
-              match Picker.pick policy.Policy.movement ~cursor candidates with
-              | Some f -> job := Some (J_file (l, f))
-              | None -> ())
-        end
-      end
-    done;
-    (* Lethe's delete-driven trigger: the first file (shallowest level
-       first) with expired tombstones forces a compaction even when its
-       level is under capacity. Movement does not apply to guarded
-       levels, so there it watches level 0 only. *)
-    (match (policy.Policy.movement, !job) with
-    | Policy.Expired_ttl { ttl }, None ->
-      let now = Atomic.get t.clock in
-      let expired (f : Table_meta.t) =
-        f.point_tombstones + f.range_tombstones > 0 && now - f.created_at > ttl
-      in
-      let deepest = if guarded t then 0 else Version.max_levels - 2 in
-      let rec scan l =
-        if l > deepest then None
-        else
-          match List.find_opt expired (level_files v l) with
-          | Some f -> Some (if l = 0 then J_level0 else J_file (l, f))
-          | None -> scan (l + 1)
-      in
-      job := scan 0
-    | _ -> ());
-    !job
-  end
+let plan t =
+  Planner.next t.cfg t.vers ~now:(Atomic.get t.clock)
+    ~cursor:(Hashtbl.find_opt t.rr_cursors) ~reach:(reach t)
 
 let file_iter t ~cls ?(use_cache = false) (f : Table_meta.t) =
   let reader = Table_cache.get t.tables f.file_name in
@@ -748,7 +599,7 @@ let guard_cut t ~target_level =
     in
     let seen =
       List.init (Version.max_levels - target_level) (fun i ->
-          level_files t.vers (target_level + i))
+          Version.level_files t.vers (target_level + i))
       |> List.concat
       |> List.filter_map (fun (f : Table_meta.t) ->
              if is_guard f.min_key then Some f.min_key else None)
@@ -871,17 +722,10 @@ let merge_commit t (p : merge_plan) (metas, nranges, exec_ns) =
       metas;
   metas
 
-(* The run group output goes to: reuse the target's single-run group when
-   merging into a leveled level that already has a run, else a new group. *)
 let fresh_group t =
   let g = t.next_group in
   t.next_group <- t.next_group + 1;
   g
-
-let leveled_target_group t level =
-  match Version.level_runs t.vers level with
-  | [ r ] when run_cap t ~level = 1 -> r.Version.group
-  | _ -> fresh_group t
 
 (* Relocate files one level down without rewriting them: legal whenever
    nothing at the target overlaps them and no garbage collection would
@@ -900,124 +744,6 @@ let trivial_move t ~files ~target_level ~target_group =
 
 let has_tombstones files =
   List.exists (fun (f : Table_meta.t) -> f.point_tombstones + f.range_tombstones > 0) files
-
-(* A planned job: every input captured from [t.vers], target group
-   allocated, round-robin cursor advanced — all the decisions that must
-   happen deterministically in sequencer context. What remains (the
-   merge's execute phase) only reads the captured immutable files. Picks
-   plan from the same tree states at every lane width — the sequencer
-   front-inserts hook picks and runs the hook after every commit. *)
-type planned =
-  | P_merge of merge_plan
-  | P_move of { files : Table_meta.t list; target_level : int; target_group : int }
-
-let plan_of_job t job =
-  let last = Version.last_level t.vers in
-  match job with
-  | J_level0 ->
-    let l0_runs = Version.level_runs t.vers 0 in
-    let target_tiered = run_cap t ~level:1 > 1 in
-    if target_tiered then
-      P_merge
-        (plan_merge t ~input_runs:l0_runs ~target_level:1
-           ~target_group:(fresh_group t)
-           ~bottom:(last <= 1 && Version.level_runs t.vers 1 = []))
-    else begin
-      (* Merge with the whole overlapping portion of L1's run. *)
-      let l1_runs = Version.level_runs t.vers 1 in
-      P_merge
-        (plan_merge t ~input_runs:(l0_runs @ l1_runs) ~target_level:1
-           ~target_group:(leveled_target_group t 1) ~bottom:(last <= 1))
-    end
-  | J_tier_merge l ->
-    let runs = Version.level_runs t.vers l in
-    let target = l + 1 in
-    let target_tiered = run_cap t ~level:target > 1 in
-    if target_tiered then begin
-      let bottom = last <= target && Version.level_runs t.vers target = [] in
-      match runs with
-      | [ r ]
-        when t.cfg.Config.allow_trivial_move && not (bottom && has_tombstones r.Version.files)
-        ->
-        (* A single leveled run pushed into a tiered level: appendable
-           verbatim as its own run. *)
-        P_move
-          { files = r.Version.files; target_level = target; target_group = fresh_group t }
-      | _ ->
-        P_merge
-          (plan_merge t ~input_runs:runs ~target_level:target ~target_group:(fresh_group t)
-             ~bottom)
-    end
-    else begin
-      let next_runs = Version.level_runs t.vers target in
-      P_merge
-        (plan_merge t ~input_runs:(runs @ next_runs) ~target_level:target
-           ~target_group:(leveled_target_group t target) ~bottom:(last <= target))
-    end
-  | J_whole_level l ->
-    let runs = Version.level_runs t.vers l in
-    let next_runs = Version.level_runs t.vers (l + 1) in
-    P_merge
-      (plan_merge t ~input_runs:(runs @ next_runs) ~target_level:(l + 1)
-         ~target_group:(leveled_target_group t (l + 1)) ~bottom:(last <= l + 1))
-  | J_file (l, f) ->
-    let target = l + 1 in
-    let overlapping = file_overlap t l f in
-    Hashtbl.replace t.rr_cursors l f.Table_meta.max_key;
-    let bottom = last <= target in
-    if
-      t.cfg.Config.allow_trivial_move
-      && overlapping = []
-      && not (bottom && has_tombstones [ f ])
-    then
-      P_move
-        { files = [ f ]; target_level = target; target_group = leveled_target_group t target }
-    else begin
-      let input_runs =
-        [ { Version.group = max_int; files = [ f ] };
-          { Version.group = 0; files = overlapping } ]
-      in
-      P_merge
-        (plan_merge t ~input_runs ~target_level:target
-           ~target_group:(leveled_target_group t target) ~bottom)
-    end
-  | J_guard (l, g) ->
-    (* Appending leaves the target level's own runs in place, so
-       tombstones retire only where nothing there overlaps the guard; in
-       place, the guard holds everything at the last level it covers. *)
-    let in_place = l >= last && Version.level_bytes t.vers l <= Config.level_capacity t.cfg l in
-    let target = if in_place then l else l + 1 in
-    let bottom =
-      in_place || (last <= target && overlap_at t target ~lo:g.g_lo ~hi:g.g_hi = [])
-    in
-    P_merge
-      (plan_merge t ~input_runs:g.g_runs ~target_level:target
-         ~target_group:(fresh_group t) ~bottom)
-
-let planned_input_bytes = function
-  | P_merge p -> p.mp_read_bytes
-  | P_move { files; _ } -> List.fold_left (fun a (f : Table_meta.t) -> a + f.size) 0 files
-
-(* Conflict key for a pick: the job's source level plus the
-   inclusive key span of everything it may read or rewrite — source and
-   next-level runs, or for a single-file or guard job the file or guard
-   plus its (widened) next-level overlap. Computed before planning, so a
-   refused pick has no side effects. A span wider than the eventual
-   inputs only costs parallelism, never correctness. *)
-let key_of_job t job =
-  let span level runs =
-    match Version.runs_key_range ~cmp:(cmp_of t) runs with
-    | Some (lo, hi) -> Scheduler.Compact { level; lo; hi }
-    | None -> Scheduler.Compact { level; lo = ""; hi = "" }
-  in
-  match job with
-  | J_level0 -> span 0 (Version.level_runs t.vers 0 @ Version.level_runs t.vers 1)
-  | J_tier_merge l | J_whole_level l ->
-    span l (Version.level_runs t.vers l @ Version.level_runs t.vers (l + 1))
-  | J_file (l, f) -> span l [ { Version.group = 0; files = f :: file_overlap t l f } ]
-  | J_guard (l, g) ->
-    let overlap = overlap_at t (l + 1) ~lo:g.g_lo ~hi:g.g_hi in
-    span l ({ Version.group = 0; files = overlap } :: g.g_runs)
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance lane & backpressure                                      *)
@@ -1121,36 +847,60 @@ let rec flush_stack t =
     pop_buffer t oldest;
     flush_stack t
 
+(* Submit planner pick [p] under conflict key [key], running [on_commit]
+   after its commit. Everything here happens in sequencer context, in
+   this order: the cursor write, the group allocation, and the merge plan
+   (Monkey bits, guard cut, snapshot capture), so picks plan from the
+   same tree states at every lane width — the sequencer front-inserts
+   hook picks and runs the hook after every commit. What remains (the
+   merge's execute phase) only reads the captured immutable files. *)
+let submit_pick t ~key ?(on_commit = ignore) (p : Planner.pick) =
+  Option.iter (fun (l, k) -> Hashtbl.replace t.rr_cursors l k) p.cursor;
+  let target_group =
+    match p.output with Planner.Join g -> g | Planner.Fresh_run -> fresh_group t
+  in
+  let files = Planner.input_files p in
+  let execute =
+    if
+      p.trivial_move && t.cfg.Config.allow_trivial_move
+      && not (p.bottom && has_tombstones files)
+    then fun () () ->
+      trivial_move t ~files ~target_level:p.target ~target_group;
+      on_commit ()
+    else begin
+      let mp =
+        plan_merge t ~input_runs:p.inputs ~target_level:p.target ~target_group ~bottom:p.bottom
+      in
+      fun () ->
+        let res = merge_execute t mp in
+        fun () ->
+          ignore (merge_commit t mp res);
+          on_commit ()
+    end
+  in
+  Scheduler.submit t.sched ~key
+    ~input_bytes:(List.fold_left (fun a (f : Table_meta.t) -> a + f.size) 0 files)
+    ~execute:(phases t execute)
+
 (* Commit-time compaction picker: the sequencer calls this after every
    committed edit, in commit order, on whichever domain holds the
    committer token — serialized, so it may read [t.vers] and allocate
    groups. Each call submits at most ONE pick, front-inserted at the
    commit head (before any already-queued flush); the pick's own commit
-   re-runs the hook, until [pick_compaction] returns [None] or the
-   round's budget is spent. A pick conflicting with an in-flight
-   compaction is refused without side effects (the trigger fires again
-   at that ticket's commit) — see [Scheduler.conflicts_pending]. *)
+   re-runs the hook, until the planner finds nothing due or the round's
+   budget is spent. A pick conflicting with an in-flight compaction is
+   refused without side effects (the trigger fires again at that
+   ticket's commit) — see [Scheduler.conflicts_pending]. *)
 let pick_compactions t =
   let budget =
     match t.cfg.Config.compaction_bytes_per_round with Some b -> b | None -> max_int
   in
   if compaction_bytes_moved t - t.round_start < budget then
-    match pick_compaction t with
-    | None -> ()
-    | Some job ->
-      let key = key_of_job t job in
-      if not (Scheduler.conflicts_pending t.sched key) then begin
-        let planned = plan_of_job t job in
-        Scheduler.submit t.sched ~key ~input_bytes:(planned_input_bytes planned)
-          ~execute:
-            (phases t (fun () ->
-                 match planned with
-                 | P_move { files; target_level; target_group } ->
-                   fun () -> trivial_move t ~files ~target_level ~target_group
-                 | P_merge p ->
-                   let res = merge_execute t p in
-                   fun () -> ignore (merge_commit t p res)))
-      end
+    Option.iter
+      (fun (p : Planner.pick) ->
+        let key = Scheduler.Compact { level = p.level; lo = p.lo; hi = p.hi } in
+        if not (Scheduler.conflicts_pending t.sched key) then submit_pick t ~key p)
+      (plan t)
 
 (* RocksDB-style backpressure, re-denominated in bytes: debt = unclaimed
    immutable-buffer bytes + L0 run bytes + captured input bytes of every
@@ -1210,7 +960,7 @@ let after_rotate t =
 
 let compact_once t =
   Scheduler.quiesce t.sched;
-  match pick_compaction t with
+  match plan t with
   | None -> false
   | Some _ ->
     new_round t;
@@ -2041,32 +1791,15 @@ let major_compact t =
      commit) another after it. *)
   new_round t;
   Scheduler.quiesce t.sched;
-  (* Full compaction: merge every run of every level into one sorted run
-     at the deepest populated level, with tombstones retired. Planned
-     here, on the drained lane's behalf: no other job can be in flight. *)
-  let all_runs =
-    List.concat_map
-      (fun l -> Version.level_runs t.vers l)
-      (List.init Version.max_levels Fun.id)
-  in
   (* Rewrite unconditionally (RocksDB CompactRange-with-force semantics):
      even a lone bottom run may hold versions retained for snapshots that
-     have since been released, or tombstones to retire. *)
-  if all_runs <> [] then begin
-    let p =
-      plan_merge t ~input_runs:all_runs
-        ~target_level:(max 1 (Version.last_level t.vers))
-        ~target_group:(fresh_group t) ~bottom:true
-    in
-    Scheduler.submit t.sched ~key:Scheduler.Maintenance ~input_bytes:p.mp_read_bytes
-      ~execute:
-        (phases t (fun () ->
-             let res = merge_execute t p in
-             fun () ->
-               ignore (merge_commit t p res);
-               start_round t));
-    Scheduler.quiesce t.sched
-  end
+     have since been released, or tombstones to retire. Submitted here,
+     on the drained lane's behalf: no other job can be in flight. *)
+  Option.iter
+    (fun p ->
+      submit_pick t ~key:Scheduler.Maintenance ~on_commit:(fun () -> start_round t) p;
+      Scheduler.quiesce t.sched)
+    (Planner.major t.cfg t.vers)
 
 let wake t = 1 + Atomic.fetch_and_add t.clock 1
 

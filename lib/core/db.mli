@@ -123,7 +123,13 @@ val backpressure_debt : t -> int
     Observability/tests. *)
 
 val major_compact : t -> unit
-(** Flush, then compact until no trigger fires. *)
+(** Flush and run one budget round of the triggered compactions; then
+    force-merge every run of every level into one run at the deepest
+    populated level (at least level 1) as the bottom, so tombstones
+    retire. The merge runs even when that level already holds the only
+    run: versions kept for since-released snapshots and tombstones go
+    too (RocksDB's forced CompactRange). Its commit starts another
+    budget round. Returns once the lane has drained. *)
 
 (** {1 Health, quarantine, and integrity (DESIGN.md §11)}
 

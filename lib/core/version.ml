@@ -82,6 +82,7 @@ let apply t edit =
 
 let level_runs t l = if l < 0 || l >= max_levels then [] else t.levels.(l)
 let run_count t l = List.length (level_runs t l)
+let level_files t l = List.concat_map (fun r -> r.files) (level_runs t l)
 
 let level_bytes t l =
   List.fold_left

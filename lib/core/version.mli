@@ -39,6 +39,10 @@ val apply : t -> edit -> t
 
 val level_runs : t -> int -> run list
 val run_count : t -> int -> int
+
+val level_files : t -> int -> Table_meta.t list
+(** Every file of the level, its runs newest first. *)
+
 val level_bytes : t -> int -> int
 val level_entries : t -> int -> int
 

@@ -1,8 +1,12 @@
-(* Tests for lsm_compaction: run caps per layout, file-picking policies. *)
+(* Tests for lsm_compaction: run caps per layout, file-picking policies;
+   and the compaction planner's picks on hand-built trees. *)
 
 module Policy = Lsm_compaction.Policy
 module Picker = Lsm_compaction.Picker
 module Table_meta = Lsm_sstable.Table_meta
+module Config = Lsm_core.Config
+module Version = Lsm_core.Version
+module Planner = Lsm_core.Planner
 
 let cmp = Lsm_util.Comparator.bytewise
 let check = Alcotest.(check bool)
@@ -143,6 +147,195 @@ let test_describe () =
   Alcotest.(check string) "movement names" "expired-ttl(7)"
     (Policy.movement_name (Policy.Expired_ttl { ttl = 7 }))
 
+(* ---------- planner picks on hand-built trees ---------- *)
+
+(* [files]: (level, group, meta); within a level, higher groups are
+   newer runs. *)
+let tree files =
+  Version.apply Version.empty { Version.added = files; removed = []; seqno_watermark = 0 }
+
+let planner_config ?(l1 = 1000) policy =
+  { Config.default with level1_capacity = l1; compaction = { policy with Policy.level0_limit = 2 } }
+
+let no_reach (f : Table_meta.t) = f.max_key
+
+(* The pick due in [files], checked for the planner's one promise to the
+   scheduler: the conflict span covers every input's [min_key, reach]
+   (on these trees a tombstone's reach always ends inside a next-level
+   input, which the reach-widened overlap pulls in). *)
+let pick ?(now = 0) ?(cursor = fun _ -> None) ?(reach = no_reach) cfg files =
+  match Planner.next cfg (tree files) ~now ~cursor ~reach with
+  | None -> Alcotest.fail "nothing picked"
+  | Some (p : Planner.pick) ->
+    List.iter
+      (fun (f : Table_meta.t) ->
+        check
+          (Printf.sprintf "span [%s, %s] covers file %d" p.lo p.hi f.file_id)
+          true
+          (String.compare p.lo f.min_key <= 0 && String.compare (reach f) p.hi <= 0))
+      (Planner.input_files p);
+    p
+
+(* Input file ids per run, newest run first. *)
+let input_ids (p : Planner.pick) =
+  List.map (fun (r : Version.run) -> List.map (fun f -> f.Table_meta.file_id) r.files) p.inputs
+
+let check_ids = Alcotest.(check (list (list int)))
+
+let check_shape name (p : Planner.pick) ~level ~target ~output ~bottom ~trivial_move =
+  check_int (name ^ ": level") level p.level;
+  check_int (name ^ ": target") target p.target;
+  check (name ^ ": output") true (p.output = output);
+  check (name ^ ": bottom") bottom p.bottom;
+  check (name ^ ": trivial move") trivial_move p.trivial_move
+
+let test_plan_level0 () =
+  let files =
+    [ (0, 5, meta 1 "a" "m"); (0, 4, meta 2 "c" "z"); (1, 1, meta 10 "a" "f");
+      (1, 1, meta 11 "g" "y") ]
+  in
+  let p = pick (planner_config (Policy.leveled ~size_ratio:4 ())) files in
+  check_shape "into leveled" p ~level:0 ~target:1 ~output:(Planner.Join 1) ~bottom:true
+    ~trivial_move:false;
+  check_ids "L0 runs then L1's" [ [ 1 ]; [ 2 ]; [ 10; 11 ] ] (input_ids p);
+  let p = pick (planner_config (Policy.tiered ~size_ratio:4 ())) files in
+  check_shape "into tiered" p ~level:0 ~target:1 ~output:Planner.Fresh_run ~bottom:false
+    ~trivial_move:false;
+  check_ids "L0 runs only" [ [ 1 ]; [ 2 ] ] (input_ids p);
+  Alcotest.(check (pair string string)) "span still covers L1" ("a", "z") (p.lo, p.hi)
+
+let test_plan_tier_run_count () =
+  let cfg = planner_config (Policy.tiered ~size_ratio:3 ()) in
+  let runs = [ (1, 3, meta 1 "a" "k"); (1, 2, meta 2 "b" "m"); (1, 1, meta 3 "c" "z") ] in
+  let p = pick cfg runs in
+  check_shape "last level" p ~level:1 ~target:2 ~output:Planner.Fresh_run ~bottom:true
+    ~trivial_move:false;
+  check_ids "every run" [ [ 1 ]; [ 2 ]; [ 3 ] ] (input_ids p);
+  let p = pick cfg (runs @ [ (2, 7, meta 20 "a" "b") ]) in
+  check "older runs below: not bottom" false p.bottom;
+  check "under the cap: nothing due" true
+    (Planner.next cfg (tree (List.tl runs)) ~now:0 ~cursor:(fun _ -> None) ~reach:no_reach
+     = None)
+
+let test_plan_level_bytes () =
+  (* L1 (capacity 1000) holds 1200 bytes; file 2 overlaps L2 least. *)
+  let files =
+    [ (1, 4, meta 1 "a" "c" ~size:600); (1, 4, meta 2 "d" "f" ~size:600);
+      (2, 2, meta 10 "a" "b"); (2, 2, meta 11 "c" "e"); (2, 2, meta 12 "x" "z") ]
+  in
+  let single = planner_config (Policy.leveled ~size_ratio:4 ()) in
+  let p = pick single files in
+  check_shape "single file" p ~level:1 ~target:2 ~output:(Planner.Join 2) ~bottom:true
+    ~trivial_move:false;
+  check_ids "file and its overlap" [ [ 2 ]; [ 11 ] ] (input_ids p);
+  check "cursor at the file's max key" true (p.cursor = Some (1, "f"));
+  (* Round robin from a cursor past file 1; a range tombstone in file 2
+     reaching to "xa" widens its overlap to file 12. *)
+  let reach (f : Table_meta.t) = if f.file_id = 2 then "xa" else f.max_key in
+  let p =
+    pick ~reach
+      ~cursor:(function 1 -> Some "c" | _ -> None)
+      { single with compaction = { single.compaction with Policy.movement = Policy.Round_robin } }
+      files
+  in
+  check_ids "reach-widened overlap" [ [ 2 ]; [ 11; 12 ] ] (input_ids p);
+  let p = pick single [ (1, 4, meta 1 "a" "c" ~size:1200); (2, 2, meta 12 "x" "z") ] in
+  check "no overlap: may move" true p.trivial_move;
+  let whole =
+    planner_config
+      { (Policy.leveled ~size_ratio:4 ()) with Policy.granularity = Policy.Whole_level }
+  in
+  let p = pick whole files in
+  check_shape "whole level" p ~level:1 ~target:2 ~output:(Planner.Join 2) ~bottom:true
+    ~trivial_move:false;
+  check_ids "both levels" [ [ 1; 2 ]; [ 10; 11; 12 ] ] (input_ids p);
+  (* Leveled L1 over a tiered L2: the lone run may move unchanged. *)
+  let p =
+    pick
+      (planner_config
+         { (Policy.leveled ~size_ratio:4 ()) with Policy.layout = Policy.Run_caps [| 1; 3 |] })
+      files
+  in
+  check_shape "into tiered" p ~level:1 ~target:2 ~output:Planner.Fresh_run ~bottom:false
+    ~trivial_move:true;
+  check_ids "L1's run only" [ [ 1; 2 ] ] (input_ids p)
+
+let ttl_policy policy = { policy with Policy.movement = Policy.Expired_ttl { ttl = 10 } }
+
+let test_plan_ttl () =
+  (* Under capacity everywhere; file 2 holds tombstones 100 ticks old. *)
+  let leveled = planner_config (ttl_policy (Policy.leveled ~size_ratio:4 ())) in
+  let files =
+    [ (1, 4, meta 1 "a" "c"); (1, 4, meta 2 "d" "f" ~tombs:3); (2, 2, meta 10 "e" "g") ]
+  in
+  check "not expired yet: nothing due" true
+    (Planner.next leveled (tree files) ~now:5 ~cursor:(fun _ -> None) ~reach:no_reach = None);
+  let p = pick ~now:100 leveled files in
+  check_shape "leveled: single file" p ~level:1 ~target:2 ~output:(Planner.Join 2)
+    ~bottom:true ~trivial_move:false;
+  check_ids "the expired file and its overlap" [ [ 2 ]; [ 10 ] ] (input_ids p);
+  (* Tiered: the expired file sits in L1's newer run; it must not move
+     below the older run, so the whole level merges. *)
+  let tiered = planner_config (ttl_policy (Policy.tiered ~size_ratio:4 ())) in
+  let files =
+    [ (1, 5, meta 1 "a" "c"); (1, 5, meta 2 "d" "f" ~tombs:3); (1, 4, meta 3 "a" "z");
+      (2, 2, meta 10 "e" "g") ]
+  in
+  let p = pick ~now:100 tiered files in
+  check_shape "tiered: tier merge" p ~level:1 ~target:2 ~output:Planner.Fresh_run
+    ~bottom:false ~trivial_move:false;
+  check_ids "every run of L1" [ [ 1; 2 ]; [ 3 ] ] (input_ids p);
+  check "no cursor" true (p.cursor = None)
+
+let guarded = planner_config (Policy.leveled ~size_ratio:2 ()) |> fun c ->
+  { c with
+    compaction = { c.compaction with Policy.layout = Policy.Guarded { stride_base = 4096 } } }
+
+let test_plan_guard_fragments () =
+  (* Guard [a, c] holds three fragments (> size_ratio 2); guard [x, z]
+     one. File 2's range tombstone reaches "cz", into L2's file 10. *)
+  let frags =
+    [ (1, 3, meta 1 "a" "b"); (1, 2, meta 2 "b" "c"); (1, 1, meta 3 "a" "c");
+      (1, 1, meta 4 "x" "z") ]
+  in
+  let reach (f : Table_meta.t) = if f.file_id = 2 then "cz" else f.max_key in
+  let p = pick ~reach guarded (frags @ [ (2, 1, meta 10 "ca" "d") ]) in
+  check_shape "appended below" p ~level:1 ~target:2 ~output:Planner.Fresh_run ~bottom:false
+    ~trivial_move:false;
+  check_ids "the guard's fragments" [ [ 1 ]; [ 2 ]; [ 3 ] ] (input_ids p);
+  Alcotest.(check (pair string string)) "span reaches L2's overlap" ("a", "d") (p.lo, p.hi);
+  let p = pick guarded frags in
+  check_shape "in place at the last level" p ~level:1 ~target:1 ~output:Planner.Fresh_run
+    ~bottom:true ~trivial_move:false
+
+let test_plan_guard_capacity () =
+  (* No guard over its fragment count, but L1 (capacity 800) holds 1000
+     bytes: the heaviest guard, [m, o] at 700 bytes, moves down. *)
+  let files =
+    [ (1, 2, meta 1 "a" "b" ~size:300); (1, 2, meta 2 "m" "n" ~size:500);
+      (1, 1, meta 3 "m" "o" ~size:200) ]
+  in
+  let p = pick (planner_config ~l1:800 guarded.compaction) files in
+  check_shape "heaviest guard" p ~level:1 ~target:2 ~output:Planner.Fresh_run ~bottom:true
+    ~trivial_move:false;
+  check_ids "its runs" [ [ 2 ]; [ 3 ] ] (input_ids p)
+
+let test_plan_major () =
+  let cfg = planner_config (Policy.leveled ~size_ratio:4 ()) in
+  check "empty tree: none" true (Planner.major cfg Version.empty = None);
+  let files = [ (0, 9, meta 1 "k" "p"); (1, 4, meta 2 "a" "c"); (3, 2, meta 3 "m" "z") ] in
+  (match Planner.major cfg (tree files) with
+  | None -> Alcotest.fail "nothing picked"
+  | Some p ->
+    check_shape "all runs" p ~level:0 ~target:3 ~output:Planner.Fresh_run ~bottom:true
+      ~trivial_move:false;
+    check_ids "level by level" [ [ 1 ]; [ 2 ]; [ 3 ] ] (input_ids p);
+    Alcotest.(check (pair string string)) "span" ("a", "z") (p.lo, p.hi));
+  match Planner.major cfg (tree [ (2, 1, meta 3 "m" "z") ]) with
+  | None -> Alcotest.fail "a lone bottom run still rewrites"
+  | Some p -> check_shape "lone run" p ~level:0 ~target:2 ~output:Planner.Fresh_run
+                ~bottom:true ~trivial_move:false
+
 let suite =
   [
     ("run caps: leveling", `Quick, test_run_caps_leveling);
@@ -159,4 +352,11 @@ let suite =
     ("pick expired ttl (Lethe)", `Quick, test_pick_expired_ttl);
     ("pick on empty", `Quick, test_pick_empty);
     ("policy descriptions", `Quick, test_describe);
+    ("planner: level-0 limit", `Quick, test_plan_level0);
+    ("planner: tier run count", `Quick, test_plan_tier_run_count);
+    ("planner: level bytes", `Quick, test_plan_level_bytes);
+    ("planner: ttl", `Quick, test_plan_ttl);
+    ("planner: guard fragments", `Quick, test_plan_guard_fragments);
+    ("planner: heaviest guard", `Quick, test_plan_guard_capacity);
+    ("planner: major compaction", `Quick, test_plan_major);
   ]

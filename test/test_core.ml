@@ -136,19 +136,27 @@ let test_empty_db () =
 (* ---------- model-based agreement across layouts ---------- *)
 
 let layouts =
-  [
-    ("leveled", Policy.leveled ~size_ratio:4 ());
-    ("tiered", Policy.tiered ~size_ratio:4 ());
-    ("lazy-leveled", Policy.lazy_leveled ~size_ratio:4 ());
-    ( "hybrid",
-      { (Policy.leveled ~size_ratio:4 ()) with
-        Policy.layout = Policy.Hybrid { tiered_levels = 2; runs = 4 } } );
-    ( "whole-level",
-      { (Policy.leveled ~size_ratio:4 ()) with Policy.granularity = Policy.Whole_level } );
-    ( "run-caps",
-      { (Policy.leveled ~size_ratio:4 ()) with
-        Policy.layout = Policy.Run_caps [| 3; 2; 1 |] } );
-  ]
+  let base =
+    [
+      ("leveled", Policy.leveled ~size_ratio:4 ());
+      ("tiered", Policy.tiered ~size_ratio:4 ());
+      ("lazy-leveled", Policy.lazy_leveled ~size_ratio:4 ());
+      ( "hybrid",
+        { (Policy.leveled ~size_ratio:4 ()) with
+          Policy.layout = Policy.Hybrid { tiered_levels = 2; runs = 4 } } );
+      ( "whole-level",
+        { (Policy.leveled ~size_ratio:4 ()) with Policy.granularity = Policy.Whole_level } );
+      ( "run-caps",
+        { (Policy.leveled ~size_ratio:4 ()) with
+          Policy.layout = Policy.Run_caps [| 3; 2; 1 |] } );
+    ]
+  in
+  (* each again under Lethe's TTL trigger *)
+  base
+  @ List.map
+      (fun (name, policy) ->
+        (name ^ "+ttl", { policy with Policy.movement = Policy.Expired_ttl { ttl = 200 } }))
+      base
 
 let run_model_workload db n seed =
   (* Interleaved puts/updates/deletes over a small key space, then verify

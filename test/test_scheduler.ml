@@ -12,6 +12,7 @@ module Stats = Lsm_core.Stats
 module Scheduler = Lsm_core.Scheduler
 module Version = Lsm_core.Version
 module Policy = Lsm_compaction.Policy
+module Compactionary = Lsm_compaction.Compactionary
 module Rng = Lsm_util.Rng
 
 let check_int = Alcotest.(check int)
@@ -395,7 +396,11 @@ let test_worker_count_determinism () =
    and after the closing [flush] + [major_compact], the final entry
    stream, and the flush/compaction/trivial-move/stall counts with the
    stall bytes. So they pin down the intermediate trees too — which is
-   where the throttled configurations' budget-cut rounds show. *)
+   where the throttled configurations' budget-cut rounds show. The
+   entries from "leveled, no trivial moves" on (one per
+   {!Compactionary} preset among them) were recorded from the engine
+   whose [Db] still chose each compaction itself, before that choice
+   moved into [Planner]. *)
 let golden_config policy =
   { Config.default with
     write_buffer_size = 8 * 1024;
@@ -428,7 +433,49 @@ let golden_configs =
      { (golden_config (Policy.lazy_leveled ~size_ratio:4 ())) with
        monkey_filters = true; filter_memory_bits = 200_000; max_immutable_buffers = 2 },
      [ "ba51245ee0254042655b71ff0246f8e3"; "4ed9e3389247481858a7714038741e3a";
-       "daf8f4cbf19687968f5a5bc049e80e63" ]) ]
+       "daf8f4cbf19687968f5a5bc049e80e63" ]);
+    ("leveled, no trivial moves", { (golden_config leveled) with allow_trivial_move = false },
+     [ "e1d8ad4c318b2050f23a3eb704fed1e2"; "1d9b65f78d0a55c8f0486ed61b043032";
+       "a756bb6c91720236e616639ecfbbff90" ]);
+    ("run-caps 3,2,1", golden_config { leveled with Policy.layout = Policy.Run_caps [| 3; 2; 1 |] },
+     [ "843fa7311b30a15f0aaa2f1f6babdbb8"; "f4fd3f0f65ed14471dafb35ab38f4c90";
+       "3a1b1109ae3c57f6f2af0c0a43bf72e8" ]) ]
+  @ List.map
+      (fun (name, digests) ->
+        (name, golden_config (Option.get (Compactionary.find name)), digests))
+      [ ("leveldb",
+         [ "11d055bd788f580d64bf09933627ea83"; "4cf9d7cc3f87c91fc60516fc06c7bc3c";
+           "2021aa179a76b4477552a3f3e5919518" ]);
+        ("rocksdb-leveled",
+         [ "8979da510382ce8b91a81249fc255105"; "b5b933362e9ce77133219a8dc82b925a";
+           "757a4b0ad6c835420e51dbb05c764a80" ]);
+        ("rocksdb-universal",
+         [ "251702fcb51abdb9bca2a5ac1be046fb"; "4bc149298493ed802186e1b6db83adf3";
+           "d2182258638f32c441dfb307c6bbeac3" ]);
+        ("cassandra-stcs",
+         [ "251702fcb51abdb9bca2a5ac1be046fb"; "4bc149298493ed802186e1b6db83adf3";
+           "d2182258638f32c441dfb307c6bbeac3" ]);
+        ("hbase-exploring",
+         [ "0c5b0d40fc5f710fa0aa2614aed3a142"; "72bc355b5b9d81c5ca8a8e7f01bcaa13";
+           "f0b427dc2deede6b6bbcaa50fde084b6" ]);
+        ("asterixdb",
+         [ "80e04496e90bd037ccee19fe13452bab"; "7a2edec86083831170982022c32a0257";
+           "415a11e9fc5859dc619bea0493c177c4" ]);
+        ("dostoevsky",
+         [ "569e3f241069cbee3fcee1004e8d52c3"; "e210d856d9f3e362c19e606a96efc948";
+           "055d2db0aa877b92406318319e22fde1" ]);
+        ("rocksdb-hybrid",
+         [ "eb3e26e3dce3b1bd1d36263f087d3874"; "6c54546eb10ff1accbe28d6840810842";
+           "24e332647d30fcc59415d645d319c066" ]);
+        ("lethe-fade",
+         [ "8979da510382ce8b91a81249fc255105"; "b5b933362e9ce77133219a8dc82b925a";
+           "757a4b0ad6c835420e51dbb05c764a80" ]);
+        ("coldest-first",
+         [ "a5c9fee8aa4f70b93935f997b357552e"; "cba0080d5e3a9ba36f7c15e1ddbabb41";
+           "94022699434e26b305da9ec7e5a26724" ]);
+        ("pebblesdb",
+         [ "521a5aa67c129cdbbadc926a4f1e932a"; "ed805cd56372508bdff9a660985fe341";
+           "88805bd63960b00f6c888ad84defe70e" ]) ]
 
 let golden_digest config ~seed =
   let db = Db.open_db ~config ~dev:(Device.in_memory ()) () in
@@ -473,6 +520,11 @@ let golden_digest config ~seed =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_golden_trees () =
+  List.iter
+    (fun preset ->
+      check_bool (preset ^ " has golden digests") true
+        (List.exists (fun (name, _, _) -> name = preset) golden_configs))
+    Compactionary.names;
   List.iter
     (fun (name, config, digests) ->
       List.iteri
