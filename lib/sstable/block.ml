@@ -60,36 +60,26 @@ module Builder = struct
   let count t = t.count
   let is_empty t = t.count = 0
 
+  (* The block is laid out once, in its final buffer: records, restart
+     trailer, then the CRC of everything before it, hashed in place. *)
   let finish t =
-    let restarts = List.rev t.restarts in
-    let out = Buffer.create (size_estimate t + 4) in
-    Buffer.add_buffer out t.buf;
-    List.iter (Codec.put_u32 out) restarts;
-    Codec.put_u32 out t.nrestarts;
-    let body = Buffer.contents out in
-    let crc = Crc32c.mask (Crc32c.string body) in
-    Codec.put_u32 out (Int32.to_int crc land 0xffffffff);
+    let data_len = Buffer.length t.buf in
+    let n = data_len + (4 * (t.nrestarts + 2)) in
+    let out = Bytes.create n in
+    Buffer.blit t.buf 0 out 0 data_len;
+    let set_u32 off v = Bytes.set_int32_le out off (Int32.of_int v) in
+    List.iteri (fun i off -> set_u32 (n - 12 - (4 * i)) off) t.restarts;
+    set_u32 (n - 8) t.nrestarts;
+    let crc = Crc32c.mask (Crc32c.sub (Bytes.unsafe_to_string out) ~pos:0 ~len:(n - 4)) in
+    Bytes.set_int32_le out (n - 4) crc;
     Buffer.clear t.buf;
     t.restarts <- [];
     t.nrestarts <- 0;
     t.since_restart <- 0;
     t.last_key <- "";
     t.count <- 0;
-    Buffer.contents out
+    Bytes.unsafe_to_string out
 end
-
-(* Copying verify: strips the CRC trailer into a fresh body string. Kept
-   as the reference path for tools and the allocation bench's "before"
-   arm; the engine reads through [parse_checked], which verifies in
-   place. *)
-let decode_check block =
-  let n = String.length block in
-  if n < 8 then raise (Codec.Corrupt "block too small");
-  let body = String.sub block 0 (n - 4) in
-  let stored = Int32.of_int (Codec.get_u32 (Codec.reader ~pos:(n - 4) block)) in
-  if Crc32c.mask (Crc32c.string body) <> stored then
-    raise (Codec.Corrupt "block checksum mismatch");
-  body
 
 (* A verified block, decoded once: the backing buffer is retained whole
    (records live at [pbase, pdata_end)), restart offsets are absolute

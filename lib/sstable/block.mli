@@ -36,12 +36,6 @@ module Builder : sig
   (** Encodes, seals, and resets the builder for the next block. *)
 end
 
-val decode_check : string -> string
-(** Copying reference path: verify and strip the CRC trailer, returning
-    the body as a fresh string. The engine reads via {!parse_checked};
-    this stays for tools and as the bench's before-arm.
-    @raise Lsm_util.Codec.Corrupt on checksum mismatch. *)
-
 type parsed = private {
   pbody : string;  (** the backing buffer, retained whole *)
   pbase : int;  (** where records start inside [pbody] *)

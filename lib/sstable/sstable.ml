@@ -228,7 +228,8 @@ let decode_index s =
    twin. A legacy table simply has no tail: misdetection would need 64
    arbitrary trailing bits to pass the locator CRC + magic. *)
 
-let crc_int s = Int32.to_int (Crc32c.mask (Crc32c.string s)) land 0xffffffff
+let crc_sub s ~pos ~len = Int32.to_int (Crc32c.mask (Crc32c.sub s ~pos ~len)) land 0xffffffff
+let crc_int s = crc_sub s ~pos:0 ~len:(String.length s)
 
 let ecc_locator ~ecc_off ~ecc_len =
   let b = Buffer.create ecc_locator_size in
@@ -418,9 +419,10 @@ let build ?(config = default_build_config) ~cmp ~dev ~cls ~name ~created_at (it 
      reads (e.g. [may_contain_key] consulting rotted min/max keys). *)
   let meta_crc =
     Crc32c.mask
-      (Crc32c.string
-         (filter_block ^ rfilter_block ^ index_block ^ props_block
-        ^ Buffer.contents footer))
+      (List.fold_left
+         (fun init s -> Crc32c.string ~init s)
+         0l
+         [ filter_block; rfilter_block; index_block; props_block; Buffer.contents footer ])
   in
   Codec.put_u32 footer (Int32.to_int meta_crc land 0xffffffff);
   Codec.put_u32 footer magic;
@@ -501,7 +503,7 @@ let detect_ecc_layout dev ~name ~fsize =
       let mg = Codec.get_u32 r in
       if
         mg = ecc_magic
-        && crc = crc_int (String.sub tail pos 8)
+        && crc = crc_sub tail ~pos ~len:8
         && off >= footer_size && len > 0
         && off + len + ecc_tail_size = fsize
       then Some (off, len)
@@ -530,7 +532,7 @@ let parse_ecc_section dev ~name (ecc_off, ecc_len) =
     let par_crcs = Array.init (nstripes * m) (fun _ -> Codec.get_u32 r) in
     let header_len = r.Codec.pos in
     let stored = Codec.get_u32 r in
-    if stored <> crc_int (String.sub sec 0 header_len) then raise Ecc_section_bad;
+    if stored <> crc_sub sec ~pos:0 ~len:header_len then raise Ecc_section_bad;
     if ecc_len <> header_len + 4 + (nstripes * m * page) then raise Ecc_section_bad;
     {
       ecc_rs = Rs.create ~k ~m;
@@ -647,7 +649,8 @@ let open_reader ~cmp ~dev ~cache ?(on_ecc = fun (_ : ecc_event) -> ()) name =
       read_with_retry dev ~cls:Io_stats.C_misc name ~off:filter_off
         ~len:(size - footer_size - filter_off)
     in
-    if Crc32c.mask (Crc32c.string (meta ^ String.sub footer 0 32)) <> stored_crc then
+    if Crc32c.mask (Crc32c.sub ~init:(Crc32c.string meta) footer ~pos:0 ~len:32) <> stored_crc
+    then
       corrupt ~offset:filter_off "meta-block checksum mismatch";
     let cut off len = String.sub meta (off - filter_off) len in
     try

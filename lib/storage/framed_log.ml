@@ -1,6 +1,10 @@
 module Codec = Lsm_util.Codec
 module Crc32c = Lsm_util.Crc32c
 
+(* Does the masked CRC of [data[pos, pos+len)] equal [stored]? Frames
+   are verified where they lie; only a payload that passes is copied. *)
+let crc_matches data ~pos ~len stored = Crc32c.mask (Crc32c.sub data ~pos ~len) = stored
+
 let frame payload =
   let b = Buffer.create (String.length payload + 8) in
   let crc = Crc32c.mask (Crc32c.string payload) in
@@ -17,6 +21,7 @@ let frame payload =
 let seal_payload = "LSM!SEAL"
 let seal_size = 8 + String.length seal_payload
 let seal_frame = frame seal_payload
+let seal_crc = Crc32c.mask (Crc32c.string seal_payload)
 
 let is_seal_tail data =
   let len = String.length data in
@@ -27,7 +32,7 @@ let is_seal_tail data =
   let plen = Codec.get_u32 r in
   plen = String.length seal_payload
   && Codec.get_raw r plen = seal_payload
-  && Crc32c.mask (Crc32c.string seal_payload) = crc
+  && seal_crc = crc
 
 type scan_end =
   | Sealed_clean
@@ -47,11 +52,11 @@ let scan data f =
          stop := Some (Bad_frame frame_off);
          raise Exit
        end;
-       let payload = Codec.get_raw r plen in
-       if Crc32c.mask (Crc32c.string payload) <> stored_crc then begin
+       if not (crc_matches data ~pos:r.Codec.pos ~len:plen stored_crc) then begin
          stop := Some (Bad_frame frame_off);
          raise Exit
        end;
+       let payload = Codec.get_raw r plen in
        if payload = seal_payload then begin
          stop := Some (if Codec.at_end r then Sealed_clean else Bad_frame r.Codec.pos);
          raise Exit
@@ -88,7 +93,7 @@ let find_frame_after data ~off =
       if
         plen > 0
         && plen <= len - pos - 8
-        && Crc32c.mask (Crc32c.string (Codec.get_raw r plen)) = stored_crc
+        && crc_matches data ~pos:(pos + 8) ~len:plen stored_crc
       then Some pos
       else probe (pos + 1)
     end
@@ -126,10 +131,11 @@ let scan_salvage data f =
          let stored_crc = Int32.of_int (Codec.get_u32 r) in
          let plen = Codec.get_u32 r in
          if plen > len - !pos - 8 then pos := resync !pos
+         else if not (crc_matches data ~pos:(!pos + 8) ~len:plen stored_crc) then
+           pos := resync !pos
          else begin
            let payload = Codec.get_raw r plen in
-           if Crc32c.mask (Crc32c.string payload) <> stored_crc then pos := resync !pos
-           else if payload = seal_payload then begin
+           if payload = seal_payload then begin
              if not (Codec.at_end r) then gaps := (r.Codec.pos, len) :: !gaps;
              raise Exit
            end

@@ -70,7 +70,7 @@ let test_block_checksum_detects_corruption () =
   Bytes.set corrupted 3 (Char.chr (Char.code (Bytes.get corrupted 3) lxor 0xff));
   check "raises" true
     (try
-       ignore (Block.decode_check (Bytes.to_string corrupted));
+       ignore (Block.parse_checked (Bytes.to_string corrupted));
        false
      with Codec.Corrupt _ -> true)
 
@@ -94,7 +94,17 @@ let prop_block_roundtrip =
    spec (copying, allocation-heavy) with no code shared with the cursor,
    so the two can disagree only if one of them is wrong. *)
 let reference_decode block =
-  let body = Block.decode_check block in
+  (* Copying verify: strip the CRC trailer into a fresh body string. *)
+  let decode_check block =
+    let n = String.length block in
+    if n < 8 then raise (Codec.Corrupt "block too small");
+    let body = String.sub block 0 (n - 4) in
+    let stored = Int32.of_int (Codec.get_u32 (Codec.reader ~pos:(n - 4) block)) in
+    if Crc32c.mask (Crc32c.string body) <> stored then
+      raise (Codec.Corrupt "block checksum mismatch");
+    body
+  in
+  let body = decode_check block in
   let n = String.length body in
   let count = Codec.get_u32 (Codec.reader ~pos:(n - 4) body) in
   let data_end = n - 4 - (4 * count) in

@@ -91,6 +91,72 @@ let test_crc_known_vectors () =
   Alcotest.(check int32) "check value" 0xE3069283l (Crc32c.string "123456789");
   Alcotest.(check int32) "empty" 0l (Crc32c.string "")
 
+(* RFC 3720 (iSCSI) appendix B.4 CRC-32C examples. *)
+let test_crc_rfc3720_vectors () =
+  let check32 name want s = Alcotest.(check int32) name want (Crc32c.string s) in
+  check32 "32 x 0x00" 0x8A9136AAl (String.make 32 '\x00');
+  check32 "32 x 0xFF" 0x62A8AB43l (String.make 32 '\xff');
+  check32 "0x00..0x1F" 0x46DD794El (String.init 32 Char.chr);
+  check32 "0x1F..0x00" 0x113FDB5Cl (String.init 32 (fun i -> Char.chr (31 - i)))
+
+(* Bytewise reference CRC-32C: the textbook one-table loop over boxed
+   [int32], kept only here as the oracle the slicing-by-8 kernel in
+   [Crc32c] must match bit for bit. *)
+let reference_crc =
+  let table =
+    Array.init 256 (fun i ->
+        let c = ref (Int32.of_int i) in
+        for _ = 0 to 7 do
+          let lsb = Int32.logand !c 1l in
+          c := Int32.shift_right_logical !c 1;
+          if lsb = 1l then c := Int32.logxor !c 0x82f63b78l
+        done;
+        !c)
+  in
+  fun ~init s ~pos ~len ->
+    let c = ref (Int32.lognot init) in
+    for i = pos to pos + len - 1 do
+      let idx =
+        Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xffl)
+      in
+      c := Int32.logxor (Int32.shift_right_logical !c 8) table.(idx)
+    done;
+    Int32.lognot !c
+
+(* Every window of a 64-byte string: every unaligned start and every
+   length, so each split between the 8-byte main loop and the bytewise
+   tail (lengths 0-17 included) is covered, under several [init]s. *)
+let test_crc_every_window () =
+  let rng = Random.State.make [| 21 |] in
+  let s = String.init 64 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  List.iter
+    (fun init ->
+      for pos = 0 to 64 do
+        for len = 0 to 64 - pos do
+          let want = reference_crc ~init s ~pos ~len in
+          if Crc32c.sub ~init s ~pos ~len <> want then
+            Alcotest.failf "init=%lx pos=%d len=%d" init pos len
+        done
+      done)
+    [ 0l; 0xE3069283l; -1l; 0x7fffffffl; Random.State.int32 rng Int32.max_int ]
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"crc32c kernel = bytewise reference" ~count:500
+    QCheck.(quad (string_of_size Gen.(0 -- 300)) small_nat small_nat int32)
+    (fun (s, a, b, init) ->
+      let n = String.length s in
+      let pos = a mod (n + 1) in
+      let len = b mod (n - pos + 1) in
+      Crc32c.sub ~init s ~pos ~len = reference_crc ~init s ~pos ~len
+      && Crc32c.string ~init s = reference_crc ~init s ~pos:0 ~len:n)
+
+let prop_crc_chaining =
+  QCheck.Test.make ~name:"crc32c chains: sub ~init:(string a) b = string (a ^ b)" ~count:300
+    QCheck.(pair (string_of_size Gen.(0 -- 100)) (string_of_size Gen.(0 -- 100)))
+    (fun (a, b) ->
+      Crc32c.sub ~init:(Crc32c.string a) b ~pos:0 ~len:(String.length b)
+      = Crc32c.string (a ^ b))
+
 let test_crc_mask_roundtrip () =
   let crc = Crc32c.string "hello world" in
   Alcotest.(check int32) "unmask . mask = id" crc (Crc32c.unmask (Crc32c.mask crc));
@@ -368,6 +434,8 @@ let suite =
     ("codec truncated input raises", `Quick, test_codec_truncated);
     ("codec rejects negative varint", `Quick, test_codec_negative_rejected);
     ("crc32c known vectors", `Quick, test_crc_known_vectors);
+    ("crc32c RFC 3720 vectors", `Quick, test_crc_rfc3720_vectors);
+    ("crc32c every window = reference", `Quick, test_crc_every_window);
     ("crc32c mask roundtrip", `Quick, test_crc_mask_roundtrip);
     ("crc32c substring", `Quick, test_crc_sub);
     ("hashing deterministic", `Quick, test_hash_deterministic);
@@ -396,5 +464,7 @@ let suite =
     qt prop_lp_string_roundtrip;
     qt prop_mixed_stream;
     qt prop_crc_detects_flip;
+    qt prop_crc_matches_reference;
+    qt prop_crc_chaining;
     qt prop_separator_sound;
   ]

@@ -18,7 +18,8 @@ let usage =
   \  R8  unbounded busy-wait loop without backoff\n\
   \  R12 allocation-heavy idioms (String.sub ^, String.concat, Bytes.to_string\n\
   \      in loops, String.iter/Bytes.iter closures) in the get-path hot modules\n\
-  \      (block.ml, hashing.ml, bloom.ml, blocked_bloom.ml)\n\n\
+  \      (block.ml, hashing.ml, bloom.ml, blocked_bloom.ml) and the checksum\n\
+  \      paths (crc32c.ml, sstable.ml, framed_log.ml)\n\n\
    Typedtree rules (need --typed DIR with built .cmt files):\n\
   \  R9  static lockdep: whole-program acquired-before relation vs the Rank table\n\
   \  R10 iterator/read-view escape past its pin combinator\n\n\

@@ -35,8 +35,10 @@
          no longer hold. Only ordered_mutex.ml itself is exempt (it
          defines the delegating wrapper).
      R12 allocation-heavy idioms in the point-lookup hot modules (the
-         per-record block decoder block.ml, and the per-probe hashing
-         and bloom filters): [String.sub ... ^ ...] (two copies per
+         per-record block decoder block.ml, the per-probe hashing
+         and bloom filters, and the checksum paths crc32c.ml,
+         sstable.ml and framed_log.ml, which hash bytes in place):
+         [String.sub ... ^ ...] (two copies per
          record — blit into a reusable arena), [String.concat] (a list
          plus a fresh string per record), [Bytes.to_string] inside a
          [while]/[for] loop (a copy per iteration — hoist it or compare
@@ -74,9 +76,19 @@ let r7_exempt = [ "xor_filter.ml" ]
    [Condition.wait] is a one-line delegation, not a wait site. *)
 let r8_exempt = [ "ordered_mutex.ml" ]
 
-(* Files on the per-record block decode and per-probe filter paths;
-   R12 applies here. *)
-let r12_hot_modules = [ "block.ml"; "hashing.ml"; "bloom.ml"; "blocked_bloom.ml" ]
+(* Files on the per-record block decode and per-probe filter paths,
+   and the checksum paths (the CRC kernel, the table meta CRC, the
+   framed log), which hash bytes where they lie; R12 applies here. *)
+let r12_hot_modules =
+  [
+    "block.ml";
+    "hashing.ml";
+    "bloom.ml";
+    "blocked_bloom.ml";
+    "crc32c.ml";
+    "sstable.ml";
+    "framed_log.ml";
+  ]
 
 (* ---------------- AST helpers ---------------- *)
 
