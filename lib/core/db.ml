@@ -227,7 +227,7 @@ let new_buffer t =
   t.wal_counter <- t.wal_counter + 1;
   let wal = if t.cfg.Config.wal_enabled then Some (Wal.create t.dev ~name) else None in
   {
-    mt = Memtable.create ~kind:t.cfg.Config.memtable ~cmp:(cmp_of t) ();
+    mt = Memtable.create ~kind:t.cfg.Config.memtable ~budget:t.dyn_buffer_size ~cmp:(cmp_of t) ();
     wal;
     wal_name = (if t.cfg.Config.wal_enabled then Some name else None);
   }
@@ -1314,8 +1314,18 @@ let get t ?snapshot key =
   ignore (Atomic.fetch_and_add t.clock 1);
   t.db_stats.Stats.user_gets <- t.db_stats.Stats.user_gets + 1;
   let tally = new_tally () in
+  (* [with_pin] spelled out: its closure would be the largest allocation
+     of a get that hits the memtable. *)
+  let pin = Version.Pins.pin t.pins in
   let result =
-    with_pin t (fun () -> lookup_in_ctx t (capture_read_ctx t ?snapshot ()) tally key)
+    match lookup_in_ctx t (capture_read_ctx t ?snapshot ()) tally key with
+    | v ->
+      Version.Pins.unpin t.pins pin;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Version.Pins.unpin t.pins pin;
+      Printexc.raise_with_backtrace e bt
   in
   account_lookup t tally result;
   result
@@ -1662,7 +1672,9 @@ let open_db ?(config = Config.default) ~dev () =
       tables;
       db_stats;
       active =
-        { mt = Memtable.create ~kind:config.Config.memtable ~cmp:config.Config.comparator ();
+        { mt =
+            Memtable.create ~kind:config.Config.memtable ~budget:config.Config.write_buffer_size
+              ~cmp:config.Config.comparator ();
           wal = None;
           wal_name = None };
       immutables = [];

@@ -247,7 +247,7 @@ module Pins = struct
     waiting : int Atomic.t; (* [List.length deferred], written only under [m] *)
   }
 
-  type pin = { preg : registry; pslot : slot }
+  type pin = slot
 
   let create_registry () =
     {
@@ -294,9 +294,8 @@ module Pins = struct
       pin_slot reg
     end
 
-  let pin reg = { preg = reg; pslot = pin_slot reg }
-
-  let unpin p = release p.preg p.pslot
+  let pin = pin_slot
+  let unpin = release
 
   let defer reg f =
     run_all

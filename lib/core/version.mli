@@ -93,11 +93,12 @@ module Pins : sig
       [install_edit] (under the serialized maintenance lane). *)
 
   val pin : registry -> pin
-  (** Pin the currently installed version. *)
+  (** Pin the currently installed version. Allocates nothing. *)
 
-  val unpin : pin -> unit
-  (** Drop the pin; runs any deferred deletions it was blocking (on the
-      calling domain, outside the registry lock). *)
+  val unpin : registry -> pin -> unit
+  (** Drop a pin taken from this registry; runs any deferred deletions
+      it was blocking (on the calling domain, outside the registry
+      lock). *)
 
   val with_pin : registry -> (unit -> 'a) -> 'a
 

@@ -43,7 +43,7 @@ let add t e =
   t.count <- t.count + 1;
   t.footprint <- t.footprint + Entry.footprint e
 
-let find t ?(max_seqno = max_int) key =
+let find t ~max_seqno key =
   (* Buckets are unsorted (writers may batch out of seqno order), so take
      the visible version with the highest seqno among all matches. *)
   let best = ref None in

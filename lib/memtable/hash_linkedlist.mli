@@ -17,7 +17,7 @@ val create_sized : cmp:Lsm_util.Comparator.t -> buckets:int -> prefix_len:int ->
 
 val create : cmp:Lsm_util.Comparator.t -> unit -> t
 val add : t -> Lsm_record.Entry.t -> unit
-val find : t -> ?max_seqno:int -> string -> Lsm_record.Entry.t option
+val find : t -> max_seqno:int -> string -> Lsm_record.Entry.t option
 val count : t -> int
 val footprint : t -> int
 

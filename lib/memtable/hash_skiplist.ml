@@ -46,7 +46,7 @@ let add t e =
   t.count <- t.count + 1;
   t.footprint <- t.footprint + Entry.footprint e
 
-let find t ?max_seqno key = Skiplist.find (bucket_of t key) ?max_seqno key
+let find t ~max_seqno key = Skiplist.find (bucket_of t key) ~max_seqno key
 
 let count t = t.count
 let footprint t = t.footprint

@@ -19,12 +19,21 @@ val all_kinds : kind list
 
 type t
 
-val create : ?kind:kind -> cmp:Lsm_util.Comparator.t -> unit -> t
-(** [kind] defaults to {!Skiplist}. *)
+val create : ?kind:kind -> budget:int -> cmp:Lsm_util.Comparator.t -> unit -> t
+(** [kind] defaults to {!Skiplist}. [budget] is the byte footprint at
+    which the engine rotates the buffer; it sizes the buffer's key
+    filter once, for the most entries that many bytes can hold. A buffer
+    that outgrows its budget stays correct, with a denser filter. *)
 
 val kind : t -> kind
 val add : t -> Lsm_record.Entry.t -> unit
-val find : t -> ?max_seqno:int -> string -> Lsm_record.Entry.t option
+
+val find : t -> max_seqno:int -> string -> Lsm_record.Entry.t option
+(** Newest visible version of the key with [seqno <= max_seqno] (pass
+    [max_int] for no bound). A key the buffer's filter has never seen,
+    or any key of an empty buffer, answers [None] without touching the
+    buffer itself. *)
+
 val count : t -> int
 val footprint : t -> int
 val iterator : t -> Lsm_record.Iter.t

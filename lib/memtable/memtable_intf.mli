@@ -17,10 +17,11 @@ module type S = sig
   (** Inserts one versioned entry. Sequence numbers must be unique per
       memtable (the engine guarantees this). *)
 
-  val find : t -> ?max_seqno:int -> string -> Lsm_record.Entry.t option
-  (** Newest entry for the user key with [seqno <= max_seqno]
-      (default: no bound). Range-delete entries are not returned by [find];
-      the engine tracks them separately. *)
+  val find : t -> max_seqno:int -> string -> Lsm_record.Entry.t option
+  (** Newest entry for the user key with [seqno <= max_seqno] ([max_int]:
+      no bound). A plain [int], not an optional argument, which would box
+      the bound on every lookup. Range-delete entries are not returned by
+      [find]; the engine tracks them separately. *)
 
   val count : t -> int
   (** Number of buffered entries. *)

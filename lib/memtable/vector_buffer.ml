@@ -53,7 +53,7 @@ let lower_bound t target =
   done;
   !lo
 
-let find t ?(max_seqno = max_int) key =
+let find t ~max_seqno key =
   ensure_sorted t;
   let rec walk i =
     if i >= t.len then None

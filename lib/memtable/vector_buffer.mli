@@ -12,7 +12,7 @@ val implementation_name : string
 val create : cmp:Lsm_util.Comparator.t -> unit -> t
 val add : t -> Lsm_record.Entry.t -> unit
 
-val find : t -> ?max_seqno:int -> string -> Lsm_record.Entry.t option
+val find : t -> max_seqno:int -> string -> Lsm_record.Entry.t option
 (** Sorts the buffer if a write happened since the last sort. *)
 
 val count : t -> int

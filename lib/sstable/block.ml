@@ -60,17 +60,20 @@ module Builder = struct
   let count t = t.count
   let is_empty t = t.count = 0
 
-  (* The block is laid out once, in its final buffer: records, restart
-     trailer, then the CRC of everything before it, hashed in place. *)
+  (* The block is laid out once, in its final buffer, behind one
+     reserved byte for the table's frame tag (0, a raw block): records,
+     restart trailer, then the CRC of everything from offset 1, hashed in
+     place. *)
   let finish t =
     let data_len = Buffer.length t.buf in
-    let n = data_len + (4 * (t.nrestarts + 2)) in
+    let n = 1 + data_len + (4 * (t.nrestarts + 2)) in
     let out = Bytes.create n in
-    Buffer.blit t.buf 0 out 0 data_len;
+    Bytes.set out 0 '\x00';
+    Buffer.blit t.buf 0 out 1 data_len;
     let set_u32 off v = Bytes.set_int32_le out off (Int32.of_int v) in
     List.iteri (fun i off -> set_u32 (n - 12 - (4 * i)) off) t.restarts;
     set_u32 (n - 8) t.nrestarts;
-    let crc = Crc32c.mask (Crc32c.sub (Bytes.unsafe_to_string out) ~pos:0 ~len:(n - 4)) in
+    let crc = Crc32c.mask (Crc32c.sub (Bytes.unsafe_to_string out) ~pos:1 ~len:(n - 5)) in
     Bytes.set_int32_le out (n - 4) crc;
     Buffer.clear t.buf;
     t.restarts <- [];

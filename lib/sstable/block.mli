@@ -33,7 +33,11 @@ module Builder : sig
   val is_empty : t -> bool
 
   val finish : t -> string
-  (** Encodes, seals, and resets the builder for the next block. *)
+  (** Encodes, seals, and resets the builder for the next block. The
+      block is laid out behind one leading byte, set to 0, that the
+      SSTable keeps as its raw-block frame tag: the result parses with
+      [parse_checked ~base:1], and its bytes from offset 1 are the block
+      itself. *)
 end
 
 type parsed = private {

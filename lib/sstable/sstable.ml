@@ -144,17 +144,21 @@ let default_build_config =
   }
 
 (* Per-block frame: [u8 tag | payload] with tag 0 = raw block, or
-   [u8 1 | varint raw_len | lz payload]. *)
-let frame_block compression data =
+   [u8 1 | varint raw_len | lz payload]. [Block.Builder.finish] already
+   lays the block out behind a tag byte set to 0, so a raw block is
+   written as built, with no copy, and [C_lz] compresses it from offset
+   1 where it lies. *)
+let frame_block compression built =
   match compression with
-  | C_none -> "\x00" ^ data
+  | C_none -> built
   | C_lz ->
-    let packed = Lsm_util.Lz.compress data in
-    if String.length packed + 8 >= String.length data then "\x00" ^ data
+    let raw_len = String.length built - 1 in
+    let packed = Lsm_util.Lz.compress ~pos:1 built in
+    if String.length packed + 8 >= raw_len then built
     else begin
       let b = Buffer.create (String.length packed + 8) in
       Codec.put_u8 b 1;
-      Codec.put_varint b (String.length data);
+      Codec.put_varint b raw_len;
       Buffer.add_string b packed;
       Buffer.contents b
     end

@@ -17,12 +17,13 @@ let hash4 s i =
   in
   (v * 2654435761) lsr (32 - hash_bits) land (table_size - 1)
 
-let compress s =
+let compress ?(pos = 0) s =
   let n = String.length s in
-  let out = Buffer.create (n / 2) in
+  if pos < 0 || pos > n then invalid_arg "Lz.compress: bad pos";
+  let out = Buffer.create ((n - pos) / 2) in
   let table = Array.make table_size (-1) in
-  let anchor = ref 0 in
-  let i = ref 0 in
+  let anchor = ref pos in
+  let i = ref pos in
   let emit_token lit_len match_len_opt =
     let lit_nib = min 15 lit_len in
     let m_nib = match match_len_opt with None -> 0 | Some m -> min 15 (m - 4) in

@@ -6,9 +6,11 @@
     it reduces on-device bytes (space amplification, write amplification)
     at a measurable CPU cost, which is the tradeoff the experiments weigh. *)
 
-val compress : string -> string
-(** Never fails; output may be larger than the input for incompressible
-    data (the SSTable layer falls back to storing raw in that case). *)
+val compress : ?pos:int -> string -> string
+(** Compresses the bytes of the string from [pos] (default 0) to its
+    end, where they lie. Never fails; output may be larger than the
+    input for incompressible data (the SSTable layer falls back to
+    storing raw in that case). *)
 
 val decompress : string -> expected_len:int -> string
 (** @raise Lsm_util__Codec.Corrupt (as [Codec.Corrupt]) on malformed input

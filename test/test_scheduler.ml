@@ -217,7 +217,7 @@ let test_version_pins () =
   check_int "deferred while pinned" 1 (Version.Pins.deferred_count reg);
   Alcotest.(check (list string)) "not yet" [ "a" ] !dropped;
   (* ...and the last unpin releases them. *)
-  Version.Pins.unpin p;
+  Version.Pins.unpin reg p;
   check_int "released" 0 (Version.Pins.deferred_count reg);
   Alcotest.(check (list string)) "ran on unpin" [ "b"; "a" ] !dropped;
   (* A pin taken after the install does not block its deletions. *)

@@ -23,17 +23,27 @@ let e ?(kind = Entry.Put) ?(value = "") key seqno = { Entry.key; seqno; kind; va
 let entries_for_block n =
   List.init n (fun i -> e (Printf.sprintf "key%05d" i) (i + 1) ~value:("v" ^ string_of_int i))
 
+(* The builder lays a block out behind the table's one-byte frame tag;
+   the helpers hand back the block itself, from offset 1. *)
+let unframed built = String.sub built 1 (String.length built - 1)
+
 let build_block entries =
   let b = Block.Builder.create () in
   List.iter (Block.Builder.add b) entries;
-  Block.Builder.finish b
+  unframed (Block.Builder.finish b)
 
 let test_block_roundtrip () =
   let entries = entries_for_block 100 in
   let block = build_block entries in
   let it = Block.iterator cmp (Block.parse_checked block) in
   let got = Iter.to_list it in
-  check "all entries back" true (got = entries)
+  check "all entries back" true (got = entries);
+  let b = Block.Builder.create () in
+  List.iter (Block.Builder.add b) entries;
+  let built = Block.Builder.finish b in
+  check "raw frame tag reserved" true (built.[0] = '\x00');
+  check "parses in place at base 1" true
+    (Iter.to_list (Block.iterator cmp (Block.parse_checked ~base:1 built)) = entries)
 
 let test_block_prefix_compression_shrinks () =
   let entries = entries_for_block 200 in
@@ -137,7 +147,7 @@ let adversarial_entries raw =
 let build_block_ri ri entries =
   let b = Block.Builder.create ~restart_interval:ri () in
   List.iter (Block.Builder.add b) entries;
-  Block.Builder.finish b
+  unframed (Block.Builder.finish b)
 
 (* Both engine decode paths: a raw-framed block parsed in place at
    base 1, and an lz-roundtripped buffer parsed at base 0. *)

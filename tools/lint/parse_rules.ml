@@ -36,8 +36,9 @@
          defines the delegating wrapper).
      R12 allocation-heavy idioms in the point-lookup hot modules (the
          per-record block decoder block.ml, the per-probe hashing
-         and bloom filters, and the checksum paths crc32c.ml,
-         sstable.ml and framed_log.ml, which hash bytes in place):
+         and bloom filters, the write buffer's skiplist.ml and
+         memtable.ml, and the checksum paths crc32c.ml, sstable.ml and
+         framed_log.ml, which hash bytes in place):
          [String.sub ... ^ ...] (two copies per
          record — blit into a reusable arena), [String.concat] (a list
          plus a fresh string per record), [Bytes.to_string] inside a
@@ -77,14 +78,17 @@ let r7_exempt = [ "xor_filter.ml" ]
 let r8_exempt = [ "ordered_mutex.ml" ]
 
 (* Files on the per-record block decode and per-probe filter paths,
-   and the checksum paths (the CRC kernel, the table meta CRC, the
-   framed log), which hash bytes where they lie; R12 applies here. *)
+   the write buffer every point lookup descends first, and the checksum
+   paths (the CRC kernel, the table meta CRC, the framed log), which
+   hash bytes where they lie; R12 applies here. *)
 let r12_hot_modules =
   [
     "block.ml";
     "hashing.ml";
     "bloom.ml";
     "blocked_bloom.ml";
+    "skiplist.ml";
+    "memtable.ml";
     "crc32c.ml";
     "sstable.ml";
     "framed_log.ml";
