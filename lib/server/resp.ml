@@ -16,21 +16,6 @@ let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
 (* ---------------- encoding ---------------- *)
 
-let encode_command args =
-  let b = Buffer.create 64 in
-  Buffer.add_char b '*';
-  Buffer.add_string b (string_of_int (List.length args));
-  Buffer.add_string b "\r\n";
-  List.iter
-    (fun a ->
-      Buffer.add_char b '$';
-      Buffer.add_string b (string_of_int (String.length a));
-      Buffer.add_string b "\r\n";
-      Buffer.add_string b a;
-      Buffer.add_string b "\r\n")
-    args;
-  Buffer.contents b
-
 type reply =
   | Simple of string
   | Error of string
@@ -39,36 +24,121 @@ type reply =
   | Nil
   | Array of reply list
 
-let rec add_reply b = function
+(* The unsent bytes are [bytes[pos, len)]: one contiguous slice, so a
+   socket write takes them where they lie. Appending first slides the
+   slice to the front when that makes room, and grows the store only
+   when it does not, so the store's size follows the unsent backlog,
+   not the bytes the connection has ever been sent. *)
+type out = { mutable bytes : Bytes.t; mutable pos : int; mutable len : int }
+
+let out_default = 4096
+let out_shrink_above = 64 * 1024
+
+let make_out n = { bytes = Bytes.create n; pos = 0; len = 0 }
+let out_create () = make_out out_default
+let out_bytes o = o.bytes
+let out_pos o = o.pos
+let pending o = o.len - o.pos
+
+let reserve o n =
+  let live = o.len - o.pos in
+  if o.len + n > Bytes.length o.bytes then begin
+    let dst =
+      if live + n <= Bytes.length o.bytes then o.bytes
+      else Bytes.create (max (live + n) (2 * Bytes.length o.bytes))
+    in
+    Bytes.blit o.bytes o.pos dst 0 live;
+    o.bytes <- dst;
+    o.pos <- 0;
+    o.len <- live
+  end
+
+let consume o n =
+  o.pos <- o.pos + n;
+  if o.pos = o.len then begin
+    o.pos <- 0;
+    o.len <- 0;
+    if Bytes.length o.bytes > out_shrink_above then o.bytes <- Bytes.create out_default
+  end
+
+let add_char o c =
+  reserve o 1;
+  Bytes.unsafe_set o.bytes o.len c;
+  o.len <- o.len + 1
+
+let add_string o s =
+  let n = String.length s in
+  reserve o n;
+  Bytes.unsafe_blit_string s 0 o.bytes o.len n;
+  o.len <- o.len + n
+
+let add_crlf o =
+  reserve o 2;
+  Bytes.unsafe_set o.bytes o.len '\r';
+  Bytes.unsafe_set o.bytes (o.len + 1) '\n';
+  o.len <- o.len + 2
+
+(* Decimal digits written in place, without [string_of_int]'s string.
+   [min_int] has no positive counterpart, so it takes the slow path. *)
+let add_int o n =
+  if n = min_int then add_string o (string_of_int n)
+  else begin
+    if n < 0 then add_char o '-';
+    let n = abs n in
+    let rec width n = if n < 10 then 1 else 1 + width (n / 10) in
+    let w = width n in
+    reserve o w;
+    let r = ref n in
+    for i = o.len + w - 1 downto o.len do
+      Bytes.unsafe_set o.bytes i (Char.unsafe_chr (48 + (!r mod 10)));
+      r := !r / 10
+    done;
+    o.len <- o.len + w
+  end
+
+(* [$len\r\ndata\r\n] *)
+let add_bulk o s =
+  add_char o '$';
+  add_int o (String.length s);
+  add_crlf o;
+  add_string o s;
+  add_crlf o
+
+let rec add_reply o = function
   | Simple s ->
-    Buffer.add_char b '+';
-    Buffer.add_string b s;
-    Buffer.add_string b "\r\n"
+    add_char o '+';
+    add_string o s;
+    add_crlf o
   | Error s ->
-    Buffer.add_char b '-';
-    Buffer.add_string b s;
-    Buffer.add_string b "\r\n"
+    add_char o '-';
+    add_string o s;
+    add_crlf o
   | Int n ->
-    Buffer.add_char b ':';
-    Buffer.add_string b (string_of_int n);
-    Buffer.add_string b "\r\n"
-  | Bulk s ->
-    Buffer.add_char b '$';
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_string b "\r\n";
-    Buffer.add_string b s;
-    Buffer.add_string b "\r\n"
-  | Nil -> Buffer.add_string b "$-1\r\n"
+    add_char o ':';
+    add_int o n;
+    add_crlf o
+  | Bulk s -> add_bulk o s
+  | Nil -> add_string o "$-1\r\n"
   | Array rs ->
-    Buffer.add_char b '*';
-    Buffer.add_string b (string_of_int (List.length rs));
-    Buffer.add_string b "\r\n";
-    List.iter (add_reply b) rs
+    add_char o '*';
+    add_int o (List.length rs);
+    add_crlf o;
+    List.iter (add_reply o) rs
+
+let contents o = Bytes.sub_string o.bytes o.pos (pending o)
+
+let encode_command args =
+  let o = make_out 64 in
+  add_char o '*';
+  add_int o (List.length args);
+  add_crlf o;
+  List.iter (add_bulk o) args;
+  contents o
 
 let encode_reply r =
-  let b = Buffer.create 64 in
-  add_reply b r;
-  Buffer.contents b
+  let o = make_out 64 in
+  add_reply o r;
+  contents o
 
 (* ---------------- decoding ---------------- *)
 

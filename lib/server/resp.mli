@@ -40,6 +40,37 @@ type reply =
   | Array of reply list  (** [*N\r\n] followed by N replies *)
 
 val encode_reply : reply -> string
+(** One reply as a fresh string: the bytes {!add_reply} appends. *)
+
+(** {2 Output buffer}
+
+    The server encodes every reply of a connection straight into one
+    {!out}, and a socket write takes the unsent bytes from it in place:
+    no string per reply, no copy per write. *)
+
+type out
+(** A growable byte buffer of unsent reply bytes, consumed from the
+    front as the socket takes them. *)
+
+val out_create : unit -> out
+(** An empty buffer with a small default store (4 KiB). *)
+
+val add_reply : out -> reply -> unit
+(** Append one encoded reply, growing the store if needed. *)
+
+val pending : out -> int
+(** Bytes appended and not yet consumed. *)
+
+val out_bytes : out -> Bytes.t
+val out_pos : out -> int
+(** The unsent bytes are [out_bytes o] from [out_pos o], [pending o] of
+    them — valid until the next {!add_reply} or {!consume}. *)
+
+val consume : out -> int -> unit
+(** [consume o n] drops the first [n] unsent bytes ([n <= pending o]):
+    what a socket write took. When nothing is left the buffer empties,
+    and a store grown past 64 KiB drops back to the default size, so an
+    idle connection does not pin the memory of its largest reply. *)
 
 val parse_reply : Bytes.t -> pos:int -> len:int -> (reply * int) option
 (** Client side: decode one reply from [bytes[pos, len)]; same contract

@@ -2,16 +2,23 @@
 
    Shape: [select] for readiness; per-connection input bytes accumulate
    until {!Resp.parse_command} yields complete frames; every complete
-   command executes immediately (pipelining: a client that wrote ten
-   requests back-to-back gets ten replies in one flush); replies queue
-   as strings and drain when the socket is writable. No threads and no
-   locks at this layer — the engine's own machinery (shard fan-out
-   pool, background compaction lanes) provides the parallelism, which
-   keeps the protocol state machine trivially race-free and the whole
-   module exempt from lock-ranking concerns.
+   command executes immediately and its reply is encoded straight into
+   the connection's one output buffer ({!Resp.out}). When the socket is
+   writable, one [Unix.write] per step hands it every pending byte
+   (pipelining: a client that wrote ten requests back-to-back gets ten
+   replies in one write); a partial write leaves the rest, offset kept,
+   for the next writable step. No threads and no locks at this layer —
+   the engine's own machinery (shard fan-out pool, background
+   compaction lanes) provides the parallelism, which keeps the protocol
+   state machine trivially race-free and the whole module exempt from
+   lock-ranking concerns.
+
+   A connection marked close-after-flush (a protocol error, or the one
+   that sent SHUTDOWN) executes nothing past that command and is never
+   read again: its reply flushes, then it closes.
 
    Drain discipline on SHUTDOWN (ISSUE order): (1) acknowledge, stop
-   accepting; (2) flush every connection's queued replies and close
+   accepting; (2) flush every connection's pending replies and close
    them; (3) quiesce every shard's background lane — all queued
    flush/compaction work completes or fails deterministically; (4) the
    loop reports drained and the listener exits. Acknowledged writes are
@@ -25,9 +32,7 @@ type conn = {
   fd : Unix.file_descr;
   mutable inbuf : Bytes.t;
   mutable in_len : int;
-  out : string Queue.t;  (** encoded replies awaiting the socket *)
-  mutable out_head : string;  (** partially written front chunk, "" = none *)
-  mutable out_off : int;
+  out : Resp.out;  (** encoded replies awaiting the socket *)
   mutable tenant : string option;
   mutable close_after_flush : bool;
 }
@@ -40,6 +45,7 @@ type stats = {
   protocol_errors : int;
   bytes_in : int;
   bytes_out : int;
+  writes : int;
 }
 
 type t = {
@@ -56,10 +62,14 @@ type t = {
   mutable protocol_errors : int;
   mutable bytes_in : int;
   mutable bytes_out : int;
+  mutable writes : int;
 }
 
 let create ?quota ?(backlog = 128) ~shards ~sock_path () =
   let quota = match quota with Some q -> q | None -> Quota.create () in
+  (* A write to a connection whose peer has hung up must fail with
+     EPIPE and close that connection, not kill the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.unlink sock_path with Unix.Unix_error _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_nonblock fd;
@@ -79,6 +89,7 @@ let create ?quota ?(backlog = 128) ~shards ~sock_path () =
     protocol_errors = 0;
     bytes_in = 0;
     bytes_out = 0;
+    writes = 0;
   }
 
 let sock_path t = t.path
@@ -93,11 +104,10 @@ let stats t =
     protocol_errors = t.protocol_errors;
     bytes_in = t.bytes_in;
     bytes_out = t.bytes_out;
+    writes = t.writes;
   }
 
-let enqueue conn s = Queue.push s conn.out
-
-let has_output conn = conn.out_head <> "" || not (Queue.is_empty conn.out)
+let has_output conn = Resp.pending conn.out > 0
 
 let close_conn t conn =
   Hashtbl.remove t.conns conn.fd;
@@ -124,13 +134,22 @@ let admitted t ~tenant ~ops ~bytes k =
     t.quota_denials <- t.quota_denials + 1;
     err "QUOTA_EXCEEDED" (Quota.describe d)
 
+let shard_of t stored = Shard_map.db t.shards (Shard_map.shard_of_key t.shards stored)
+
 let put_one t ~tenant key value =
   let stored = Shard_map.encode_key ~tenant key in
-  Db.put (Shard_map.db t.shards (Shard_map.shard_of_key t.shards stored)) ~key:stored value
+  Db.put (shard_of t stored) ~key:stored value
 
 let del_one t ~tenant key =
   let stored = Shard_map.encode_key ~tenant key in
-  Db.delete (Shard_map.db t.shards (Shard_map.shard_of_key t.shards stored)) stored
+  Db.delete (shard_of t stored) stored
+
+(* A single key reads its own shard directly: [Db.get] takes the same
+   one read context and accounts the same stats as a one-key
+   [Db.multi_get], without the fan-out's buckets and lists. *)
+let get_one t ~tenant key =
+  let stored = Shard_map.encode_key ~tenant key in
+  Db.get (shard_of t stored) stored
 
 (* MSET: one Write_batch per touched shard, fanned across the map's
    pool. Atomic per shard (one seqno range, one WAL record); cross-shard
@@ -158,8 +177,8 @@ let mget t ~tenant keys =
 
 let stats_text t =
   let b = Buffer.create 256 in
-  Printf.bprintf b "shards %d\ncommands %d\nconnections %d\nquota_denials %d\n"
-    (Shard_map.count t.shards) t.commands (Hashtbl.length t.conns) t.quota_denials;
+  Printf.bprintf b "shards %d\ncommands %d\nconnections %d\nquota_denials %d\nwrites %d\n"
+    (Shard_map.count t.shards) t.commands (Hashtbl.length t.conns) t.quota_denials t.writes;
   Shard_map.iter t.shards (fun i db ->
       let s = Db.stats db in
       Printf.bprintf b
@@ -212,9 +231,9 @@ let execute t conn args =
     | "GET", [ key ] ->
       with_tenant conn (fun tenant ->
           admitted t ~tenant ~ops:1 ~bytes:(String.length key) (fun () ->
-              match mget t ~tenant [ key ] with
-              | [ Some v ] -> Resp.Bulk v
-              | _ -> Resp.Nil))
+              match get_one t ~tenant key with
+              | Some v -> Resp.Bulk v
+              | None -> Resp.Nil))
     | "MGET", (_ :: _ as keys) ->
       with_tenant conn (fun tenant ->
           admitted t ~tenant ~ops:(List.length keys)
@@ -262,12 +281,13 @@ let ensure_capacity conn need =
     conn.inbuf <- nb
   end
 
-(* Parse-and-execute every complete frame in the connection's input. *)
+(* Parse-and-execute every complete frame in the connection's input,
+   up to the first command that marks the connection close-after-flush. *)
 let drain_input t conn =
   let pos = ref 0 in
   let continue = ref true in
   (try
-     while !continue do
+     while !continue && not conn.close_after_flush do
        match Resp.parse_command conn.inbuf ~pos:!pos ~len:conn.in_len with
        | Some (args, pos') ->
          pos := pos';
@@ -275,12 +295,12 @@ let drain_input t conn =
            try execute t conn args
            with e -> err "ERR" (Printexc.to_string e)
          in
-         enqueue conn (Resp.encode_reply reply)
+         Resp.add_reply conn.out reply
        | None -> continue := false
      done
    with Resp.Malformed m ->
      t.protocol_errors <- t.protocol_errors + 1;
-     enqueue conn (Resp.encode_reply (err "ERR" ("protocol: " ^ m)));
+     Resp.add_reply conn.out (err "ERR" ("protocol: " ^ m));
      conn.close_after_flush <- true);
   if !pos > 0 then begin
     Bytes.blit conn.inbuf !pos conn.inbuf 0 (conn.in_len - !pos);
@@ -298,31 +318,35 @@ let handle_readable t conn =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> close_conn t conn
 
+(* A stream socket closed with unread input resets its peer, whose read
+   then fails instead of ending after the reply just flushed: drop what
+   a close-after-flush connection sent since, unparsed. Bounded, since a
+   peer can keep writing. *)
+let discard_input conn =
+  let rec go k =
+    if k > 0 then
+      match Unix.read conn.fd conn.inbuf 0 (Bytes.length conn.inbuf) with
+      | 0 -> ()
+      | _ -> go (k - 1)
+      | exception Unix.Unix_error _ -> ()
+  in
+  go 16
+
+(* One write call per writable step takes every pending byte the socket
+   accepts; whatever it leaves stays in the buffer for the next step. *)
 let handle_writable t conn =
-  let progress = ref true in
-  (try
-     while !progress && has_output conn do
-       if conn.out_head = "" then begin
-         conn.out_head <- Queue.pop conn.out;
-         conn.out_off <- 0
-       end;
-       let remaining = String.length conn.out_head - conn.out_off in
-       let n =
-         Unix.write_substring conn.fd conn.out_head conn.out_off remaining
-       in
-       t.bytes_out <- t.bytes_out + n;
-       conn.out_off <- conn.out_off + n;
-       if conn.out_off = String.length conn.out_head then begin
-         conn.out_head <- "";
-         conn.out_off <- 0
-       end;
-       if n < remaining then progress := false
-     done
-   with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | Unix.Unix_error _ -> close_conn t conn);
-  if Hashtbl.mem t.conns conn.fd && conn.close_after_flush && not (has_output conn) then
+  let out = conn.out in
+  t.writes <- t.writes + 1;
+  (match Unix.write conn.fd (Resp.out_bytes out) (Resp.out_pos out) (Resp.pending out) with
+  | n ->
+    t.bytes_out <- t.bytes_out + n;
+    Resp.consume out n
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | exception Unix.Unix_error _ -> close_conn t conn);
+  if Hashtbl.mem t.conns conn.fd && conn.close_after_flush && not (has_output conn) then begin
+    discard_input conn;
     close_conn t conn
+  end
 
 let accept_ready t =
   let continue = ref true in
@@ -336,9 +360,7 @@ let accept_ready t =
           fd;
           inbuf = Bytes.create read_chunk;
           in_len = 0;
-          out = Queue.create ();
-          out_head = "";
-          out_off = 0;
+          out = Resp.out_create ();
           tenant = None;
           close_after_flush = false;
         }
@@ -348,7 +370,7 @@ let accept_ready t =
   done
 
 let finish_drain t =
-  (* Step 2 of the drain: anything still queued is force-flushed best
+  (* Step 2 of the drain: anything still pending is force-flushed best
      effort by the writable handler above; what remains now just closes. *)
   Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.conns;
   Hashtbl.reset t.conns;
@@ -364,7 +386,8 @@ let step t ~timeout =
   else begin
     let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
     let rds =
-      (if t.draining then [] else [ t.listen_fd ]) @ List.map (fun c -> c.fd) conns
+      (if t.draining then [] else [ t.listen_fd ])
+      @ List.filter_map (fun c -> if c.close_after_flush then None else Some c.fd) conns
     in
     let wrs = List.filter_map (fun c -> if has_output c then Some c.fd else None) conns in
     let r, w, _ =

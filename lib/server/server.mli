@@ -3,8 +3,9 @@
 
     One event loop, no server-side threads: a [select]-driven reactor
     accepts connections, accumulates partial frames, and executes every
-    complete pipelined command in arrival order, appending replies to a
-    per-connection output queue. Concurrency lives below the loop —
+    complete pipelined command in arrival order, encoding replies into a
+    per-connection output buffer that one socket write per step drains.
+    Concurrency lives below the loop —
     cross-shard fan-out on the shard map's domain pool, per-shard
     background flush/compaction lanes — so the protocol layer stays
     sequentially consistent per connection while the engine work runs
@@ -24,11 +25,17 @@
       [Write_batch] per touched shard
     - [QUOTA tenant ops bytes] → set a tenant's per-window limits
       ([-] = unlimited)
-    - [STATS] → bulk text: per-shard debt/stall counters, op totals
+    - [STATS] → bulk text: per-shard debt/stall counters, op totals,
+      socket write calls
     - [FLUSH] → flush every shard's memtable
     - [SHUTDOWN] → [+OK], then graceful drain: stop accepting, flush
       every connection's pending replies, quiesce every shard's
-      background lane, and only then let the listener exit
+      background lane, and only then let the listener exit. Commands
+      pipelined behind [SHUTDOWN] on its connection are not executed.
+
+    A malformed frame gets one [-ERR protocol: ...] reply, after which
+    the connection is neither read nor parsed again and closes once the
+    reply is flushed.
 
     Error replies use a leading code word: [-ERR ...], [-NOTENANT ...],
     [-QUOTA_EXCEEDED ...], [-BADARG ...]. *)
@@ -43,13 +50,16 @@ type stats = {
   protocol_errors : int;  (** connections dropped for malformed frames *)
   bytes_in : int;
   bytes_out : int;
+  writes : int;  (** socket write calls: at most one per connection per {!step} *)
 }
 
 val create :
   ?quota:Quota.t -> ?backlog:int -> shards:Shard_map.t -> sock_path:string -> unit -> t
 (** Bind and listen on [sock_path] (an existing socket file is removed
     first), non-blocking. The shard map stays owned by the caller —
-    {!run} quiesces it on [SHUTDOWN] but never closes it. *)
+    {!run} quiesces it on [SHUTDOWN] but never closes it. Sets SIGPIPE
+    to ignored for the whole process, so a peer that hangs up costs
+    only its own connection. *)
 
 val step : t -> timeout:float -> bool
 (** One reactor round: wait up to [timeout] seconds for readiness, then

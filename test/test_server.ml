@@ -54,7 +54,93 @@ let test_resp_reply_roundtrip () =
         check_bool "roundtrip" true (got = r);
         check_int "consumed" (Bytes.length b) consumed
       | None -> Alcotest.fail "reply did not parse")
-    replies
+    replies;
+  (* Integers are written digit by digit; the extremes too. *)
+  List.iter
+    (fun n ->
+      check_str (string_of_int n) (":" ^ string_of_int n ^ "\r\n") (Resp.encode_reply (Resp.Int n)))
+    [ 0; 9; 10; -10; 1_000_000_007; max_int; min_int; min_int + 1 ]
+
+(* Replies appended into one reused output buffer, consumed from the
+   front in arbitrary cuts the way partial socket writes consume them,
+   are exactly the concatenated [encode_reply] bytes, and those bytes
+   parse back to the replies. *)
+let gen_line = QCheck.Gen.(string_size ~gen:(map Char.chr (32 -- 126)) (0 -- 12))
+
+let gen_bulk =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return "");
+        (8, string_size ~gen:char (0 -- 40));
+        (* Past the buffer's 64 KiB shrink threshold. *)
+        (1, string_size ~gen:char (return 70_000));
+      ])
+
+let gen_reply =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (2, map (fun s -> Resp.Simple s) gen_line);
+                 (2, map (fun s -> Resp.Error s) gen_line);
+                 ( 2,
+                   map
+                     (fun i -> Resp.Int i)
+                     (int_range (-Resp.max_bulk_len) Resp.max_bulk_len) );
+                 (3, map (fun s -> Resp.Bulk s) gen_bulk);
+                 (1, return Resp.Nil);
+               ]
+           in
+           if n <= 1 then leaf
+           else
+             frequency
+               [ (3, leaf); (1, map (fun rs -> Resp.Array rs) (list_size (0 -- 4) (self (n / 4)))) ]))
+
+let unsent o = Bytes.sub_string (Resp.out_bytes o) (Resp.out_pos o) (Resp.pending o)
+
+let decode_all s =
+  let b = Bytes.of_string s in
+  let rec go pos acc =
+    if pos = Bytes.length b then Some (List.rev acc)
+    else
+      match Resp.parse_reply b ~pos ~len:(Bytes.length b) with
+      | Some (r, pos') -> go pos' (r :: acc)
+      | None -> None
+  in
+  go 0 []
+
+let prop_reply_buffer =
+  let print batches =
+    String.concat " | "
+      (List.map
+         (fun (rs, cut) ->
+           let enc = String.escaped (String.concat "" (List.map Resp.encode_reply rs)) in
+           let enc = if String.length enc > 200 then String.sub enc 0 200 ^ "..." else enc in
+           Printf.sprintf "%s (cut %d)" enc cut)
+         batches)
+  in
+  QCheck.Test.make ~name:"resp: add_reply into one reused buffer = encode_reply bytes" ~count:200
+    (QCheck.make ~print QCheck.Gen.(list_size (1 -- 12) (pair (list_size (0 -- 8) gen_reply) nat)))
+    (fun batches ->
+      let o = Resp.out_create () in
+      let expect = ref "" in
+      List.for_all
+        (fun (replies, cut) ->
+          List.iter (Resp.add_reply o) replies;
+          let enc = String.concat "" (List.map Resp.encode_reply replies) in
+          expect := !expect ^ enc;
+          let same = unsent o = !expect in
+          let decoded = decode_all enc = Some replies in
+          (* A write takes [cut] bytes, or everything when that is more. *)
+          let k = min cut (Resp.pending o) in
+          Resp.consume o k;
+          expect := String.sub !expect k (String.length !expect - k);
+          let shrunk = Resp.pending o > 0 || Bytes.length (Resp.out_bytes o) <= 64 * 1024 in
+          same && decoded && shrunk)
+        batches)
 
 let test_resp_pipelined () =
   let s = Resp.encode_command [ "PING" ] ^ Resp.encode_command [ "GET"; "k" ] in
@@ -279,6 +365,126 @@ let test_server_quota_denial () =
     (rpc server c2 [ "PUT"; "k"; "v" ] = Resp.Simple "OK");
   check_int "denials counted" 3 (Server.stats server).Server.quota_denials
 
+(* ---------- the reply path ---------- *)
+
+(* One write of [s] (small enough for the socket to take whole),
+   without stepping the server. *)
+let write_now c s =
+  check_int "client write taken whole" (String.length s)
+    (Unix.write_substring c.fd s 0 (String.length s))
+
+(* Pump until [n] bytes have arrived on [c] (and take them), or until
+   the server closes it ([n = max_int]). *)
+let read_bytes ?(n = max_int) server c =
+  let b = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    if Buffer.length b >= n then Buffer.contents b
+    else begin
+      if Unix.gettimeofday () > deadline then Alcotest.fail "read timeout";
+      pump server ();
+      match Unix.read c.fd chunk 0 (min 4096 (n - Buffer.length b)) with
+      | 0 -> Buffer.contents b
+      | k ->
+        Buffer.add_subbytes b chunk 0 k;
+        go ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> go ()
+    end
+  in
+  go ()
+
+let with_server ~name f =
+  let map, server = open_server ~name ~shards:2 ~fanout:0 () in
+  Fun.protect ~finally:(fun () ->
+      Server.close server;
+      Shard_map.close_all map)
+  @@ fun () ->
+  let c = raw_connect (Server.sock_path server) in
+  Fun.protect ~finally:(fun () -> raw_close c) @@ fun () -> f map server c
+
+(* Send a malformed frame and step until the server has parsed it. *)
+let send_malformed server c =
+  write_now c "xyz\r\n";
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (Server.stats server).Server.protocol_errors = 0 do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "frame never parsed";
+    pump server ()
+  done
+
+(* A malformed frame earns one error reply; bytes sent after it are
+   neither parsed nor answered, and the connection then closes. *)
+let test_server_protocol_error () =
+  with_server ~name:"proto" @@ fun _ server c ->
+  send_malformed server c;
+  write_now c (Resp.encode_command [ "PING" ]);
+  check_str "one error line, then EOF" "-ERR protocol: expected array, got 'x'\r\n"
+    (read_bytes server c);
+  check_int "one protocol error" 1 (Server.stats server).Server.protocol_errors
+
+(* A client that sends a malformed frame and hangs up at once: the
+   error reply then meets a closed peer, which must cost that connection
+   only, not the server. *)
+let test_server_peer_hangs_up () =
+  with_server ~name:"hangup" @@ fun _ server c ->
+  send_malformed server c;
+  raw_close c;
+  for _ = 1 to 3 do
+    pump server ()
+  done;
+  let c2 = raw_connect (Server.sock_path server) in
+  Fun.protect ~finally:(fun () -> raw_close c2) @@ fun () ->
+  check_bool "server still answers" true (rpc server c2 [ "PING" ] = Resp.Simple "PONG");
+  check_int "only the new connection is open" 1 (Server.stats server).Server.active
+
+(* SHUTDOWN ends its connection's pipeline: a PUT written behind it in
+   the same write is neither applied nor acknowledged. *)
+let test_server_shutdown_ends_pipeline () =
+  with_server ~name:"shutdown-pipe" @@ fun map server c ->
+  check_bool "bind" true (rpc server c [ "TENANT"; "t" ] = Resp.Simple "OK");
+  write_now c (Resp.encode_command [ "SHUTDOWN" ] ^ Resp.encode_command [ "PUT"; "late"; "v" ]);
+  check_str "only SHUTDOWN acknowledged, then EOF" "+OK\r\n" (read_bytes server c);
+  let stored = Shard_map.encode_key ~tenant:"t" "late" in
+  Alcotest.(check (option string))
+    "late PUT not applied" None
+    (Db.get (Shard_map.db map (Shard_map.shard_of_key map stored)) stored);
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Server.step server ~timeout:0.0 do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "drain timeout"
+  done
+
+(* Sixteen pipelined commands in one client write: their replies leave
+   in one server write, byte for byte the encoded replies in order. *)
+let test_server_one_write_per_step () =
+  with_server ~name:"writes" @@ fun _ server c ->
+  check_bool "bind" true (rpc server c [ "TENANT"; "t" ] = Resp.Simple "OK");
+  let cmds, replies =
+    List.split
+      (List.init 16 (fun i ->
+           let k = Printf.sprintf "k%d" (i / 2) in
+           match i mod 4 with
+           | 0 -> ([ "PUT"; k; String.make i 'v' ], Resp.Simple "OK")
+           | 1 -> ([ "GET"; k ], Resp.Bulk (String.make (i - 1) 'v'))
+           | 2 -> ([ "GET"; "absent" ], Resp.Nil)
+           | _ -> ([ "MGET"; k; "absent" ], Resp.Array [ Resp.Nil; Resp.Nil ])))
+  in
+  let expected = String.concat "" (List.map Resp.encode_reply replies) in
+  let w0 = (Server.stats server).Server.writes in
+  write_now c (String.concat "" (List.map Resp.encode_command cmds));
+  check_str "reply bytes" expected (read_bytes ~n:(String.length expected) server c);
+  check_int "one server write" 1 ((Server.stats server).Server.writes - w0)
+
+(* A reply far larger than the socket's send buffer leaves over many
+   partial writes, resumed where each stopped, while the client reads
+   4 KiB a step. *)
+let test_server_large_reply () =
+  with_server ~name:"large" @@ fun _ server c ->
+  check_bool "bind" true (rpc server c [ "TENANT"; "t" ] = Resp.Simple "OK");
+  let big = String.init (1 lsl 20) (fun i -> Char.chr (((i * 7) + (i lsr 12)) land 255)) in
+  check_bool "put" true (rpc server c [ "PUT"; "big"; big ] = Resp.Simple "OK");
+  let w0 = (Server.stats server).Server.writes in
+  check_bool "value intact" true (rpc server c [ "GET"; "big" ] = Resp.Bulk big);
+  check_bool "several writes" true ((Server.stats server).Server.writes - w0 > 1)
+
 (* ---------- end-to-end: simulator against a live server ---------- *)
 
 (* One closed-loop run of [harness] ([sock_path] and [pump] are filled
@@ -391,4 +597,14 @@ let suite =
       test_e2e_fanout;
     Alcotest.test_case "server: e2e simulator, 240 connections over background shards" `Slow
       test_e2e_full_scale;
+    QCheck_alcotest.to_alcotest prop_reply_buffer;
+    Alcotest.test_case "server: protocol error answers once, then closes" `Quick
+      test_server_protocol_error;
+    Alcotest.test_case "server: a peer that hangs up costs only itself" `Quick
+      test_server_peer_hangs_up;
+    Alcotest.test_case "server: nothing runs behind SHUTDOWN" `Quick
+      test_server_shutdown_ends_pipeline;
+    Alcotest.test_case "server: 16 pipelined replies, one write" `Quick
+      test_server_one_write_per_step;
+    Alcotest.test_case "server: 1 MiB reply over partial writes" `Quick test_server_large_reply;
   ]

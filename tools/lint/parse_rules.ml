@@ -37,8 +37,10 @@
      R12 allocation-heavy idioms in the point-lookup hot modules (the
          per-record block decoder block.ml, the per-probe hashing
          and bloom filters, the write buffer's skiplist.ml and
-         memtable.ml, and the checksum paths crc32c.ml, sstable.ml and
-         framed_log.ml, which hash bytes in place):
+         memtable.ml, the checksum paths crc32c.ml, sstable.ml and
+         framed_log.ml, which hash bytes in place, and the server's
+         per-command path resp.ml and server.ml, which encode replies
+         in place):
          [String.sub ... ^ ...] (two copies per
          record — blit into a reusable arena), [String.concat] (a list
          plus a fresh string per record), [Bytes.to_string] inside a
@@ -78,9 +80,11 @@ let r7_exempt = [ "xor_filter.ml" ]
 let r8_exempt = [ "ordered_mutex.ml" ]
 
 (* Files on the per-record block decode and per-probe filter paths,
-   the write buffer every point lookup descends first, and the checksum
+   the write buffer every point lookup descends first, the checksum
    paths (the CRC kernel, the table meta CRC, the framed log), which
-   hash bytes where they lie; R12 applies here. *)
+   hash bytes where they lie, and the server's codec and reactor, which
+   run once per command and encode every reply into one buffer; R12
+   applies here. *)
 let r12_hot_modules =
   [
     "block.ml";
@@ -92,6 +96,8 @@ let r12_hot_modules =
     "crc32c.ml";
     "sstable.ml";
     "framed_log.ml";
+    "resp.ml";
+    "server.ml";
   ]
 
 (* ---------------- AST helpers ---------------- *)
