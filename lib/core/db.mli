@@ -24,7 +24,9 @@
     External operations: {!put}, {!get}, {!scan}, {!delete} (plus
     {!single_delete}, {!range_delete}, {!merge} — §2.1.2). Internal
     operations: {!flush} and compaction (automatic; {!compact_once} /
-    {!major_compact} force it). *)
+    {!major_compact} force it). A read captures its context and pins
+    its version here, then resolves its keys in {!Read_path}
+    (DESIGN.md §20). *)
 
 type t
 

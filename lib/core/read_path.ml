@@ -1,0 +1,308 @@
+module Comparator = Lsm_util.Comparator
+module Entry = Lsm_record.Entry
+module Iter = Lsm_record.Iter
+module Io_stats = Lsm_storage.Io_stats
+module Memtable = Lsm_memtable.Memtable
+module Sstable = Lsm_sstable.Sstable
+module Table_meta = Lsm_sstable.Table_meta
+module Table_cache = Lsm_sstable.Table_cache
+module Lsm_error = Lsm_util.Lsm_error
+
+type env = {
+  cmp : Comparator.t;
+  merge_operator : (string -> string option -> string list -> string) option;
+  tables : Table_cache.t;
+  fence : Table_meta.t -> unit;
+  table_failed : 'a. Table_meta.t -> exn -> 'a;
+}
+
+(* ------------------------------------------------------------------ *)
+(* Read view                                                           *)
+(* ------------------------------------------------------------------ *)
+
+type view = { version : Version.t; rds : Entry.t list; runs : Table_meta.t array array }
+
+let empty_view = { version = Version.empty; rds = []; runs = [||] }
+let view_version v = v.version
+
+let rds_of_files env files =
+  List.concat_map
+    (fun (f : Table_meta.t) ->
+      if f.range_tombstones = 0 then []
+      else
+        (Sstable.props (Table_cache.get env.tables f.file_name)).Sstable.Props.range_tombstones)
+    files
+
+let view_of env version =
+  let runs =
+    List.concat_map
+      (fun l ->
+        List.map (fun (r : Version.run) -> Array.of_list r.Version.files) (Version.level_runs version l))
+      (List.init Version.max_levels Fun.id)
+  in
+  { version; rds = rds_of_files env (Version.all_files version); runs = Array.of_list runs }
+
+(* ------------------------------------------------------------------ *)
+(* File selection                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The one file selection: binary search a run's files (sorted,
+   disjoint, so their max keys ascend too) for the first whose
+   [max_key >= lo]; [Array.length files] when there is none. *)
+let seek_run (cmp : Comparator.t) (files : Table_meta.t array) lo =
+  let l = ref 0 and h = ref (Array.length files) in
+  while !l < !h do
+    let mid = (!l + !h) / 2 in
+    if cmp.compare files.(mid).Table_meta.max_key lo < 0 then l := mid + 1 else h := mid
+  done;
+  !l
+
+let run_files cmp ?lo ~hi files =
+  let below_hi (f : Table_meta.t) =
+    match hi with None -> true | Some h -> cmp.Comparator.compare f.min_key h < 0
+  in
+  let rec from i =
+    if i < Array.length files && below_hi files.(i) then files.(i) :: from (i + 1) else []
+  in
+  from (match lo with None -> 0 | Some lo -> seek_run cmp files lo)
+
+let run_file (cmp : Comparator.t) files key =
+  let j = seek_run cmp files key in
+  if j < Array.length files && cmp.compare files.(j).Table_meta.min_key key <= 0 then j else -1
+
+(* ------------------------------------------------------------------ *)
+(* Point lookups                                                       *)
+(* ------------------------------------------------------------------ *)
+
+type ctx = {
+  snap : int;  (** highest visible seqno *)
+  active : Memtable.t;
+  immutables : Memtable.t list;  (** newest first *)
+  view : view;
+}
+
+let ctx ~snap ~active ~immutables view = { snap; active; immutables; view }
+
+(* Highest-seqno visible range tombstone covering [key]. Top-level
+   recursions, like the rest of the point-lookup path: a nested closure
+   would cost every get an allocation even with no tombstone
+   anywhere. *)
+let covers (cmp : Comparator.t) ~snap ~best key lo hi seqno =
+  seqno <= snap && seqno > best && cmp.compare lo key <= 0 && cmp.compare key hi < 0
+
+let rec entry_rd_seqno cmp ~snap key best = function
+  | [] -> best
+  | (e : Entry.t) :: rest ->
+    let best = if covers cmp ~snap ~best key e.key e.value e.seqno then e.seqno else best in
+    entry_rd_seqno cmp ~snap key best rest
+
+let rec buffer_rd_seqno cmp ~snap key best = function
+  | [] -> best
+  | mt :: rest ->
+    let best = entry_rd_seqno cmp ~snap key best (Memtable.range_tombstones mt) in
+    buffer_rd_seqno cmp ~snap key best rest
+
+let covering_rd_seqno cmp ctx key =
+  let snap = ctx.snap in
+  let best = entry_rd_seqno cmp ~snap key 0 (Memtable.range_tombstones ctx.active) in
+  entry_rd_seqno cmp ~snap key (buffer_rd_seqno cmp ~snap key best ctx.immutables) ctx.view.rds
+
+type tally = {
+  mutable probed : int;
+  mutable negatives : int;
+  mutable false_positives : int;
+}
+
+let tally () = { probed = 0; negatives = 0; false_positives = 0 }
+
+(* Newest visible point entry for [key] in table [f]. The filter is
+   probed exactly once: [Sstable.get_unfiltered] trusts this outcome
+   rather than hashing the key and probing again. *)
+let probe_table env (f : Table_meta.t) ~snap tally key =
+  (* [run_file] selected [f] by key range, so a quarantined hit means
+     the key lives in the fenced range. *)
+  env.fence f;
+  match
+    let reader = Table_cache.get env.tables f.Table_meta.file_name in
+    if not (Sstable.may_contain_key reader key) then begin
+      tally.negatives <- tally.negatives + 1;
+      None
+    end
+    else begin
+      tally.probed <- tally.probed + 1;
+      let found = Sstable.get_unfiltered reader ~cls:Io_stats.C_user_read ~max_seqno:snap key in
+      if Option.is_none found then tally.false_positives <- tally.false_positives + 1;
+      found
+    end
+  with
+  | found -> found
+  | exception ((Lsm_error.Error (Lsm_error.Corruption _) | Lsm_util.Codec.Corrupt _ | Not_found) as e)
+    ->
+    env.table_failed f e
+
+(* Probe disk runs [i..] in recency order, returning the newest visible
+   point entry. *)
+let rec probe_runs env (runs : Table_meta.t array array) i ~snap tally key =
+  if i >= Array.length runs then None
+  else
+    let files = runs.(i) in
+    let j = run_file env.cmp files key in
+    let found = if j < 0 then None else probe_table env files.(j) ~snap tally key in
+    if Option.is_some found then found else probe_runs env runs (i + 1) ~snap tally key
+
+(* The one visibility rule: [key]'s value as of ceiling [snap], given
+   [it] positioned at the key's versions, newest first, and [rd_seq],
+   the newest visible range tombstone covering the key. The first
+   visible point version at or below [rd_seq], or a put or point delete,
+   decides; merge operands on the way accumulate and fold over the base
+   with the merge operator (without one, the newest operand wins).
+   Stops at the deciding version, so [it] may still hold older versions
+   of [key]. *)
+let resolve_key env ~snap ~rd_seq key (it : Iter.t) =
+  let rec walk operands =
+    if not (it.Iter.valid ()) then finish operands None
+    else
+      let e = it.Iter.entry () in
+      if not (String.equal e.Entry.key key) then finish operands None
+      else if e.Entry.seqno > snap || e.Entry.kind = Entry.Range_delete then begin
+        it.Iter.next ();
+        walk operands
+      end
+      else if e.Entry.seqno <= rd_seq then finish operands None
+      else
+        match e.Entry.kind with
+        | Entry.Put -> finish operands (Some e.Entry.value)
+        | Entry.Delete | Entry.Single_delete | Entry.Range_delete -> finish operands None
+        | Entry.Merge ->
+          it.Iter.next ();
+          walk (e.Entry.value :: operands)
+  (* Consing along a newest-to-oldest walk leaves [operands]
+     oldest-first — the operator's expected order. *)
+  and finish operands base =
+    match (operands, env.merge_operator) with
+    | [], _ -> base
+    | oldest_first, Some f -> Some (f key base oldest_first)
+    | oldest_first, None -> Some (List.hd (List.rev oldest_first))
+  in
+  walk []
+
+(* Every table a read opens for iteration goes through here: the
+   quarantine fence, then the failure handler around [fn] — a decode
+   failure, or a referenced file that has vanished, quarantines the
+   table and surfaces as a typed error. The point probe calls the
+   handler from its own [match] instead, to spare a closure per
+   table. *)
+let with_table env (f : Table_meta.t) fn =
+  env.fence f;
+  try fn (Table_cache.get env.tables f.Table_meta.file_name) with
+  | (Lsm_error.Error (Lsm_error.Corruption _) | Lsm_util.Codec.Corrupt _ | Not_found) as e ->
+    env.table_failed f e
+
+let mem_iters ctx =
+  Memtable.iterator ctx.active :: List.map Memtable.iterator ctx.immutables
+
+(* A point read whose newest visible entry is a merge: every version of
+   [key] in the memtable stack and in the one file per run that may hold
+   it, merged newest first and resolved by {!resolve_key}. *)
+let resolve_merge_chain env ctx ~rd_seq key =
+  let table_sources =
+    Array.to_list ctx.view.runs
+    |> List.filter_map (fun files ->
+           match run_file env.cmp files key with
+           | -1 -> None
+           | j ->
+             Some
+               (with_table env files.(j) (fun reader ->
+                    Sstable.iterator reader ~cls:Io_stats.C_user_read ())))
+  in
+  let it = Iter.merge env.cmp (mem_iters ctx @ table_sources) in
+  it.Iter.seek key;
+  resolve_key env ~snap:ctx.snap ~rd_seq key it
+
+(* Newest visible entry of [key] in the immutable buffers, newest
+   first. *)
+let rec find_in_buffers buffers ~snap key =
+  match buffers with
+  | [] -> None
+  | mt :: older -> (
+    match Memtable.find mt ~max_seqno:snap key with
+    | Some _ as found -> found
+    | None -> find_in_buffers older ~snap key)
+
+let lookup env ctx tally key =
+  let snap = ctx.snap in
+  let rd_seq = covering_rd_seqno env.cmp ctx key in
+  let newest =
+    match Memtable.find ctx.active ~max_seqno:snap key with
+    | Some _ as found -> found
+    | None -> (
+      match find_in_buffers ctx.immutables ~snap key with
+      | Some _ as found -> found
+      | None -> probe_runs env ctx.view.runs 0 ~snap tally key)
+  in
+  match newest with
+  | Some e when e.Entry.seqno > rd_seq -> (
+    match e.Entry.kind with
+    | Entry.Put -> Some e.Entry.value
+    | Entry.Delete | Entry.Single_delete | Entry.Range_delete -> None
+    | Entry.Merge -> resolve_merge_chain env ctx ~rd_seq key)
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Scans                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Each run contributes the concatenation of its files that intersect
+   [lo, hi) and pass their range filter; a file the filter rules out
+   counts in [tally.negatives]. *)
+let run_source env tally ~lo ~hi files =
+  let iters =
+    List.filter_map
+      (fun f ->
+        with_table env f @@ fun reader ->
+        if Sstable.may_overlap_range reader ~lo ~hi then
+          Some (Sstable.iterator reader ~cls:Io_stats.C_user_read ())
+        else begin
+          tally.negatives <- tally.negatives + 1;
+          None
+        end)
+      (run_files env.cmp ~lo ~hi files)
+  in
+  match iters with [] -> [] | iters -> [ Iter.concat iters ]
+
+let fold env ctx tally ~limit ~lo ~hi ~init ~f =
+  let cmp = env.cmp and snap = ctx.snap in
+  let in_range key =
+    match hi with None -> true | Some h -> cmp.Comparator.compare key h < 0
+  in
+  (* The visible range tombstones overlapping [lo, hi), gathered once;
+     each key's covering seqno is then the point read's rule over them. *)
+  let rds =
+    List.filter
+      (fun (e : Entry.t) ->
+        e.seqno <= snap && cmp.Comparator.compare lo e.value < 0 && in_range e.key)
+      (List.concat_map Memtable.range_tombstones (ctx.active :: ctx.immutables)
+      @ ctx.view.rds)
+  in
+  let mem_sources = mem_iters ctx in
+  let table_sources =
+    List.concat_map (run_source env tally ~lo ~hi) (Array.to_list ctx.view.runs)
+  in
+  let it = Iter.merge cmp (mem_sources @ table_sources) in
+  it.Iter.seek lo;
+  let acc = ref init in
+  let count = ref 0 in
+  while it.Iter.valid () && !count < limit && in_range (it.Iter.entry ()).Entry.key do
+    let key = (it.Iter.entry ()).Entry.key in
+    let rd_seq = entry_rd_seqno cmp ~snap key 0 rds in
+    (match resolve_key env ~snap ~rd_seq key it with
+    | Some v ->
+      acc := f !acc key v;
+      incr count
+    | None -> ());
+    (* skip the versions older than the deciding one *)
+    while it.Iter.valid () && String.equal (it.Iter.entry ()).Entry.key key do
+      it.Iter.next ()
+    done
+  done;
+  !acc

@@ -133,27 +133,6 @@ let find_file t fid =
     t.levels;
   !result
 
-let files_of_run_overlapping ~cmp ~lo ~hi run =
-  List.filter
-    (fun (f : Table_meta.t) ->
-      let above_lo = cmp.Comparator.compare lo f.max_key <= 0 in
-      let below_hi =
-        match hi with None -> true | Some hi -> cmp.Comparator.compare f.min_key hi < 0
-      in
-      above_lo && below_hi)
-    run.files
-
-let runs_overlapping ~cmp ~lo ~hi t =
-  let out = ref [] in
-  for l = max_levels - 1 downto 0 do
-    List.iter
-      (fun r ->
-        if files_of_run_overlapping ~cmp ~lo ~hi r <> [] then out := (l, r) :: !out)
-      (* keep newest-first order within the level *)
-      (List.rev t.levels.(l))
-  done;
-  !out
-
 let check_invariants ~cmp t =
   let seen = Hashtbl.create 64 in
   let err = ref None in

@@ -60,16 +60,6 @@ val all_files : t -> Table_meta.t list
 val find_file : t -> int -> (int * int * Table_meta.t) option
 (** [find_file t id] = (level, group, meta). *)
 
-val runs_overlapping :
-  cmp:Lsm_util.Comparator.t -> lo:string -> hi:string option -> t ->
-  (int * run) list
-(** All (level, run) pairs possibly intersecting the key range, in probe
-    order (level asc, newest run first). [hi = None] = unbounded. *)
-
-val files_of_run_overlapping :
-  cmp:Lsm_util.Comparator.t -> lo:string -> hi:string option -> run ->
-  Table_meta.t list
-
 val check_invariants : cmp:Lsm_util.Comparator.t -> t -> (unit, string) result
 (** Structural soundness: runs internally non-overlapping and sorted;
     no duplicate file ids. Used by tests and the paranoid mode. *)

@@ -1,9 +1,11 @@
 (* Single-threaded RESP reactor over Unix-domain sockets.
 
    Shape: [select] for readiness; per-connection input bytes accumulate
-   until {!Resp.parse_command} yields complete frames; every complete
-   command executes immediately and its reply is encoded straight into
-   the connection's one output buffer ({!Resp.out}). When the socket is
+   in the connection's input buffer until {!Resp.next_command} yields
+   complete frames; every complete command executes immediately and its
+   reply is encoded straight into the connection's one output buffer.
+   Both are {!Resp.buf}s, so both drop a store grown past 64 KiB once
+   they drain. When the socket is
    writable, one [Unix.write] per step hands it every pending byte
    (pipelining: a client that wrote ten requests back-to-back gets ten
    replies in one write); a partial write leaves the rest, offset kept,
@@ -30,9 +32,8 @@ module Write_batch = Lsm_core.Write_batch
 
 type conn = {
   fd : Unix.file_descr;
-  mutable inbuf : Bytes.t;
-  mutable in_len : int;
-  out : Resp.out;  (** encoded replies awaiting the socket *)
+  inbuf : Resp.buf;  (** bytes read and not yet parsed *)
+  out : Resp.buf;  (** encoded replies awaiting the socket *)
   mutable tenant : string option;
   mutable close_after_flush : bool;
 }
@@ -46,6 +47,7 @@ type stats = {
   bytes_in : int;
   bytes_out : int;
   writes : int;
+  buffer_bytes : int;
 }
 
 type t = {
@@ -105,6 +107,8 @@ let stats t =
     bytes_in = t.bytes_in;
     bytes_out = t.bytes_out;
     writes = t.writes;
+    buffer_bytes =
+      Hashtbl.fold (fun _ c a -> a + Resp.capacity c.inbuf + Resp.capacity c.out) t.conns 0;
   }
 
 let has_output conn = Resp.pending conn.out > 0
@@ -177,8 +181,10 @@ let mget t ~tenant keys =
 
 let stats_text t =
   let b = Buffer.create 256 in
-  Printf.bprintf b "shards %d\ncommands %d\nconnections %d\nquota_denials %d\nwrites %d\n"
-    (Shard_map.count t.shards) t.commands (Hashtbl.length t.conns) t.quota_denials t.writes;
+  Printf.bprintf b
+    "shards %d\ncommands %d\nconnections %d\nquota_denials %d\nwrites %d\nbuffer_bytes %d\n"
+    (Shard_map.count t.shards) t.commands (Hashtbl.length t.conns) t.quota_denials t.writes
+    (stats t).buffer_bytes;
   Shard_map.iter t.shards (fun i db ->
       let s = Db.stats db in
       Printf.bprintf b
@@ -271,48 +277,30 @@ let execute t conn args =
 
 (* ---------------- reactor ---------------- *)
 
-let read_chunk = 16 * 1024
-
-let ensure_capacity conn need =
-  let cap = Bytes.length conn.inbuf in
-  if conn.in_len + need > cap then begin
-    let nb = Bytes.create (max (cap * 2) (conn.in_len + need)) in
-    Bytes.blit conn.inbuf 0 nb 0 conn.in_len;
-    conn.inbuf <- nb
-  end
-
 (* Parse-and-execute every complete frame in the connection's input,
    up to the first command that marks the connection close-after-flush. *)
 let drain_input t conn =
-  let pos = ref 0 in
   let continue = ref true in
-  (try
-     while !continue && not conn.close_after_flush do
-       match Resp.parse_command conn.inbuf ~pos:!pos ~len:conn.in_len with
-       | Some (args, pos') ->
-         pos := pos';
-         let reply =
-           try execute t conn args
-           with e -> err "ERR" (Printexc.to_string e)
-         in
-         Resp.add_reply conn.out reply
-       | None -> continue := false
-     done
-   with Resp.Malformed m ->
-     t.protocol_errors <- t.protocol_errors + 1;
-     Resp.add_reply conn.out (err "ERR" ("protocol: " ^ m));
-     conn.close_after_flush <- true);
-  if !pos > 0 then begin
-    Bytes.blit conn.inbuf !pos conn.inbuf 0 (conn.in_len - !pos);
-    conn.in_len <- conn.in_len - !pos
-  end
+  try
+    while !continue && not conn.close_after_flush do
+      match Resp.next_command conn.inbuf with
+      | Some args ->
+        let reply =
+          try execute t conn args
+          with e -> err "ERR" (Printexc.to_string e)
+        in
+        Resp.add_reply conn.out reply
+      | None -> continue := false
+    done
+  with Resp.Malformed m ->
+    t.protocol_errors <- t.protocol_errors + 1;
+    Resp.add_reply conn.out (err "ERR" ("protocol: " ^ m));
+    conn.close_after_flush <- true
 
 let handle_readable t conn =
-  ensure_capacity conn read_chunk;
-  match Unix.read conn.fd conn.inbuf conn.in_len read_chunk with
+  match Resp.fill conn.inbuf (Unix.read conn.fd) with
   | 0 -> close_conn t conn
   | n ->
-    conn.in_len <- conn.in_len + n;
     t.bytes_in <- t.bytes_in + n;
     drain_input t conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
@@ -323,21 +311,22 @@ let handle_readable t conn =
    a close-after-flush connection sent since, unparsed. Bounded, since a
    peer can keep writing. *)
 let discard_input conn =
-  let rec go k =
-    if k > 0 then
-      match Unix.read conn.fd conn.inbuf 0 (Bytes.length conn.inbuf) with
+  let rec go left =
+    Resp.consume conn.inbuf (Resp.pending conn.inbuf);
+    if left > 0 then
+      match Resp.fill conn.inbuf (Unix.read conn.fd) with
       | 0 -> ()
-      | _ -> go (k - 1)
+      | n -> go (left - n)
       | exception Unix.Unix_error _ -> ()
   in
-  go 16
+  go (256 * 1024)
 
 (* One write call per writable step takes every pending byte the socket
    accepts; whatever it leaves stays in the buffer for the next step. *)
 let handle_writable t conn =
   let out = conn.out in
   t.writes <- t.writes + 1;
-  (match Unix.write conn.fd (Resp.out_bytes out) (Resp.out_pos out) (Resp.pending out) with
+  (match Unix.write conn.fd (Resp.buf_bytes out) (Resp.buf_pos out) (Resp.pending out) with
   | n ->
     t.bytes_out <- t.bytes_out + n;
     Resp.consume out n
@@ -358,9 +347,8 @@ let accept_ready t =
       Hashtbl.replace t.conns fd
         {
           fd;
-          inbuf = Bytes.create read_chunk;
-          in_len = 0;
-          out = Resp.out_create ();
+          inbuf = Resp.buf_create ();
+          out = Resp.buf_create ();
           tenant = None;
           close_after_flush = false;
         }

@@ -26,7 +26,7 @@
     - [QUOTA tenant ops bytes] → set a tenant's per-window limits
       ([-] = unlimited)
     - [STATS] → bulk text: per-shard debt/stall counters, op totals,
-      socket write calls
+      socket write calls, connection buffer bytes
     - [FLUSH] → flush every shard's memtable
     - [SHUTDOWN] → [+OK], then graceful drain: stop accepting, flush
       every connection's pending replies, quiesce every shard's
@@ -51,6 +51,9 @@ type stats = {
   bytes_in : int;
   bytes_out : int;
   writes : int;  (** socket write calls: at most one per connection per {!step} *)
+  buffer_bytes : int;
+      (** bytes held by the input and output stores of open connections
+          (gauge) *)
 }
 
 val create :

@@ -1,6 +1,4 @@
-(* Minimal stand-in for the engine's pinned read view: canonicalizes to
-   Db.read_ctx / Db.with_pin, which is what the escape pass keys on. *)
-type read_ctx = { snap : int }
-
-let capture () = { snap = 0 }
+(* Minimal stand-in for the engine's capture and pin combinator:
+   canonicalizes to Db.with_pin, which the escape pass keys on. *)
+let capture () = { Read_path.snap = 0 }
 let with_pin f = f ()

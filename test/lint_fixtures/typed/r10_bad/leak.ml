@@ -1,7 +1,7 @@
 (* The three escape shapes R10 must catch. *)
 
 (* 1: pinned value stored into module-level mutable state. *)
-let last_ctx : Db.read_ctx option ref = ref None
+let last_ctx : Read_path.ctx option ref = ref None
 
 let stash () =
   Db.with_pin (fun () ->
@@ -13,7 +13,7 @@ let stash () =
 let bad_defer () =
   Db.with_pin (fun () ->
       let ctx = Db.capture () in
-      Scheduler.submit (fun () -> ignore ctx.Db.snap);
+      Scheduler.submit (fun () -> ignore ctx.Read_path.snap);
       1)
 
 (* 3: the pinned value itself returned past with_pin. *)

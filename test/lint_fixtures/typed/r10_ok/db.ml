@@ -1,4 +1,2 @@
-type read_ctx = { snap : int }
-
-let capture () = { snap = 0 }
+let capture () = { Read_path.snap = 0 }
 let with_pin f = f ()

@@ -688,6 +688,76 @@ let qt t =
   let name, _speed, fn = QCheck_alcotest.to_alcotest t in
   (name, `Quick, fn)
 
+(* ---------- scans through a range filter ---------- *)
+
+module SMap = Map.Make (String)
+
+(* A tiered store whose runs each hold a third of the groups, scanned
+   over short ranges inside one 4-byte prefix ("g012"): a file whose key
+   range spans the scan but whose prefix filter lacks the group is
+   skipped without being opened. Even groups exist, odd groups never
+   did. The skip and page counts are exact: the store is built inline,
+   single-threaded, so every count is deterministic. *)
+let test_scan_range_filter () =
+  let config =
+    {
+      (small_config ~compaction:(Policy.tiered ~size_ratio:4 ()) ()) with
+      Config.range_filter = Lsm_filter.Range_filter.Prefix { prefix_len = 4; bits_per_key = 10.0 };
+      block_cache_bytes = 16 * 1024;
+      compaction_backend = Config.Inline;
+      compaction_parallelism = 1;
+    }
+  in
+  let _, db = fresh ~config () in
+  let model = ref SMap.empty in
+  let gkey g i = Printf.sprintf "g%03d-%04d" g i in
+  for round = 0 to 5 do
+    for g = 0 to 49 do
+      if g mod 3 = round mod 3 then
+        for i = 0 to 19 do
+          let k = gkey (2 * g) i in
+          if round >= 3 && i mod 7 = 0 then begin
+            Db.delete db k;
+            model := SMap.remove k !model
+          end
+          else begin
+            let v = Printf.sprintf "r%d-%s" round k in
+            Db.put db ~key:k v;
+            model := SMap.add k v !model
+          end
+        done
+    done;
+    Db.flush db
+  done;
+  let runs =
+    List.fold_left (fun a l -> a + Version.run_count (Db.version db) l) 0
+      (List.init Version.max_levels Fun.id)
+  in
+  check (Printf.sprintf "multi-run store (%d runs)" runs) true (runs > 1);
+  let expect ~lo ~hi =
+    SMap.bindings (SMap.filter (fun k _ -> String.compare lo k <= 0 && String.compare k hi < 0) !model)
+  in
+  let skips0 = (Db.stats db).Stats.range_filter_skips in
+  let pages0 = Io_stats.pages_read ~cls:Io_stats.C_user_read (Db.io_stats db) in
+  let scans = ref 0 and found = ref 0 in
+  let scan ~lo ~hi =
+    let got = Db.scan db ~lo ~hi:(Some hi) () in
+    incr scans;
+    found := !found + List.length got;
+    if got <> expect ~lo ~hi then Alcotest.failf "scan [%s, %s) disagrees with the model" lo hi
+  in
+  for g = 0 to 99 do
+    (* the whole group, then a few keys inside it *)
+    scan ~lo:(Printf.sprintf "g%03d-" g) ~hi:(Printf.sprintf "g%03d." g);
+    scan ~lo:(gkey g 3) ~hi:(gkey g 9)
+  done;
+  check_int "scans" 200 !scans;
+  check "present ranges found keys" true (!found > 0);
+  check_int "range_filter_skips" 398 ((Db.stats db).Stats.range_filter_skips - skips0);
+  check_int "user pages read" 39
+    (Io_stats.pages_read ~cls:Io_stats.C_user_read (Db.io_stats db) - pages0);
+  Db.close db
+
 (* ---------- allocation ceiling of a cached point lookup ---------- *)
 
 (* Minor words one [Db.get] allocates on a warmed store (DESIGN.md
@@ -791,6 +861,7 @@ let suite =
     ("stats accounting", `Quick, test_stats_accounting);
     ("write amp reported", `Quick, test_write_amp_reported);
     ("filters cut probes", `Quick, test_filters_cut_probes);
+    ("scan through a prefix range filter", `Quick, test_scan_range_filter);
     ("paranoid invariants hold", `Quick, test_paranoid_invariants_hold);
     ("space amp shrinks with compaction", `Quick, test_space_amp_shrinks_with_compaction);
   ]

@@ -303,6 +303,70 @@ let prop_merge_filter_preserves_visibility =
           List.for_all (fun k -> visible_at snap entries k = visible_at snap out k) keys)
         views)
 
+(* ---------- the read path's one file selection ---------- *)
+
+(* Oracles for [Read_path.run_files] / [Read_path.run_file]: a linear
+   filter over the run (the scan's former file selection), and the
+   point lookup's former binary search for the last file whose
+   [min_key <= key]. *)
+let linear_run_files ?lo ~hi files =
+  List.filter
+    (fun (f : Table_meta.t) ->
+      (match lo with None -> true | Some lo -> String.compare lo f.max_key <= 0)
+      && match hi with None -> true | Some hi -> String.compare f.min_key hi < 0)
+    (Array.to_list files)
+
+let find_file_in_run (files : Table_meta.t array) key =
+  let n = Array.length files in
+  if n = 0 || String.compare files.(0).Table_meta.min_key key > 0 then -1
+  else begin
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if String.compare files.(mid).Table_meta.min_key key <= 0 then lo := mid else hi := mid - 1
+    done;
+    if String.compare key files.(!lo).Table_meta.max_key <= 0 then !lo else -1
+  end
+
+let pkey i = Printf.sprintf "k%04d" i
+
+(* A run from sorted distinct points: consecutive pairs are one file's
+   [min_key, max_key]; an odd point out is a one-key file. *)
+let run_of_points points =
+  let rec files id = function
+    | a :: b :: rest -> meta id (pkey a) (pkey b) :: files (id + 1) rest
+    | [ a ] -> [ meta id (pkey a) (pkey a) ]
+    | [] -> []
+  in
+  Array.of_list (files 0 (List.sort_uniq compare points))
+
+let prop_one_file_selection =
+  QCheck.Test.make ~name:"one file selection = linear filter and point search" ~count:500
+    QCheck.(
+      triple
+        (list_of_size Gen.(0 -- 24) (int_bound 60))
+        (int_range (-1) 62)
+        (pair (int_range (-1) 62) (int_bound 3)))
+    (fun (points, lo, (hi, hi_kind)) ->
+      let files = run_of_points points in
+      let lo = pkey lo in
+      let hi =
+        match hi_kind with
+        | 0 -> None
+        | 1 -> Some (lo ^ "\x00") (* the single key [lo] *)
+        | _ -> Some (pkey hi)
+      in
+      let ids = List.map (fun (f : Table_meta.t) -> f.file_id) in
+      let same a b = ids a = ids b in
+      same (Read_path.run_files cmp ~lo ~hi files) (linear_run_files ~lo ~hi files)
+      && same (Read_path.run_files cmp ~hi files) (linear_run_files ~hi files)
+      && List.for_all
+           (fun i ->
+             let k = pkey i in
+             Read_path.run_file cmp files k = find_file_in_run files k
+             && Read_path.run_file cmp files (k ^ "\x00") = find_file_in_run files (k ^ "\x00"))
+           (List.init 64 (fun i -> i - 1)))
+
 let qt t =
   let name, _speed, fn = QCheck_alcotest.to_alcotest t in
   (name, `Quick, fn)
@@ -334,4 +398,5 @@ let suite =
     ("manifest missing = empty", `Quick, test_manifest_missing_is_empty);
     ("manifest torn tail ignored", `Quick, test_manifest_torn_tail_ignored);
     qt prop_merge_filter_preserves_visibility;
+    qt prop_one_file_selection;
   ]

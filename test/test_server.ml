@@ -99,7 +99,7 @@ let gen_reply =
              frequency
                [ (3, leaf); (1, map (fun rs -> Resp.Array rs) (list_size (0 -- 4) (self (n / 4)))) ]))
 
-let unsent o = Bytes.sub_string (Resp.out_bytes o) (Resp.out_pos o) (Resp.pending o)
+let unsent o = Bytes.sub_string (Resp.buf_bytes o) (Resp.buf_pos o) (Resp.pending o)
 
 let decode_all s =
   let b = Bytes.of_string s in
@@ -125,7 +125,7 @@ let prop_reply_buffer =
   QCheck.Test.make ~name:"resp: add_reply into one reused buffer = encode_reply bytes" ~count:200
     (QCheck.make ~print QCheck.Gen.(list_size (1 -- 12) (pair (list_size (0 -- 8) gen_reply) nat)))
     (fun batches ->
-      let o = Resp.out_create () in
+      let o = Resp.buf_create () in
       let expect = ref "" in
       List.for_all
         (fun (replies, cut) ->
@@ -138,7 +138,7 @@ let prop_reply_buffer =
           let k = min cut (Resp.pending o) in
           Resp.consume o k;
           expect := String.sub !expect k (String.length !expect - k);
-          let shrunk = Resp.pending o > 0 || Bytes.length (Resp.out_bytes o) <= 64 * 1024 in
+          let shrunk = Resp.pending o > 0 || Bytes.length (Resp.buf_bytes o) <= 64 * 1024 in
           same && decoded && shrunk)
         batches)
 
@@ -485,6 +485,19 @@ let test_server_large_reply () =
   check_bool "value intact" true (rpc server c [ "GET"; "big" ] = Resp.Bulk big);
   check_bool "several writes" true ((Server.stats server).Server.writes - w0 > 1)
 
+(* A connection's input store grows to hold a 1 MiB request and drops
+   back to its default size once the request is parsed, as its output
+   store does after a large reply: after a later PING the connection
+   holds what it held after its first one. *)
+let test_server_input_store_shrinks () =
+  with_server ~name:"instore" @@ fun _ server c ->
+  check_bool "ping" true (rpc server c [ "PING" ] = Resp.Simple "PONG");
+  let idle = (Server.stats server).Server.buffer_bytes in
+  check_bool "bind" true (rpc server c [ "TENANT"; "t" ] = Resp.Simple "OK");
+  check_bool "put" true (rpc server c [ "PUT"; "big"; String.make (1 lsl 20) 'v' ] = Resp.Simple "OK");
+  check_bool "ping" true (rpc server c [ "PING" ] = Resp.Simple "PONG");
+  check_int "buffer bytes back at the default" idle (Server.stats server).Server.buffer_bytes
+
 (* ---------- end-to-end: simulator against a live server ---------- *)
 
 (* One closed-loop run of [harness] ([sock_path] and [pump] are filled
@@ -607,4 +620,6 @@ let suite =
     Alcotest.test_case "server: 16 pipelined replies, one write" `Quick
       test_server_one_write_per_step;
     Alcotest.test_case "server: 1 MiB reply over partial writes" `Quick test_server_large_reply;
+    Alcotest.test_case "server: input store shrinks after a 1 MiB request" `Quick
+      test_server_input_store_shrinks;
   ]

@@ -1,6 +1,6 @@
 (* R10: iterator / read-view escape analysis over the Typedtree.
 
-   A [Db.read_ctx], a [Version.Pins.pin], and any [Iter.t] built from a
+   A [Read_path.ctx], a [Version.Pins.pin], and any [Iter.t] built from a
    pinned version are valid only inside the [with_pin]-style combinator
    that took the pin: once the pin is released, compaction may delete
    the tables those values point into. Scope-based lifetimes are not
@@ -23,7 +23,7 @@
 
 open Typedtree
 
-let pinned = [ "Db.read_ctx"; "Version.Pins.pin"; "Iter.t" ]
+let pinned = [ "Read_path.ctx"; "Version.Pins.pin"; "Iter.t" ]
 
 let deferral_keys =
   [
@@ -144,7 +144,7 @@ let analyze_module (info : Cmts.info) : Finding.t list =
               add ~line:(line_of e)
                 (Printf.sprintf
                    "pinned value (%s) stored into module-level state via %s — it outlives its pin"
-                   "iterator/read_ctx/pin" prim)
+                   "iterator/read context/pin" prim)
             | _ -> ())
         store_prims;
       if List.mem key deferral_keys then

@@ -80,7 +80,8 @@ let r7_exempt = [ "xor_filter.ml" ]
 let r8_exempt = [ "ordered_mutex.ml" ]
 
 (* Files on the per-record block decode and per-probe filter paths,
-   the write buffer every point lookup descends first, the checksum
+   the write buffer every point lookup descends first, the read path
+   that walks the buffers and probes each run's one file, the checksum
    paths (the CRC kernel, the table meta CRC, the framed log), which
    hash bytes where they lie, and the server's codec and reactor, which
    run once per command and encode every reply into one buffer; R12
@@ -93,6 +94,7 @@ let r12_hot_modules =
     "blocked_bloom.ml";
     "skiplist.ml";
     "memtable.ml";
+    "read_path.ml";
     "crc32c.ml";
     "sstable.ml";
     "framed_log.ml";
