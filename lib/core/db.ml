@@ -419,10 +419,6 @@ let plan t =
   Planner.next t.cfg t.vers ~now:(Atomic.get t.clock)
     ~cursor:(Hashtbl.find_opt t.rr_cursors) ~reach:(reach t)
 
-let file_iter t ~cls ?(use_cache = false) (f : Table_meta.t) =
-  let reader = Table_cache.get t.tables f.file_name in
-  Sstable.iterator reader ~cls ~use_cache ()
-
 (* Concurrent readers may still hold a version referencing these files;
    deletion waits for the last pin predating this install. *)
 let retire_files t files =
@@ -437,34 +433,10 @@ let retire_files t files =
 
 (* ---------------- subcompactions ---------------- *)
 
-(* Clamp a run to the key range [lo, hi) (either bound may be open).
-   Files wholly outside the range are skipped via their fence pointers;
-   the iterator seeks to [lo] and stops at the first key >= [hi]. *)
-let clamped_run_iter t ~cls ?(use_cache = false) ~lo ~hi (r : Version.run) =
-  let cmp = (cmp_of t).Comparator.compare in
-  let files = Read_path.run_files (cmp_of t) ?lo ~hi (Array.of_list r.Version.files) in
-  let it =
-    match files with
-    | [ f ] -> file_iter t ~cls ~use_cache f
-    | files -> Iter.concat (List.map (file_iter t ~cls ~use_cache) files)
-  in
-  let below_hi () =
-    match hi with None -> true | Some h -> cmp (it.Iter.entry ()).Entry.key h < 0
-  in
-  {
-    Iter.valid = (fun () -> it.Iter.valid () && below_hi ());
-    entry = (fun () -> it.Iter.entry ());
-    next = it.Iter.next;
-    seek = it.Iter.seek;
-    seek_to_first =
-      (fun () ->
-        match lo with None -> it.Iter.seek_to_first () | Some l -> it.Iter.seek l);
-  }
-
 (* Cut the inputs' key space into at most [k] consecutive ranges at
    fence-pointer boundaries (file min-keys), weighted by file size so the
    ranges carry roughly equal bytes. Because a boundary is a user key and
-   each clamped iterator covers [lo, hi), every version of a user key
+   each run iterator covers [lo, hi), every version of a user key
    falls in exactly one range — the per-key GC of [Merge_filter] sees
    the same version stream as a serial merge, so the concatenated outputs
    are entry-for-entry identical to the serial output. Fully-overlapping
@@ -623,11 +595,21 @@ let merge_execute t (p : merge_plan) =
       partition_ranges t ~input_files ~k:(min (Domain_pool.size pool) k_bytes)
     | _ -> [ (None, None) ]
   in
+  (* A compaction input reads through no quarantine fence: a failure
+     fails the merge. *)
+  let open_file (f : Table_meta.t) =
+    Some
+      (Sstable.iterator
+         (Table_cache.get t.tables f.file_name)
+         ~cls:Io_stats.C_compaction_read ~use_cache:warmed ())
+  in
   let merge_range (lo, hi) =
     let merged =
       Iter.merge (cmp_of t)
         (List.map
-           (clamped_run_iter t ~cls:Io_stats.C_compaction_read ~use_cache:warmed ~lo ~hi)
+           (fun (r : Version.run) ->
+             Read_path.run_iter (cmp_of t) ~open_file ~failed:(fun _ e -> raise e) ~lo ~hi
+               (Array.of_list r.Version.files))
            input_runs)
     in
     let filtered =

@@ -57,15 +57,6 @@ let seek_run (cmp : Comparator.t) (files : Table_meta.t array) lo =
   done;
   !l
 
-let run_files cmp ?lo ~hi files =
-  let below_hi (f : Table_meta.t) =
-    match hi with None -> true | Some h -> cmp.Comparator.compare f.min_key h < 0
-  in
-  let rec from i =
-    if i < Array.length files && below_hi files.(i) then files.(i) :: from (i + 1) else []
-  in
-  from (match lo with None -> 0 | Some lo -> seek_run cmp files lo)
-
 let run_file (cmp : Comparator.t) files key =
   let j = seek_run cmp files key in
   if j < Array.length files && cmp.compare files.(j).Table_meta.min_key key <= 0 then j else -1
@@ -115,6 +106,12 @@ type tally = {
 
 let tally () = { probed = 0; negatives = 0; false_positives = 0 }
 
+(* What a table read fails with: a decode failure, or [Not_found] for
+   a referenced file that has vanished. *)
+let table_failure = function
+  | Lsm_error.Error (Lsm_error.Corruption _) | Lsm_util.Codec.Corrupt _ | Not_found -> true
+  | _ -> false
+
 (* Newest visible point entry for [key] in table [f]. The filter is
    probed exactly once: [Sstable.get_unfiltered] trusts this outcome
    rather than hashing the key and probing again. *)
@@ -136,9 +133,7 @@ let probe_table env (f : Table_meta.t) ~snap tally key =
     end
   with
   | found -> found
-  | exception ((Lsm_error.Error (Lsm_error.Corruption _) | Lsm_util.Codec.Corrupt _ | Not_found) as e)
-    ->
-    env.table_failed f e
+  | exception e when table_failure e -> env.table_failed f e
 
 (* Probe disk runs [i..] in recency order, returning the newest visible
    point entry. *)
@@ -157,34 +152,33 @@ let rec probe_runs env (runs : Table_meta.t array array) i ~snap tally key =
    decides; merge operands on the way accumulate and fold over the base
    with the merge operator (without one, the newest operand wins).
    Stops at the deciding version, so [it] may still hold older versions
-   of [key]. *)
-let resolve_key env ~snap ~rd_seq key (it : Iter.t) =
-  let rec walk operands =
-    if not (it.Iter.valid ()) then finish operands None
+   of [key]. A top-level recursion, so a scan allocates no closure per
+   row. *)
+let rec resolve_key env ~snap ~rd_seq key (it : Iter.t) operands =
+  if not (it.Iter.valid ()) then resolved env key operands None
+  else
+    let e = it.Iter.entry () in
+    if not (String.equal e.Entry.key key) then resolved env key operands None
+    else if e.Entry.seqno > snap || e.Entry.kind = Entry.Range_delete then begin
+      it.Iter.next ();
+      resolve_key env ~snap ~rd_seq key it operands
+    end
+    else if e.Entry.seqno <= rd_seq then resolved env key operands None
     else
-      let e = it.Iter.entry () in
-      if not (String.equal e.Entry.key key) then finish operands None
-      else if e.Entry.seqno > snap || e.Entry.kind = Entry.Range_delete then begin
+      match e.Entry.kind with
+      | Entry.Put -> resolved env key operands (Some e.Entry.value)
+      | Entry.Delete | Entry.Single_delete | Entry.Range_delete -> resolved env key operands None
+      | Entry.Merge ->
         it.Iter.next ();
-        walk operands
-      end
-      else if e.Entry.seqno <= rd_seq then finish operands None
-      else
-        match e.Entry.kind with
-        | Entry.Put -> finish operands (Some e.Entry.value)
-        | Entry.Delete | Entry.Single_delete | Entry.Range_delete -> finish operands None
-        | Entry.Merge ->
-          it.Iter.next ();
-          walk (e.Entry.value :: operands)
-  (* Consing along a newest-to-oldest walk leaves [operands]
-     oldest-first — the operator's expected order. *)
-  and finish operands base =
-    match (operands, env.merge_operator) with
-    | [], _ -> base
-    | oldest_first, Some f -> Some (f key base oldest_first)
-    | oldest_first, None -> Some (List.hd (List.rev oldest_first))
-  in
-  walk []
+        resolve_key env ~snap ~rd_seq key it (e.Entry.value :: operands)
+
+(* Consing along a newest-to-oldest walk leaves [operands] oldest-first
+   — the operator's expected order. *)
+and resolved env key operands base =
+  match (operands, env.merge_operator) with
+  | [], _ -> base
+  | oldest_first, Some f -> Some (f key base oldest_first)
+  | oldest_first, None -> Some (List.hd (List.rev oldest_first))
 
 (* Every table a read opens for iteration goes through here: the
    quarantine fence, then the failure handler around [fn] — a decode
@@ -194,9 +188,8 @@ let resolve_key env ~snap ~rd_seq key (it : Iter.t) =
    table. *)
 let with_table env (f : Table_meta.t) fn =
   env.fence f;
-  try fn (Table_cache.get env.tables f.Table_meta.file_name) with
-  | (Lsm_error.Error (Lsm_error.Corruption _) | Lsm_util.Codec.Corrupt _ | Not_found) as e ->
-    env.table_failed f e
+  try fn (Table_cache.get env.tables f.Table_meta.file_name)
+  with e when table_failure e -> env.table_failed f e
 
 let mem_iters ctx =
   Memtable.iterator ctx.active :: List.map Memtable.iterator ctx.immutables
@@ -217,7 +210,7 @@ let resolve_merge_chain env ctx ~rd_seq key =
   in
   let it = Iter.merge env.cmp (mem_iters ctx @ table_sources) in
   it.Iter.seek key;
-  resolve_key env ~snap:ctx.snap ~rd_seq key it
+  resolve_key env ~snap:ctx.snap ~rd_seq key it []
 
 (* Newest visible entry of [key] in the immutable buffers, newest
    first. *)
@@ -252,23 +245,99 @@ let lookup env ctx tally key =
 (* Scans                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Each run contributes the concatenation of its files that intersect
-   [lo, hi) and pass their range filter; a file the filter rules out
-   counts in [tally.negatives]. *)
-let run_source env tally ~lo ~hi files =
-  let iters =
-    List.filter_map
-      (fun f ->
-        with_table env f @@ fun reader ->
-        if Sstable.may_overlap_range reader ~lo ~hi then
-          Some (Sstable.iterator reader ~cls:Io_stats.C_user_read ())
-        else begin
-          tally.negatives <- tally.negatives + 1;
-          None
-        end)
-      (run_files env.cmp ~lo ~hi files)
+(* One sorted run as one iterator over [\[lo, hi)] (an absent bound is
+   open). A file is opened only when the merge reaches it: a seek opens
+   the one file {!seek_run} selects, and stepping off a file's end opens
+   the next, unless its [min_key >= hi]. [open_file] returns a file's
+   unpositioned iterator, or [None] to pass over the file; a failure
+   positioning or stepping a file goes to [failed], which raises. The
+   bound costs one compare per step. *)
+type run = {
+  rcmp : Comparator.t;
+  files : Table_meta.t array;
+  lo : string option;
+  hi : string option;
+  open_file : Table_meta.t -> Iter.t option;
+  failed : Table_meta.t -> exn -> unit;
+  mutable idx : int;  (** the open file; [Array.length files] once exhausted *)
+  mutable cur : Iter.t;
+  mutable live : bool;  (** on an entry below [hi] *)
+}
+
+let below_hi r key =
+  match r.hi with None -> true | Some h -> r.rcmp.Comparator.compare key h < 0
+
+(* Position the open file's iterator: at [target], or at its first
+   entry. *)
+let position (it : Iter.t) = function None -> it.Iter.seek_to_first () | Some t -> it.Iter.seek t
+
+(* Open files from [j] on until one yields an entry (at or after
+   [target] in file [j]); the run ends at a file starting at or past
+   [hi]. *)
+let rec open_from r j target =
+  if j >= Array.length r.files || not (below_hi r r.files.(j).Table_meta.min_key) then begin
+    r.idx <- Array.length r.files;
+    r.live <- false
+  end
+  else begin
+    let f = r.files.(j) in
+    r.idx <- j;
+    match r.open_file f with
+    | None -> open_from r (j + 1) None
+    | Some it -> (
+      r.cur <- it;
+      match position it target with
+      | () -> settle r
+      | exception e when table_failure e -> r.failed f e)
+  end
+
+and settle r =
+  if r.cur.Iter.valid () then r.live <- below_hi r (r.cur.Iter.entry ()).Entry.key
+  else open_from r (r.idx + 1) None
+
+let run_next r =
+  if r.live then begin
+    match r.cur.Iter.next () with
+    | () -> settle r
+    | exception e when table_failure e -> r.failed r.files.(r.idx) e
+  end
+
+let run_seek r target =
+  let target =
+    match r.lo with Some lo when r.rcmp.Comparator.compare lo target > 0 -> lo | _ -> target
   in
-  match iters with [] -> [] | iters -> [ Iter.concat iters ]
+  open_from r (seek_run r.rcmp r.files target) (Some target)
+
+let run_iter cmp ~open_file ~failed ~lo ~hi files =
+  let r =
+    { rcmp = cmp; files; lo; hi; open_file; failed; idx = 0; cur = Iter.empty; live = false }
+  in
+  {
+    Iter.valid = (fun () -> r.live);
+    entry = (fun () -> r.cur.Iter.entry ());
+    next = (fun () -> run_next r);
+    seek = (fun target -> run_seek r target);
+    seek_to_first =
+      (fun () -> match lo with None -> open_from r 0 None | Some lo -> run_seek r lo);
+  }
+
+(* A scan opens a file through the quarantine fence and passes over one
+   its range filter rules out, counting it in [tally.negatives]. *)
+let scan_open env tally ~lo ~hi f =
+  with_table env f @@ fun reader ->
+  if Sstable.may_overlap_range reader ~lo ~hi then
+    Some (Sstable.iterator reader ~cls:Io_stats.C_user_read ())
+  else begin
+    tally.negatives <- tally.negatives + 1;
+    None
+  end
+
+(* Step past the versions of [key] older than the deciding one. *)
+let rec skip_key (it : Iter.t) key =
+  if it.Iter.valid () && String.equal (it.Iter.entry ()).Entry.key key then begin
+    it.Iter.next ();
+    skip_key it key
+  end
 
 let fold env ctx tally ~limit ~lo ~hi ~init ~f =
   let cmp = env.cmp and snap = ctx.snap in
@@ -284,25 +353,32 @@ let fold env ctx tally ~limit ~lo ~hi ~init ~f =
       (List.concat_map Memtable.range_tombstones (ctx.active :: ctx.immutables)
       @ ctx.view.rds)
   in
-  let mem_sources = mem_iters ctx in
+  let open_file = scan_open env tally ~lo ~hi and lo_bound = Some lo in
   let table_sources =
-    List.concat_map (run_source env tally ~lo ~hi) (Array.to_list ctx.view.runs)
+    Array.fold_right
+      (fun files acc ->
+        run_iter cmp ~open_file ~failed:env.table_failed ~lo:lo_bound ~hi files :: acc)
+      ctx.view.runs []
   in
-  let it = Iter.merge cmp (mem_sources @ table_sources) in
+  let it = Iter.merge cmp (mem_iters ctx @ table_sources) in
   it.Iter.seek lo;
-  let acc = ref init in
-  let count = ref 0 in
-  while it.Iter.valid () && !count < limit && in_range (it.Iter.entry ()).Entry.key do
-    let key = (it.Iter.entry ()).Entry.key in
-    let rd_seq = entry_rd_seqno cmp ~snap key 0 rds in
-    (match resolve_key env ~snap ~rd_seq key it with
-    | Some v ->
-      acc := f !acc key v;
-      incr count
-    | None -> ());
-    (* skip the versions older than the deciding one *)
-    while it.Iter.valid () && String.equal (it.Iter.entry ()).Entry.key key do
-      it.Iter.next ()
-    done
-  done;
-  !acc
+  (* One head fetch per row; each row steps past its older versions
+     before the limit is checked, so a scan reads the blocks it always
+     read. *)
+  let rec loop acc count =
+    if count >= limit || not (it.Iter.valid ()) then acc
+    else
+      let key = (it.Iter.entry ()).Entry.key in
+      if not (in_range key) then acc
+      else
+        let rd_seq = entry_rd_seqno cmp ~snap key 0 rds in
+        match resolve_key env ~snap ~rd_seq key it [] with
+        | Some v ->
+          let acc = f acc key v in
+          skip_key it key;
+          loop acc (count + 1)
+        | None ->
+          skip_key it key;
+          loop acc count
+  in
+  loop init 0

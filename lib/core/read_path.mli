@@ -41,17 +41,31 @@ val rds_of_files : env -> Table_meta.t list -> Lsm_record.Entry.t list
 
 (** {1 File selection} *)
 
-val run_files :
-  Lsm_util.Comparator.t -> ?lo:string -> hi:string option -> Table_meta.t array ->
-  Table_meta.t list
-(** The files of one run (sorted, disjoint) that intersect [\[lo, hi)]
-    (an absent bound is open), in key order: from the first file whose
-    [max_key >= lo], while [min_key < hi]. Scans and subcompactions
-    select files with it. *)
+val seek_run : Lsm_util.Comparator.t -> Table_meta.t array -> string -> int
+(** The first file of one run (sorted, disjoint) whose [max_key >= key],
+    or the run's length: where a seek into the run lands. *)
 
 val run_file : Lsm_util.Comparator.t -> Table_meta.t array -> string -> int
 (** The index of the one file of the run that may hold [key], or [-1]:
-    the one-key case of {!run_files}'s search. *)
+    {!seek_run}, kept when the file starts at or below [key]. *)
+
+val run_iter :
+  Lsm_util.Comparator.t ->
+  open_file:(Table_meta.t -> Lsm_record.Iter.t option) ->
+  failed:(Table_meta.t -> exn -> unit) ->
+  lo:string option ->
+  hi:string option ->
+  Table_meta.t array ->
+  Lsm_record.Iter.t
+(** One run (sorted, disjoint files) as one iterator over [\[lo, hi)]
+    (an absent bound is open); a seek below [lo] lands on [lo]. A file
+    is opened — [open_file] called and its iterator positioned — only
+    when the iterator reaches it, so a read that stops early never
+    touches the files past its stop. [open_file] returns the file's
+    unpositioned iterator, or [None] to pass over the file. A decode
+    failure or missing file while positioning or stepping a file is
+    handed to [failed] with that file, which must raise. Scans and
+    subcompaction inputs read runs through it. *)
 
 (** {1 Reads} *)
 

@@ -44,123 +44,82 @@ let to_list it =
   let rec loop acc = if it.valid () then (let e = it.entry () in it.next (); loop (e :: acc)) else List.rev acc in
   loop []
 
-let concat parts =
-  let parts = Array.of_list parts in
-  let n = Array.length parts in
-  let cur = ref n in
-  let advance_from i =
-    let rec loop i =
-      if i >= n then cur := n
-      else begin
-        parts.(i).seek_to_first ();
-        if parts.(i).valid () then cur := i else loop (i + 1)
+(* The k-way merge keeps a binary min-heap of source indices over cached
+   heads: [heads.(i)] is source [i]'s current entry, fetched once each
+   time [i] moves, so a comparison reads two array slots rather than
+   calling into the sources. [next] advances the top source and sifts it
+   down in place (replace-top); a source leaves the heap only when it is
+   exhausted. Equal entries order by source index: newer sources first. *)
+type heap = {
+  hcmp : Comparator.t;
+  srcs : t array;
+  heads : Entry.t array;
+  order : int array;  (** source indices; [order.(0)] holds the least head *)
+  mutable size : int;
+}
+
+let no_entry = { Entry.key = ""; seqno = 0; kind = Entry.Put; value = "" }
+
+let less h i j =
+  let d = Entry.compare h.hcmp h.heads.(i) h.heads.(j) in
+  d < 0 || (d = 0 && i < j)
+
+let rec sift_down h k =
+  let l = (2 * k) + 1 in
+  if l < h.size then begin
+    let r = l + 1 in
+    let m = if r < h.size && less h h.order.(r) h.order.(l) then r else l in
+    let top = h.order.(k) in
+    if less h h.order.(m) top then begin
+      h.order.(k) <- h.order.(m);
+      h.order.(m) <- top;
+      sift_down h m
+    end
+  end
+
+let rebuild h =
+  h.size <- 0;
+  Array.iteri
+    (fun i s ->
+      if s.valid () then begin
+        h.heads.(i) <- s.entry ();
+        h.order.(h.size) <- i;
+        h.size <- h.size + 1
       end
-    in
-    loop i
-  in
-  let skip_exhausted () =
-    while !cur < n && not (parts.(!cur).valid ()) do
-      let nxt = !cur + 1 in
-      if nxt < n then parts.(nxt).seek_to_first ();
-      cur := nxt
-    done
-  in
-  {
-    valid = (fun () -> !cur < n && parts.(!cur).valid ());
-    entry = (fun () -> parts.(!cur).entry ());
-    next =
-      (fun () ->
-        if !cur < n then begin
-          parts.(!cur).next ();
-          skip_exhausted ()
-        end);
-    seek =
-      (fun target ->
-        (* Parts are globally ordered: find the first part that still has
-           entries at/after the target. *)
-        let rec loop i =
-          if i >= n then cur := n
-          else begin
-            parts.(i).seek target;
-            if parts.(i).valid () then begin
-              cur := i;
-              (* Prime the following part so [next] can fall through. *)
-              ()
-            end
-            else loop (i + 1)
-          end
-        in
-        loop 0;
-        if !cur < n then skip_exhausted ());
-    seek_to_first = (fun () -> advance_from 0);
-  }
+      else h.heads.(i) <- no_entry)
+    h.srcs;
+  for k = (h.size / 2) - 1 downto 0 do
+    sift_down h k
+  done
+
+let advance h =
+  if h.size > 0 then begin
+    let i = h.order.(0) in
+    let s = h.srcs.(i) in
+    s.next ();
+    if s.valid () then h.heads.(i) <- s.entry ()
+    else begin
+      h.heads.(i) <- no_entry;
+      h.size <- h.size - 1;
+      h.order.(0) <- h.order.(h.size)
+    end;
+    sift_down h 0
+  end
 
 let merge (c : Comparator.t) sources =
   let srcs = Array.of_list sources in
   let n = Array.length srcs in
-  (* Binary min-heap of source indices, ordered by current entry. *)
-  let heap = Array.make n 0 in
-  let heap_size = ref 0 in
-  let less i j =
-    let cmp = Entry.compare c (srcs.(i).entry ()) (srcs.(j).entry ()) in
-    if cmp <> 0 then cmp < 0 else i < j
-  in
-  let swap a b =
-    let tmp = heap.(a) in
-    heap.(a) <- heap.(b);
-    heap.(b) <- tmp
-  in
-  let rec sift_up i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if less heap.(i) heap.(parent) then begin
-        swap i parent;
-        sift_up parent
-      end
-    end
-  in
-  let rec sift_down i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < !heap_size && less heap.(l) heap.(!smallest) then smallest := l;
-    if r < !heap_size && less heap.(r) heap.(!smallest) then smallest := r;
-    if !smallest <> i then begin
-      swap i !smallest;
-      sift_down !smallest
-    end
-  in
-  let push i =
-    heap.(!heap_size) <- i;
-    incr heap_size;
-    sift_up (!heap_size - 1)
-  in
-  let pop () =
-    let top = heap.(0) in
-    decr heap_size;
-    heap.(0) <- heap.(!heap_size);
-    if !heap_size > 0 then sift_down 0;
-    top
-  in
-  let rebuild () =
-    heap_size := 0;
-    Array.iteri (fun i s -> if s.valid () then push i) srcs
-  in
+  let h = { hcmp = c; srcs; heads = Array.make n no_entry; order = Array.make n 0; size = 0 } in
   {
-    valid = (fun () -> !heap_size > 0);
-    entry = (fun () -> srcs.(heap.(0)).entry ());
-    next =
-      (fun () ->
-        if !heap_size > 0 then begin
-          let i = pop () in
-          srcs.(i).next ();
-          if srcs.(i).valid () then push i
-        end);
+    valid = (fun () -> h.size > 0);
+    entry = (fun () -> h.heads.(h.order.(0)));
+    next = (fun () -> advance h);
     seek =
       (fun target ->
         Array.iter (fun s -> s.seek target) srcs;
-        rebuild ());
+        rebuild h);
     seek_to_first =
       (fun () ->
         Array.iter (fun s -> s.seek_to_first ()) srcs;
-        rebuild ());
+        rebuild h);
   }

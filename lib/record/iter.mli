@@ -24,11 +24,9 @@ val empty : t
 val to_list : t -> Entry.t list
 (** Rewinds, then drains the iterator. *)
 
-val concat : t list -> t
-(** Concatenation of already-globally-ordered, disjoint iterators (e.g. the
-    files of one sorted run, in key order). *)
-
 val merge : Lsm_util.Comparator.t -> t list -> t
-(** Heap-based k-way merge of arbitrarily overlapping iterators. Ties on
-    (key, seqno, kind) are broken by list position, so pass newer sources
-    first for deterministic behaviour on exact duplicates. *)
+(** Heap-based k-way merge of arbitrarily overlapping iterators. Each
+    source's current entry is fetched once per move of that source and
+    cached, so [entry] is an array read. Ties on (key, seqno, kind) are
+    broken by list position, so pass newer sources first for
+    deterministic behaviour on exact duplicates. *)

@@ -395,33 +395,3 @@ module Cursor = struct
       value = String.sub c.p.pbody c.voff c.vlen;
     }
 end
-
-let iterator (cmp : Comparator.t) p =
-  let c = Cursor.make cmp p in
-  (* Merging iterators call [entry] several times per record; memoize
-     the materialization so each record is built at most once. *)
-  let memo = ref None in
-  let entry () =
-    match !memo with
-    | Some e -> e
-    | None ->
-      let e = Cursor.entry c in
-      memo := Some e;
-      e
-  in
-  {
-    Iter.valid = (fun () -> Cursor.valid c);
-    entry;
-    next =
-      (fun () ->
-        memo := None;
-        Cursor.next c);
-    seek =
-      (fun target ->
-        memo := None;
-        Cursor.seek c target);
-    seek_to_first =
-      (fun () ->
-        memo := None;
-        Cursor.seek_to_first c);
-  }

@@ -112,8 +112,3 @@ module Cursor : sig
   (** Materialize the current record (the only per-record allocation on
       the taken path). *)
 end
-
-val iterator : Lsm_util.Comparator.t -> parsed -> Lsm_record.Iter.t
-(** Iterator over a parsed block, backed by a {!Cursor}; [entry] is
-    memoized so merging iterators materialize each record at most once.
-    [seek] binary-searches the restart points then scans forward. *)

@@ -864,59 +864,62 @@ let get_unfiltered t ~cls ~max_seqno key =
 let get t ~cls ?(max_seqno = max_int) key =
   if not (may_contain_key t key) then None else get_unfiltered t ~cls ~max_seqno key
 
-(* A block iterator that escapes [with_block] keeps decoding records
-   lazily; wrap its operations so a stray [Codec.Corrupt] surfaces as a
-   typed corruption pinned to the block. *)
-let typed_iter t ie (it : Iter.t) =
-  {
-    Iter.valid = it.Iter.valid;
-    entry = (fun () -> run_typed t ie it.Iter.entry ());
-    next = (fun () -> run_typed t ie it.Iter.next ());
-    seek = (fun target -> run_typed t ie it.Iter.seek target);
-    seek_to_first = (fun () -> run_typed t ie it.Iter.seek_to_first ());
-  }
+(* Table iteration through one reused block cursor: [Block.Cursor.reset]
+   re-aims it at each block in turn, inside [with_block], so a cached
+   block that stops decoding is dropped and re-read like on the point
+   path. The current record is materialized at most once, on the first
+   [entry]. A step past the first record runs under [run_typed], the one
+   site where a record-level [Codec.Corrupt] becomes a corruption pinned
+   to the block. *)
+let no_entry = { Entry.key = ""; seqno = 0; kind = Entry.Put; value = "" }
+
+let aim_first p (cur, cmp) =
+  Block.Cursor.reset cur cmp p;
+  Block.Cursor.seek_to_first cur
+
+let aim_at p (cur, cmp, target) =
+  Block.Cursor.reset cur cmp p;
+  Block.Cursor.seek cur target
 
 let iterator t ~cls ?(use_cache = true) () =
   let nblocks = Array.length t.index in
+  let cur = Block.Cursor.create () in
+  let aim = (cur, t.cmp) in
   let slot = ref nblocks in
-  let block_iter = ref Iter.empty in
-  let open_slot i =
+  let head = ref no_entry in
+  (* Move off exhausted blocks onto the next record, if any. *)
+  let rec settle () =
+    if (not (Block.Cursor.valid cur)) && !slot < nblocks then begin
+      incr slot;
+      if !slot < nblocks then with_block t ~cls ~use_cache t.index.(!slot) aim_first aim;
+      settle ()
+    end
+  in
+  let seek_slot i target =
+    head := no_entry;
     slot := i;
     if i < nblocks then begin
-      let ie = t.index.(i) in
-      block_iter :=
-        with_block t ~cls ~use_cache ie (fun p ie -> typed_iter t ie (Block.iterator t.cmp p)) ie;
-      !block_iter.Iter.seek_to_first ()
-    end
-    else block_iter := Iter.empty
-  in
-  let rec skip_empty () =
-    if !slot < nblocks && not (!block_iter.Iter.valid ()) then begin
-      open_slot (!slot + 1);
-      skip_empty ()
+      (match target with
+      | None -> with_block t ~cls ~use_cache t.index.(i) aim_first aim
+      | Some target -> with_block t ~cls ~use_cache t.index.(i) aim_at (cur, t.cmp, target));
+      settle ()
     end
   in
   {
-    Iter.valid = (fun () -> !slot < nblocks && !block_iter.Iter.valid ());
-    entry = (fun () -> !block_iter.Iter.entry ());
+    Iter.valid = (fun () -> !slot < nblocks && Block.Cursor.valid cur);
+    entry =
+      (fun () ->
+        if !head == no_entry then head := Block.Cursor.entry cur;
+        !head);
     next =
       (fun () ->
         if !slot < nblocks then begin
-          !block_iter.Iter.next ();
-          skip_empty ()
+          head := no_entry;
+          run_typed t t.index.(!slot) Block.Cursor.next cur;
+          settle ()
         end);
-    seek =
-      (fun target ->
-        let i = index_seek t target in
-        open_slot i;
-        if i < nblocks then begin
-          !block_iter.Iter.seek target;
-          skip_empty ()
-        end);
-    seek_to_first =
-      (fun () ->
-        open_slot 0;
-        skip_empty ());
+    seek = (fun target -> seek_slot (index_seek t target) (Some target));
+    seek_to_first = (fun () -> seek_slot 0 None);
   }
 
 let prefetch_into_cache t ~cls =
@@ -932,14 +935,17 @@ let prefetch_into_cache t ~cls =
 let index_entries t = t.index
 
 let block_entries t ~cls (ie : index_entry) =
-  let it = typed_iter t ie (Block.iterator t.cmp (read_block_repairing t ~cls ie)) in
-  it.Iter.seek_to_first ();
-  let out = ref [] in
-  while it.Iter.valid () do
-    out := it.Iter.entry () :: !out;
-    it.Iter.next ()
-  done;
-  List.rev !out
+  let cur = Block.Cursor.make t.cmp (read_block_repairing t ~cls ie) in
+  run_typed t ie Block.Cursor.seek_to_first cur;
+  let rec walk acc =
+    if not (Block.Cursor.valid cur) then List.rev acc
+    else begin
+      let e = Block.Cursor.entry cur in
+      run_typed t ie Block.Cursor.next cur;
+      walk (e :: acc)
+    end
+  in
+  walk []
 
 (* Full-table scrub: every data block re-read from the device (bypassing
    the cache) and checksum-verified, fence ordering and block/first-key

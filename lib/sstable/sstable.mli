@@ -143,8 +143,10 @@ val iterator :
   unit ->
   Lsm_record.Iter.t
 (** Full-table iterator (includes tombstones and range-delete entries —
-    compaction needs them). [use_cache] defaults to [true]; compactions
-    pass [false] so they do not pollute the block cache (§2.1.3 / E13). *)
+    compaction needs them), walking every block through one reused
+    {!Block.Cursor}; each record is materialized once, on the first
+    [entry]. [use_cache] defaults to [true]; compactions pass [false] so
+    they do not pollute the block cache (§2.1.3 / E13). *)
 
 val prefetch_into_cache : reader -> cls:Lsm_storage.Io_stats.op_class -> int
 (** Load every data block into the block cache (Leaper-style refill after

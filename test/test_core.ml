@@ -828,6 +828,64 @@ let test_get_allocation_ceiling compression () =
     (mem <= memtable_hit_words_ceiling);
   Db.close db
 
+(* ---------- allocation ceiling of a cached scan ---------- *)
+
+(* Minor words one 50-row [Db.scan] allocates on a fully cached store of
+   8 overlapping runs, 53 files (DESIGN.md §21): the merge over every
+   run, the files it reaches, and the rows it returns. Measured in this
+   test's dev build: 3,261 words, 3,399 with runtime lockdep on. The
+   ceiling adds headroom to the lockdep figure, as the get ceilings do,
+   and sits far below the 7,188 words the scan cost when it built an
+   iterator for every file from [lo] to the end of every run and each
+   block behind its own iterator. *)
+let scan_words_ceiling = 4000.
+
+(* A tiered store of several overlapping runs, every block cached. *)
+let scan_ceiling_store () =
+  let config =
+    {
+      (small_config ~compaction:(Policy.tiered ~size_ratio:4 ()) ()) with
+      Config.memtable = Memtable.Skiplist;
+      block_cache_bytes = 16 * 1024 * 1024;
+      compaction_backend = Config.Inline;
+      compaction_parallelism = 1;
+    }
+  in
+  let _, db = fresh ~config () in
+  let rng = Random.State.make [| 25 |] in
+  for _ = 1 to 5 do
+    for _ = 1 to 4000 do
+      let i = Random.State.int rng 20000 in
+      Db.put db ~key:(key i) (value i)
+    done;
+    Db.flush db
+  done;
+  db
+
+let test_scan_allocation_ceiling () =
+  let db = scan_ceiling_store () in
+  let v = Db.version db in
+  let runs =
+    List.fold_left (fun a l -> a + Version.run_count v l) 0 (List.init Version.max_levels Fun.id)
+  in
+  let files = List.length (Version.all_files v) in
+  let scans = 200 in
+  let lo i = key (i * 20000 / scans) in
+  for i = 0 to scans - 1 do
+    ignore (Db.scan db ~limit:50 ~lo:(lo i) ~hi:None ())
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to scans - 1 do
+    ignore (Sys.opaque_identity (Db.scan db ~limit:50 ~lo:(lo i) ~hi:None ()))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int scans in
+  check (Printf.sprintf "%d runs, %d files" runs files) true (runs >= 5 && files >= 40);
+  check
+    (Printf.sprintf "50-row scan %.0f words <= %.0f" words scan_words_ceiling)
+    true
+    (words <= scan_words_ceiling);
+  Db.close db
+
 let suite =
   [
     ("put/get", `Quick, test_put_get_small);
@@ -869,4 +927,5 @@ let suite =
   @ List.map test_model_memtables Memtable.all_kinds
   @ [ qt prop_db_matches_map; qt prop_recovery_preserves_state;
       ("Db.get allocation ceiling", `Quick, test_get_allocation_ceiling Sstable.C_none);
-      ("Db.get allocation ceiling, C_lz", `Quick, test_get_allocation_ceiling Sstable.C_lz) ]
+      ("Db.get allocation ceiling, C_lz", `Quick, test_get_allocation_ceiling Sstable.C_lz);
+      ("scan allocation ceiling", `Quick, test_scan_allocation_ceiling) ]

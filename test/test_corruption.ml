@@ -220,6 +220,83 @@ let test_merge_chain_over_quarantined_table () =
       ignore (Db.scan db ~lo:k ~hi:(Some (k ^ "\000")) ()));
   Db.close db
 
+(* A scan opens a run's files only as it reaches them (DESIGN.md §21):
+   one run of several files, its second file's first data block rotted.
+   Returns the device, the config, and the run's files in key order. *)
+let second_file_rotted () =
+  let dev = Device.in_memory () in
+  let config =
+    {
+      (small_config ()) with
+      Config.target_file_size = 4096;
+      compaction_backend = Config.Inline;
+      compaction_parallelism = 1;
+    }
+  in
+  let db = Db.open_db ~config ~dev () in
+  for i = 0 to 399 do
+    Db.put db ~key:(Printf.sprintf "key-%04d" i) (Printf.sprintf "val-%04d-%s" i (String.make 32 'v'))
+  done;
+  Db.major_compact db;
+  let files =
+    List.sort
+      (fun (a : Lsm_sstable.Table_meta.t) b -> String.compare a.min_key b.min_key)
+      (Lsm_core.Version.all_files (Db.version db))
+  in
+  let second = List.nth files 1 in
+  let block =
+    (Lsm_sstable.Sstable.index_entries
+       (Lsm_sstable.Table_cache.get (Db.table_cache db) second.file_name)).(0)
+  in
+  Db.close db;
+  let off = block.Lsm_sstable.Sstable.off + (block.Lsm_sstable.Sstable.len / 2) in
+  let byte = Device.read dev ~cls:Io_stats.C_misc second.file_name ~off ~len:1 in
+  Device.patch dev ~cls:Io_stats.C_misc second.file_name ~off
+    (String.make 1 (Char.chr (Char.code byte.[0] lxor 0x10)));
+  (dev, config, files, block.Lsm_sstable.Sstable.off)
+
+let test_scan_reaches_rot_in_second_file () =
+  let dev, config, files, block_off = second_file_rotted () in
+  let first = List.hd files and second = List.nth files 1 in
+  check "one run of several files" true (List.length files >= 3);
+  let db = Db.open_db ~config ~dev () in
+  check "the rot sits past the first file" true
+    (List.length (Db.scan db ~lo:first.min_key ~hi:(Some second.min_key) ()) = first.entries);
+  check "nothing quarantined yet" true (Db.quarantined_tables db = []);
+  (match Db.scan db ~lo:first.min_key ~hi:None () with
+  | _ -> Alcotest.fail "a scan across the rotted block returned"
+  | exception Lsm_error.Error (Lsm_error.Corruption { file; offset; _ }) ->
+    Alcotest.(check string) "pinned to the second file" second.file_name file;
+    Alcotest.(check (option int)) "pinned to the block" (Some block_off) offset);
+  Alcotest.(check (list string))
+    "exactly that table quarantined" [ second.file_name ]
+    (List.map (fun q -> q.Db.q_file) (Db.quarantined_tables db));
+  check "degraded" true (Db.health db = Db.Degraded);
+  Db.close db
+
+let test_scan_stops_before_quarantined_file () =
+  let dev, config, files, _ = second_file_rotted () in
+  let first = List.hd files and second = List.nth files 1 in
+  let db = Db.open_db ~config ~dev () in
+  ignore (Db.verify_integrity db);
+  Alcotest.(check (list string))
+    "the scrub quarantined the second file" [ second.file_name ]
+    (List.map (fun q -> q.Db.q_file) (Db.quarantined_tables db));
+  (* The limit ends inside the first file: the quarantined file is
+     never reached, so the rows come back. (A row steps past its older
+     versions before the limit is checked, so a limit ending on the
+     file's last row would step onto the next file.) *)
+  let limit = first.entries - 1 in
+  let rows = Db.scan db ~limit ~lo:first.min_key ~hi:None () in
+  check_int "the first file's rows but its last" limit (List.length rows);
+  Alcotest.(check string) "in key order from its first key" first.min_key (fst (List.hd rows));
+  check "one row more reaches the fence" true
+    (match Db.scan db ~limit:(first.entries + 1) ~lo:first.min_key ~hi:None () with
+    | _ -> false
+    | exception Lsm_error.Error (Lsm_error.Corruption { detail; _ }) ->
+      String.starts_with ~prefix:"table is quarantined" detail);
+  Db.close db
+
 (* ------------------------------------------------------------------ *)
 (* Fail-safe read-only mode                                             *)
 (* ------------------------------------------------------------------ *)
@@ -503,6 +580,10 @@ let suite =
     Alcotest.test_case "corruption sweep" `Quick test_corruption_sweep;
     Alcotest.test_case "merge chain over a quarantined table raises" `Quick
       test_merge_chain_over_quarantined_table;
+    Alcotest.test_case "scan reaches rot in a run's second file" `Quick
+      test_scan_reaches_rot_in_second_file;
+    Alcotest.test_case "scan stops before a quarantined file" `Quick
+      test_scan_stops_before_quarantined_file;
     Alcotest.test_case "doctor repair leaves stray files alone" `Quick
       test_doctor_leaves_stray_files;
   ]

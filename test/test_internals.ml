@@ -305,7 +305,7 @@ let prop_merge_filter_preserves_visibility =
 
 (* ---------- the read path's one file selection ---------- *)
 
-(* Oracles for [Read_path.run_files] / [Read_path.run_file]: a linear
+(* Oracles for [Read_path.seek_run] / [Read_path.run_file]: a linear
    filter over the run (the scan's former file selection), and the
    point lookup's former binary search for the last file whose
    [min_key <= key]. *)
@@ -342,30 +342,139 @@ let run_of_points points =
 
 let prop_one_file_selection =
   QCheck.Test.make ~name:"one file selection = linear filter and point search" ~count:500
-    QCheck.(
-      triple
-        (list_of_size Gen.(0 -- 24) (int_bound 60))
-        (int_range (-1) 62)
-        (pair (int_range (-1) 62) (int_bound 3)))
-    (fun (points, lo, (hi, hi_kind)) ->
+    QCheck.(pair (list_of_size Gen.(0 -- 24) (int_bound 60)) (int_range (-1) 62))
+    (fun (points, lo) ->
       let files = run_of_points points in
-      let lo = pkey lo in
-      let hi =
-        match hi_kind with
-        | 0 -> None
-        | 1 -> Some (lo ^ "\x00") (* the single key [lo] *)
-        | _ -> Some (pkey hi)
+      (* file ids are array indices *)
+      let first_from lo =
+        match linear_run_files ~lo ~hi:None files with
+        | f :: _ -> f.Table_meta.file_id
+        | [] -> Array.length files
       in
-      let ids = List.map (fun (f : Table_meta.t) -> f.file_id) in
-      let same a b = ids a = ids b in
-      same (Read_path.run_files cmp ~lo ~hi files) (linear_run_files ~lo ~hi files)
-      && same (Read_path.run_files cmp ~hi files) (linear_run_files ~hi files)
+      let lo = pkey lo in
+      Read_path.seek_run cmp files lo = first_from lo
+      && Read_path.seek_run cmp files (lo ^ "\x00") = first_from (lo ^ "\x00")
       && List.for_all
            (fun i ->
              let k = pkey i in
              Read_path.run_file cmp files k = find_file_in_run files k
              && Read_path.run_file cmp files (k ^ "\x00") = find_file_in_run files (k ^ "\x00"))
            (List.init 64 (fun i -> i - 1)))
+
+(* ---------- the run iterator ---------- *)
+
+module Sstable = Lsm_sstable.Sstable
+module Table_cache = Lsm_sstable.Table_cache
+
+(* A run of small disjoint tables built on an in-memory device, with
+   blocks of a few records so files span several blocks. Each file is
+   a list of keys, each key a (gap, versions) pair: keys are even
+   points, so odd points fall between keys and between files. Returns
+   the run and its entries in order, each tagged with its file's
+   index. *)
+let built_run shape =
+  let dev = Lsm_storage.Device.in_memory () in
+  let config = { Sstable.default_build_config with block_size = 64 } in
+  let at = ref 0 in
+  let built =
+    List.mapi
+      (fun i keys ->
+        let entries =
+          List.concat_map
+            (fun (gap, versions) ->
+              at := !at + (2 * gap);
+              List.init versions (fun v ->
+                  { Entry.key = pkey !at; seqno = 100 - v; kind = Entry.Put; value = "v" }))
+            keys
+        in
+        let name = Table_meta.file_name_of_id i in
+        let props =
+          Sstable.build ~config ~cmp ~dev ~cls:Lsm_storage.Io_stats.C_flush ~name ~created_at:0
+            (Iter.of_sorted_list cmp entries)
+        in
+        ( Table_meta.of_props ~file_id:i ~file_name:name ~size:(Device.size dev name) props,
+          List.map (fun x -> (i, x)) entries ))
+      shape
+  in
+  (dev, Array.of_list (List.map fst built), List.concat_map snd built, !at)
+
+let prop_run_iter_linear =
+  let shape = QCheck.Gen.(list_size (1 -- 12) (list_size (1 -- 6) (pair (1 -- 3) (1 -- 2)))) in
+  let pick = QCheck.Gen.(pair (0 -- 5) (0 -- 1000)) in
+  let passed_over = QCheck.Gen.(list_repeat 12 (0 -- 3)) in
+  QCheck.Test.make ~name:"run iterator = linear filter of its files" ~count:300
+    (QCheck.make QCheck.Gen.(pair (quad shape pick pick (pair (0 -- 30) (0 -- 1000))) passed_over))
+    (fun ((shape, (lo_kind, lo_pick), (hi_kind, hi_pick), (steps, target_pick)), passed_over) ->
+      let dev, files, tagged, last = built_run shape in
+      let nfiles = Array.length files in
+      (* bounds: a file's min or max key, a point between keys, a point
+         past the run, the empty key; for [hi] also open, or [lo] itself
+         (an empty range) *)
+      let bound kind pick ~lo =
+        let f = files.(pick mod nfiles) in
+        match kind with
+        | 0 -> Some f.Table_meta.min_key
+        | 1 -> Some f.Table_meta.max_key
+        | 2 -> Some (pkey ((2 * (pick mod ((last / 2) + 1))) + 1))
+        | 3 -> Some (pkey (last + 10))
+        | 4 -> if Option.is_none lo then Some "" else None
+        | _ -> lo
+      in
+      let lo = Option.get (bound (min lo_kind 4) lo_pick ~lo:None) in
+      let hi = bound hi_kind hi_pick ~lo:(Some lo) in
+      (* [open_file] passes over about a quarter of the files, as a
+         range filter would. *)
+      let passed i = List.nth passed_over i = 0 in
+      let in_range from (i, (x : Entry.t)) =
+        (not (passed i))
+        && String.compare from x.key <= 0
+        && match hi with None -> true | Some h -> String.compare x.key h < 0
+      in
+      let expected = List.filter (in_range lo) tagged in
+      let tc =
+        Table_cache.create ~cmp ~dev ~cache:(Lsm_storage.Block_cache.create ~capacity:(1 lsl 16) ()) ()
+      in
+      let calls = ref [] in
+      let open_file (f : Table_meta.t) =
+        calls := f.file_id :: !calls;
+        if passed f.file_id then None
+        else
+          Some (Sstable.iterator (Table_cache.get tc f.file_name) ~cls:Lsm_storage.Io_stats.C_user_read ())
+      in
+      let it =
+        Read_path.run_iter cmp ~open_file ~failed:(fun _ e -> raise e) ~lo:(Some lo) ~hi files
+      in
+      let rec take n acc =
+        if n = 0 || not (it.Iter.valid ()) then List.rev acc
+        else begin
+          let x = it.Iter.entry () in
+          it.Iter.next ();
+          take (n - 1) (x :: acc)
+        end
+      in
+      it.Iter.seek lo;
+      let prefix = take steps [] in
+      (* Files are opened in order, from the first one the seek selects
+         to the one holding the current entry, and no further; with the
+         run exhausted, no file outside the linear filter is opened. *)
+      let first = Read_path.seek_run cmp files lo in
+      let opened = List.rev !calls in
+      let opens_ok =
+        match List.filteri (fun i _ -> i = steps) expected with
+        | [ (holder, _) ] -> opened = List.init (holder - first + 1) (fun i -> first + i)
+        | _ ->
+          let linear = List.map (fun (f : Table_meta.t) -> f.file_id) (linear_run_files ~lo ~hi files) in
+          List.filteri (fun i _ -> i < List.length opened) linear = opened
+      in
+      let target = pkey (target_pick mod (last + 4)) in
+      it.Iter.seek target;
+      let rest = take max_int [] in
+      let from = if String.compare target lo > 0 then target else lo in
+      let entries = List.map snd in
+      opens_ok
+      && prefix = entries (List.filteri (fun i _ -> i < steps) expected)
+      && rest = entries (List.filter (in_range from) tagged)
+      && Iter.to_list it = entries expected)
 
 let qt t =
   let name, _speed, fn = QCheck_alcotest.to_alcotest t in
@@ -399,4 +508,5 @@ let suite =
     ("manifest torn tail ignored", `Quick, test_manifest_torn_tail_ignored);
     qt prop_merge_filter_preserves_visibility;
     qt prop_one_file_selection;
+    qt prop_run_iter_linear;
   ]

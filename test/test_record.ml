@@ -78,42 +78,6 @@ let test_iter_empty () =
   check "empty invalid" false (it.Iter.valid ());
   check_int "to_list empty" 0 (List.length (Iter.to_list Iter.empty))
 
-(* ---------- concat ---------- *)
-
-let test_concat_spans_parts () =
-  let part1 = Iter.of_sorted_list cmp [ e "a" 1; e "b" 1 ] in
-  let part2 = Iter.of_sorted_list cmp [ e "c" 1 ] in
-  let part3 = Iter.of_sorted_list cmp [ e "d" 1; e "e" 1 ] in
-  let it = Iter.concat [ part1; part2; part3 ] in
-  let keys = List.map (fun x -> x.Entry.key) (Iter.to_list it) in
-  Alcotest.(check (list string)) "all keys in order" [ "a"; "b"; "c"; "d"; "e" ] keys
-
-let test_concat_seek_across () =
-  let it =
-    Iter.concat
-      [
-        Iter.of_sorted_list cmp [ e "a" 1; e "b" 1 ];
-        Iter.of_sorted_list cmp [ e "m" 1 ];
-        Iter.of_sorted_list cmp [ e "x" 1 ];
-      ]
-  in
-  it.Iter.seek "c";
-  Alcotest.(check string) "seek into middle part" "m" (it.Iter.entry ()).Entry.key;
-  it.Iter.next ();
-  Alcotest.(check string) "crosses into last part" "x" (it.Iter.entry ()).Entry.key;
-  it.Iter.next ();
-  check "exhausted" false (it.Iter.valid ())
-
-let test_concat_with_empty_parts () =
-  let it =
-    Iter.concat [ Iter.empty; Iter.of_sorted_list cmp [ e "k" 1 ]; Iter.empty ]
-  in
-  it.Iter.seek_to_first ();
-  check "skips leading empty" true (it.Iter.valid ());
-  Alcotest.(check string) "k" "k" (it.Iter.entry ()).Entry.key;
-  it.Iter.next ();
-  check "skips trailing empty" false (it.Iter.valid ())
-
 (* ---------- merge ---------- *)
 
 let test_merge_interleaves () =
@@ -141,26 +105,47 @@ let test_merge_seek () =
   Alcotest.(check string) "then z" "z" (it.Iter.entry ()).Entry.key
 
 let prop_merge_equals_sort =
-  (* Merging k sorted runs = sorting their concatenation (stable w.r.t.
-     entries, which are unique by construction here). *)
+  (* Merging k sorted sources = a stable sort of their concatenation,
+     also after a re-seek mid-stream. Up to 8 sources, some empty; a
+     source holds each (key, seqno) once, but sources may share one, as
+     a buffer and its flushed table do while both are live. The value
+     names the source, so the stable sort's order — the newer (lower
+     index) source first — is checked too. *)
   let gen =
     QCheck.Gen.(
-      list_size (1 -- 4)
-        (list_size (0 -- 20) (pair (string_size ~gen:(char_range 'a' 'e') (1 -- 2)) (0 -- 1000))))
+      pair
+        (list_size (1 -- 8)
+           (list_size (0 -- 20) (pair (string_size ~gen:(char_range 'a' 'e') (1 -- 2)) (0 -- 5))))
+        (pair (0 -- 40) (string_size ~gen:(char_range 'a' 'f') (0 -- 2))))
   in
-  QCheck.Test.make ~name:"merge = sort of concat" ~count:200 (QCheck.make gen) (fun runs ->
-      (* Make entries globally unique via seqno tagging per (run, idx). *)
+  QCheck.Test.make ~name:"merge = sort of concat" ~count:300 (QCheck.make gen)
+    (fun (runs, (taken, target)) ->
       let runs =
         List.mapi
           (fun ri run ->
-            List.mapi (fun i (k, s) -> e k ((s * 100) + (ri * 10) + i)) run
+            List.sort_uniq compare run
+            |> List.map (fun (k, s) -> e k s ~value:(string_of_int ri))
             |> List.sort (Entry.compare cmp))
           runs
       in
-      let iters = List.map (Iter.of_sorted_list cmp) runs in
-      let merged = Iter.to_list (Iter.merge cmp iters) in
-      let expected = List.sort (Entry.compare cmp) (List.concat runs) in
-      merged = expected)
+      let expected = List.stable_sort (Entry.compare cmp) (List.concat runs) in
+      let it = Iter.merge cmp (List.map (Iter.of_sorted_list cmp) runs) in
+      let drained = Iter.to_list it in
+      it.Iter.seek_to_first ();
+      let rec take n acc =
+        if n = 0 || not (it.Iter.valid ()) then List.rev acc
+        else begin
+          let x = it.Iter.entry () in
+          it.Iter.next ();
+          take (n - 1) (x :: acc)
+        end
+      in
+      let prefix = take taken [] in
+      it.Iter.seek target;
+      let rest = take max_int [] in
+      drained = expected
+      && prefix = List.filteri (fun i _ -> i < taken) expected
+      && rest = List.filter (fun x -> String.compare x.Entry.key target >= 0) expected)
 
 let qt t =
   let name, _speed, fn = QCheck_alcotest.to_alcotest t in
@@ -175,9 +160,6 @@ let suite =
     ("iter drain", `Quick, test_iter_drain);
     ("iter seek", `Quick, test_iter_seek);
     ("iter empty", `Quick, test_iter_empty);
-    ("concat spans parts", `Quick, test_concat_spans_parts);
-    ("concat seek across parts", `Quick, test_concat_seek_across);
-    ("concat with empty parts", `Quick, test_concat_with_empty_parts);
     ("merge interleaves", `Quick, test_merge_interleaves);
     ("merge newest-first within key", `Quick, test_merge_version_order);
     ("merge seek", `Quick, test_merge_seek);

@@ -27,6 +27,18 @@ let entries_for_block n =
    the helpers hand back the block itself, from offset 1. *)
 let unframed built = String.sub built 1 (String.length built - 1)
 
+(* A block as an [Iter.t], over one cursor: the table iterator's walk
+   within a block. *)
+let block_iter cmp p =
+  let c = Block.Cursor.make cmp p in
+  {
+    Iter.valid = (fun () -> Block.Cursor.valid c);
+    entry = (fun () -> Block.Cursor.entry c);
+    next = (fun () -> Block.Cursor.next c);
+    seek = Block.Cursor.seek c;
+    seek_to_first = (fun () -> Block.Cursor.seek_to_first c);
+  }
+
 let build_block entries =
   let b = Block.Builder.create () in
   List.iter (Block.Builder.add b) entries;
@@ -35,7 +47,7 @@ let build_block entries =
 let test_block_roundtrip () =
   let entries = entries_for_block 100 in
   let block = build_block entries in
-  let it = Block.iterator cmp (Block.parse_checked block) in
+  let it = block_iter cmp (Block.parse_checked block) in
   let got = Iter.to_list it in
   check "all entries back" true (got = entries);
   let b = Block.Builder.create () in
@@ -43,7 +55,7 @@ let test_block_roundtrip () =
   let built = Block.Builder.finish b in
   check "raw frame tag reserved" true (built.[0] = '\x00');
   check "parses in place at base 1" true
-    (Iter.to_list (Block.iterator cmp (Block.parse_checked ~base:1 built)) = entries)
+    (Iter.to_list (block_iter cmp (Block.parse_checked ~base:1 built)) = entries)
 
 let test_block_prefix_compression_shrinks () =
   let entries = entries_for_block 200 in
@@ -56,7 +68,7 @@ let test_block_prefix_compression_shrinks () =
 
 let test_block_seek () =
   let entries = entries_for_block 100 in
-  let it = Block.iterator cmp (Block.parse_checked (build_block entries)) in
+  let it = block_iter cmp (Block.parse_checked (build_block entries)) in
   it.Iter.seek "key00050";
   check_str "exact" "key00050" (it.Iter.entry ()).Entry.key;
   it.Iter.seek "key00050a";
@@ -70,7 +82,7 @@ let test_block_seek_versions () =
   (* Multiple versions of one key: seek must land on the newest. *)
   let entries = [ e "a" 1; e "k" 9 ~value:"new"; e "k" 5 ~value:"mid"; e "k" 2 ~value:"old" ] in
   let sorted = List.sort (Entry.compare cmp) entries in
-  let it = Block.iterator cmp (Block.parse_checked (build_block sorted)) in
+  let it = block_iter cmp (Block.parse_checked (build_block sorted)) in
   it.Iter.seek "k";
   check_int "newest version" 9 (it.Iter.entry ()).Entry.seqno
 
@@ -95,7 +107,7 @@ let prop_block_roundtrip =
       match entries with
       | [] -> true
       | entries ->
-        let it = Block.iterator cmp (Block.parse_checked (build_block entries)) in
+        let it = block_iter cmp (Block.parse_checked (build_block entries)) in
         Iter.to_list it = entries)
 
 (* ---------- zero-copy cursor vs reference decoder ---------- *)
@@ -173,7 +185,7 @@ let prop_cursor_matches_reference =
           && List.for_all
                (fun p ->
                  (* full drain through the iterator facade *)
-                 Iter.to_list (Block.iterator cmp p) = reference
+                 Iter.to_list (block_iter cmp p) = reference
                  (* and entry-for-entry through the raw cursor, checking
                     every accessor against the materialized record *)
                  &&
@@ -230,7 +242,7 @@ let prop_seek_at_restart_boundaries =
           List.for_all
             (fun target ->
               let expected = drop_while (fun (e : Entry.t) -> cmp.compare e.Entry.key target < 0) reference in
-              let it = Block.iterator cmp p in
+              let it = block_iter cmp p in
               it.Iter.seek target;
               let via_iter =
                 let out = ref [] in

@@ -20,8 +20,9 @@ let usage =
   \      in loops, String.iter/Bytes.iter closures) in the get-path hot modules\n\
   \      (block.ml, hashing.ml, bloom.ml, blocked_bloom.ml), the write buffer\n\
   \      (skiplist.ml, memtable.ml), the checksum paths (crc32c.ml,\n\
-  \      sstable.ml, framed_log.ml) and the server's per-command path\n\
-  \      (resp.ml, server.ml)\n\n\
+  \      sstable.ml, framed_log.ml), the server's per-command path\n\
+  \      (resp.ml, server.ml) and the per-record merge path (iter.ml,\n\
+  \      merge_filter.ml)\n\n\
    Typedtree rules (need --typed DIR with built .cmt files):\n\
   \  R9  static lockdep: whole-program acquired-before relation vs the Rank table\n\
   \  R10 iterator/read-view escape past its pin combinator\n\n\

@@ -38,9 +38,10 @@
          per-record block decoder block.ml, the per-probe hashing
          and bloom filters, the write buffer's skiplist.ml and
          memtable.ml, the checksum paths crc32c.ml, sstable.ml and
-         framed_log.ml, which hash bytes in place, and the server's
+         framed_log.ml, which hash bytes in place, the server's
          per-command path resp.ml and server.ml, which encode replies
-         in place):
+         in place, and the per-record merge path iter.ml and
+         merge_filter.ml):
          [String.sub ... ^ ...] (two copies per
          record — blit into a reusable arena), [String.concat] (a list
          plus a fresh string per record), [Bytes.to_string] inside a
@@ -83,9 +84,10 @@ let r8_exempt = [ "ordered_mutex.ml" ]
    the write buffer every point lookup descends first, the read path
    that walks the buffers and probes each run's one file, the checksum
    paths (the CRC kernel, the table meta CRC, the framed log), which
-   hash bytes where they lie, and the server's codec and reactor, which
-   run once per command and encode every reply into one buffer; R12
-   applies here. *)
+   hash bytes where they lie, the server's codec and reactor, which
+   run once per command and encode every reply into one buffer, and the
+   k-way merge with its compaction filter, which every scanned or
+   compacted record passes through; R12 applies here. *)
 let r12_hot_modules =
   [
     "block.ml";
@@ -100,6 +102,8 @@ let r12_hot_modules =
     "framed_log.ml";
     "resp.ml";
     "server.ml";
+    "iter.ml";
+    "merge_filter.ml";
   ]
 
 (* ---------------- AST helpers ---------------- *)
