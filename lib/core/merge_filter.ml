@@ -12,10 +12,23 @@ let stripe_of ~snapshots seqno =
   done;
   !lo
 
+(* Range tombstones as (start, end-exclusive, seqno, stripe). A
+   top-level recursion, not [List.exists] over a local closure, which
+   would allocate per record. *)
+let rec covered cmp key seqno st = function
+  | [] -> false
+  | (lo, hi, rseq, rstripe) :: rest ->
+    (rseq > seqno && rstripe = st
+    && cmp.Comparator.compare lo key <= 0
+    && cmp.Comparator.compare key hi < 0)
+    || covered cmp key seqno st rest
+
+(* The current-entry sentinel: [current == no_entry] means exhausted. *)
+let no_entry = { Entry.key = ""; seqno = 0; kind = Entry.Put; value = "" }
+
 let filtered ~cmp ~snapshots ~bottom ~range_tombstones (src : Iter.t) =
   let snapshots = Array.of_list (List.sort_uniq compare snapshots) in
   let stripe s = stripe_of ~snapshots s in
-  (* Range tombstones as (start, end-exclusive, seqno, stripe). *)
   let rds =
     List.filter_map
       (fun (e : Entry.t) ->
@@ -23,80 +36,67 @@ let filtered ~cmp ~snapshots ~bottom ~range_tombstones (src : Iter.t) =
         else None)
       range_tombstones
   in
-  let covered key seqno st =
-    List.exists
-      (fun (lo, hi, rseq, rstripe) ->
-        rseq > seqno && rstripe = st
-        && cmp.Comparator.compare lo key <= 0
-        && cmp.Comparator.compare key hi < 0)
-      rds
-  in
-  (* Streaming state. *)
-  let current = ref None in
-  let cur_key = ref None in
+  let has_rds = rds <> [] in
+  (* Streaming state, boxed once per filter: no record allocates. The
+     current user key is a string plus a flag, not an option. *)
+  let current = ref no_entry in
+  let cur_key = ref "" in
+  let has_key = ref false in
   let kept_stripe = ref (-1) in
-  let same_key k = match !cur_key with Some k' -> String.equal k' k | None -> false in
   let note_key k =
-    if not (same_key k) then begin
-      cur_key := Some k;
+    if not (!has_key && String.equal !cur_key k) then begin
+      cur_key := k;
+      has_key := true;
       kept_stripe := -1
     end
   in
-  (* Pull the next input entry, consuming it. *)
-  let pull () =
-    if src.Iter.valid () then begin
+  let rec advance () =
+    if not (src.Iter.valid ()) then current := no_entry
+    else begin
+      (* Consume the next input entry. *)
       let e = src.Iter.entry () in
       src.Iter.next ();
-      Some e
-    end
-    else None
-  in
-  let peek () = if src.Iter.valid () then Some (src.Iter.entry ()) else None in
-  let rec advance () =
-    match pull () with
-    | None -> current := None
-    | Some e -> (
       note_key e.Entry.key;
       match e.Entry.kind with
       | Entry.Range_delete ->
         (* Oldest stripe at the bottom: every entry it could cover is in
            the inputs and already dropped; retire the tombstone. *)
-        if bottom && stripe e.Entry.seqno = 0 then advance ()
-        else begin
-          current := Some e
-        end
+        if bottom && stripe e.Entry.seqno = 0 then advance () else current := e
       | Entry.Put | Entry.Merge | Entry.Delete | Entry.Single_delete -> (
         let st = stripe e.Entry.seqno in
         if st = !kept_stripe then advance () (* shadowed within stripe *)
-        else if covered e.Entry.key e.Entry.seqno st then advance ()
+        else if has_rds && covered cmp e.Entry.key e.Entry.seqno st rds then advance ()
         else
           match e.Entry.kind with
           | Entry.Put ->
             kept_stripe := st;
-            current := Some e
+            current := e
           | Entry.Merge ->
             (* keep, but do not shadow: the chain's base must survive *)
-            current := Some e
-          | Entry.Single_delete -> (
-            match peek () with
-            | Some nxt
-              when String.equal nxt.Entry.key e.Entry.key
-                   && nxt.Entry.kind = Entry.Put
-                   && stripe nxt.Entry.seqno = st ->
+            current := e
+          | Entry.Single_delete ->
+            if
+              src.Iter.valid ()
+              &&
+              let nxt = src.Iter.entry () in
+              String.equal nxt.Entry.key e.Entry.key
+              && nxt.Entry.kind = Entry.Put
+              && stripe nxt.Entry.seqno = st
+            then begin
               (* Annihilate the pair; older versions resurface, which is
                  the documented single-delete contract. *)
-              ignore (pull ());
+              src.Iter.next ();
               advance ()
-            | _ ->
-              if bottom && st = 0 then begin
-                (* Drop the tombstone but keep shadowing its stripe. *)
-                kept_stripe := st;
-                advance ()
-              end
-              else begin
-                kept_stripe := st;
-                current := Some e
-              end)
+            end
+            else if bottom && st = 0 then begin
+              (* Drop the tombstone but keep shadowing its stripe. *)
+              kept_stripe := st;
+              advance ()
+            end
+            else begin
+              kept_stripe := st;
+              current := e
+            end
           | Entry.Delete ->
             if bottom && st = 0 then begin
               kept_stripe := st;
@@ -104,16 +104,17 @@ let filtered ~cmp ~snapshots ~bottom ~range_tombstones (src : Iter.t) =
             end
             else begin
               kept_stripe := st;
-              current := Some e
+              current := e
             end
-          | Entry.Range_delete -> assert false))
+          | Entry.Range_delete -> assert false)
+    end
   in
   let started = ref false in
   let ensure_started () =
     if not !started then begin
       started := true;
       src.Iter.seek_to_first ();
-      cur_key := None;
+      has_key := false;
       kept_stripe := -1;
       advance ()
     end
@@ -122,17 +123,16 @@ let filtered ~cmp ~snapshots ~bottom ~range_tombstones (src : Iter.t) =
     Iter.valid =
       (fun () ->
         ensure_started ();
-        !current <> None);
+        !current != no_entry);
     entry =
       (fun () ->
         ensure_started ();
-        match !current with
-        | Some e -> e
-        | None -> invalid_arg "Merge_filter: not valid");
+        if !current == no_entry then invalid_arg "Merge_filter: not valid";
+        !current);
     next =
       (fun () ->
         ensure_started ();
-        if !current <> None then advance ());
+        if !current != no_entry then advance ());
     seek =
       (fun _ -> invalid_arg "Merge_filter: seek not supported");
     seek_to_first =

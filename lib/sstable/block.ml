@@ -30,10 +30,13 @@ module Builder = struct
       count = 0;
     }
 
-  let common_prefix_len a b =
-    let n = min (String.length a) (String.length b) in
-    let rec loop i = if i < n && a.[i] = b.[i] then loop (i + 1) else i in
-    loop 0
+  (* Top-level recursion, as in [Cursor]: a nested [let rec] would
+     capture [a], [b] and [n] and allocate a closure per record. *)
+  let rec common_prefix_from a b n i =
+    if i < n && String.unsafe_get a i = String.unsafe_get b i then common_prefix_from a b n (i + 1)
+    else i
+
+  let common_prefix_len a b = common_prefix_from a b (min (String.length a) (String.length b)) 0
 
   let add t (e : Entry.t) =
     let shared =

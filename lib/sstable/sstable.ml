@@ -290,6 +290,11 @@ let effective_filter_policy config =
   | Point_filter.Blocked_bloom _, Some bits -> Point_filter.Blocked_bloom { bits_per_key = bits }
   | policy, _ -> policy
 
+(* The "no record" sentinel, compared by [==]: the builder's previous
+   record before the first one, and the table iterator's unmaterialized
+   head. *)
+let no_entry = { Entry.key = ""; seqno = 0; kind = Entry.Put; value = "" }
+
 let build ?(config = default_build_config) ~cmp ~dev ~cls ~name ~created_at (it : Iter.t) =
   it.Iter.seek_to_first ();
   if not (it.Iter.valid ()) then invalid_arg "Sstable.build: empty iterator";
@@ -316,7 +321,6 @@ let build ?(config = default_build_config) ~cmp ~dev ~cls ~name ~created_at (it 
   let min_seqno = ref max_int and max_seqno = ref 0 in
   let data_bytes = ref 0 in
   let distinct_keys = ref [] in
-  let last_key = ref None in
   let min_key = ref "" and max_key = ref "" in
   let flush_pending next_first_key =
     match !pending with
@@ -338,21 +342,20 @@ let build ?(config = default_build_config) ~cmp ~dev ~cls ~name ~created_at (it 
       block_off := !block_off + String.length data
     end
   in
-  let prev = ref None in
+  (* The previous record, [no_entry] before the first: its key is the
+     last user key seen, so no per-record option is kept. *)
+  let prev = ref no_entry in
   while it.Iter.valid () do
     let e = it.Iter.entry () in
-    (match !prev with
-    | Some p when Entry.compare cmp p e > 0 -> invalid_arg "Sstable.build: iterator out of order"
-    | _ -> ());
-    prev := Some e;
+    let p = !prev in
+    let new_key = p == no_entry || not (String.equal p.Entry.key e.Entry.key) in
+    if p != no_entry && Entry.compare cmp p e > 0 then
+      invalid_arg "Sstable.build: iterator out of order";
     (* Cut blocks only between distinct user keys so all versions of a key
        share a block ([get] stops at block end). *)
-    (match !last_key with
-    | Some k
-      when Block.Builder.size_estimate block >= config.block_size
-           && not (String.equal k e.Entry.key) ->
-      finish_block k
-    | _ -> ());
+    if p != no_entry && new_key && Block.Builder.size_estimate block >= config.block_size then
+      finish_block p.Entry.key;
+    prev := e;
     if Block.Builder.is_empty block then begin
       flush_pending (Some e.Entry.key);
       block_first := e.Entry.key
@@ -366,16 +369,12 @@ let build ?(config = default_build_config) ~cmp ~dev ~cls ~name ~created_at (it 
     if e.Entry.seqno < !min_seqno then min_seqno := e.Entry.seqno;
     if e.Entry.seqno > !max_seqno then max_seqno := e.Entry.seqno;
     data_bytes := !data_bytes + String.length e.Entry.key + String.length e.Entry.value;
-    (match !last_key with
-    | Some k when String.equal k e.Entry.key -> ()
-    | _ ->
-      distinct_keys := e.Entry.key :: !distinct_keys;
-      last_key := Some e.Entry.key);
+    if new_key then distinct_keys := e.Entry.key :: !distinct_keys;
     if !entries = 1 then min_key := e.Entry.key;
     max_key := e.Entry.key;
     it.Iter.next ()
   done;
-  (match !last_key with Some k -> finish_block k | None -> assert false);
+  finish_block !prev.Entry.key;
   flush_pending None;
   (* Filters over all distinct user keys. *)
   let keys = !distinct_keys in
@@ -871,8 +870,6 @@ let get t ~cls ?(max_seqno = max_int) key =
    [entry]. A step past the first record runs under [run_typed], the one
    site where a record-level [Codec.Corrupt] becomes a corruption pinned
    to the block. *)
-let no_entry = { Entry.key = ""; seqno = 0; kind = Entry.Put; value = "" }
-
 let aim_first p (cur, cmp) =
   Block.Cursor.reset cur cmp p;
   Block.Cursor.seek_to_first cur

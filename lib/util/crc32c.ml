@@ -1,12 +1,21 @@
-(* Slicing-by-8 CRC-32C (Castagnoli, reflected polynomial 0x82f63b78).
+(* CRC-32C (Castagnoli, reflected polynomial 0x82f63b78): two kernels
+   over one register, chosen once.
 
    The running CRC is a native [int] holding 32 significant bits: OCaml 5
    native code is 64-bit only, so an [int] carries every bit of it
-   unboxed. [tables] is eight 256-entry tables laid out back to back:
-   entry [k*256 + b] is the CRC register after feeding byte [b] followed
-   by [k] zero bytes, so one step folds eight input bytes with eight
-   lookups instead of eight dependent table walks. Table 0 is the classic
-   bytewise table, which also finishes the unaligned tail. *)
+   unboxed. Both kernels take the register after the pre-inversion and
+   return it before the post-inversion, so [sub] owns the window check
+   and the two inversions and a kernel only folds bytes.
+
+   The hardware kernel is the SSE4.2 [crc32] instruction in
+   crc32c_stubs.c. The portable kernel is slicing-by-8: [tables] is
+   eight 256-entry tables laid out back to back, entry [k*256 + b] is
+   the CRC register after feeding byte [b] followed by [k] zero bytes,
+   so one step folds eight input bytes with eight lookups instead of
+   eight dependent table walks. Table 0 is the classic bytewise table,
+   which also finishes the unaligned tail. The portable kernel serves
+   CPUs without the instruction and is the oracle the hardware kernel is
+   tested against. *)
 
 let polynomial = 0x82f63b78
 
@@ -39,10 +48,9 @@ let[@inline] le32 s i =
 
 let[@inline] tab k b = Array.unsafe_get tables ((k lsl 8) lor b)
 
-let sub ?(init = 0l) s ~pos ~len =
-  if pos < 0 || len < 0 || pos > String.length s - len then
-    invalid_arg "Crc32c.sub: out of bounds";
-  let c = ref (lnot (Int32.to_int init) land 0xffffffff) in
+(* The slicing-by-8 fold of [s.[pos .. pos+len-1]] into register [c]. *)
+let portable_fold c s ~pos ~len =
+  let c = ref c in
   let i = ref pos in
   let stop8 = pos + (len land lnot 7) in
   while !i < stop8 do
@@ -64,7 +72,34 @@ let sub ?(init = 0l) s ~pos ~len =
     c := (!c lsr 8) lxor tab 0 ((!c lxor Char.code (String.unsafe_get s !i)) land 0xff);
     incr i
   done;
-  Int32.of_int (!c lxor 0xffffffff)
+  !c
+
+(* The same fold by the [crc32] instruction: unchecked, allocation
+   free, no runtime lock; the window is checked by [sub]. *)
+external hardware_fold :
+  (int[@untagged]) -> string -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "lsm_crc32c_hw_sub_byte" "lsm_crc32c_hw_sub"
+[@@noalloc]
+
+external hardware_available : unit -> bool = "lsm_crc32c_hw_available" [@@noalloc]
+
+let hardware = hardware_available ()
+
+let[@inline] check_window s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Crc32c.sub: out of bounds"
+
+let[@inline] register init = lnot (Int32.to_int init) land 0xffffffff
+let[@inline] result c = Int32.of_int (c lxor 0xffffffff)
+
+let sub ?(init = 0l) s ~pos ~len =
+  check_window s ~pos ~len;
+  let c = register init in
+  result (if hardware then hardware_fold c s pos len else portable_fold c s ~pos ~len)
+
+let portable_sub ?(init = 0l) s ~pos ~len =
+  check_window s ~pos ~len;
+  result (portable_fold (register init) s ~pos ~len)
 
 let string ?init s = sub ?init s ~pos:0 ~len:(String.length s)
 

@@ -261,6 +261,45 @@ let test_manifest_torn_tail_ignored () =
   let v = Manifest.recover dev in
   check_int "intact prefix recovered" 1 (Version.file_count v)
 
+(* ---------- allocation ceiling of the merge filter ---------- *)
+
+(* Minor words the filter allocates per record it passes or drops, over
+   an array iterator that allocates nothing itself: with no snapshots
+   and no range tombstones the filter only moves a sentinel-guarded
+   current entry, so it measures 0.00 (it measured 14.00 when each
+   record cost an option per pull, per current entry and per new key,
+   plus a closure for the range-tombstone scan). The ceiling is one
+   word, so any per-record box or closure fails it. *)
+let merge_filter_words_ceiling = 1.0
+
+let words_per_filtered_record entries =
+  let it =
+    Merge_filter.filtered ~cmp ~snapshots:[] ~bottom:false ~range_tombstones:[]
+      (Iter.of_sorted_array cmp entries)
+  in
+  it.Iter.seek_to_first ();
+  let w0 = Gc.minor_words () in
+  while it.Iter.valid () do
+    ignore (Sys.opaque_identity (it.Iter.entry ()));
+    it.Iter.next ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int (Array.length entries)
+
+let test_merge_filter_allocation_ceiling () =
+  let n = 100_000 in
+  let distinct = Array.init n (fun i -> e (Printf.sprintf "k%07d" i) (i + 1) ~value:"v") in
+  (* Two versions per key: every second record is shadowed and dropped. *)
+  let shadowed =
+    Array.init n (fun i -> e (Printf.sprintf "k%07d" (i / 2)) (n - i) ~value:"v")
+  in
+  List.iter
+    (fun (name, entries) ->
+      let words = words_per_filtered_record entries in
+      if words > merge_filter_words_ceiling then
+        Alcotest.failf "%s: %.2f minor words per record, ceiling %.2f" name words
+          merge_filter_words_ceiling)
+    [ ("distinct puts", distinct); ("shadowed versions", shadowed) ]
+
 (* ---------- randomized stripe-correctness property ---------- *)
 
 (* For arbitrary version stacks and snapshot sets, filtering must preserve
@@ -506,6 +545,7 @@ let suite =
     ("manifest recover", `Quick, test_manifest_recover_replays_edits);
     ("manifest missing = empty", `Quick, test_manifest_missing_is_empty);
     ("manifest torn tail ignored", `Quick, test_manifest_torn_tail_ignored);
+    ("merge filter allocation ceiling", `Quick, test_merge_filter_allocation_ceiling);
     qt prop_merge_filter_preserves_visibility;
     qt prop_one_file_selection;
     qt prop_run_iter_linear;

@@ -48,6 +48,11 @@ let test_r8 = check_flagged "R8" ~bad:"r8_bad" ~ok:"r8_ok" ~expect:2
    arena idioms and the file-name scoping. *)
 let test_r12 = check_flagged "R12" ~bad:"r12_bad" ~ok:"r12_ok" ~expect:5
 
+(* r13_ok holds a C external under the exempt name crc32c.ml and %
+   primitives elsewhere; r13_bad binds C symbols at top level, in a
+   nested module and in a signature. *)
+let test_r13 = check_flagged "R13" ~bad:"r13_bad" ~ok:"r13_ok" ~expect:3
+
 let test_r2_only_in_cache_modules () =
   (* The same I/O-under-lock shape in a non-cache module is not R2's
      business: the rule is about the fan-out hot-path locks. *)
@@ -204,6 +209,7 @@ let suite =
     Alcotest.test_case "R7: untyped failwith fixtures" `Quick test_r7;
     Alcotest.test_case "R8: unlooped condition wait fixtures" `Quick test_r8;
     Alcotest.test_case "R12: allocation-heavy idiom fixtures" `Quick test_r12;
+    Alcotest.test_case "R13: C stubs outside the one module" `Quick test_r13;
     Alcotest.test_case "R2 scoped to cache modules" `Quick test_r2_only_in_cache_modules;
     Alcotest.test_case "findings carry line numbers" `Quick test_finding_positions;
     Alcotest.test_case "suppression with reason" `Quick test_suppression_with_reason;

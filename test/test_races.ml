@@ -150,9 +150,20 @@ let torn_mget_stress ~parallelism () =
   List.iter (fun k -> Write_batch.put wb0 ~key:k (value 0 0)) keys;
   Db.apply_batch db wb0;
   let rounds = 600 in
+  let min_reads = 11 in
+  (* Completed reader rounds. The writer paces itself on them: before
+     batch [tag] it waits for [tag * min_reads / rounds] of them, so the
+     reads interleave with the whole run and the last batch, the one
+     that stops the reader, waits for [min_reads]. Without it a writer
+     scheduled ahead of the reader could finish first, and the progress
+     check below failed on a 1-CPU host. *)
+  let reads = Atomic.make 0 in
   let writer =
     Domain.spawn (fun () ->
         for tag = 1 to rounds do
+          while Atomic.get reads < tag * min_reads / rounds do
+            Domain.cpu_relax ()
+          done;
           let wb = Write_batch.create () in
           List.iter (fun k -> Write_batch.put wb ~key:k (value tag 0)) keys;
           Db.apply_batch db wb
@@ -160,11 +171,10 @@ let torn_mget_stress ~parallelism () =
   in
   let torn = ref 0 in
   let incomplete = ref 0 in
-  let reads = ref 0 in
   let running = ref true in
   while !running do
     let results = Db.multi_get db keys in
-    incr reads;
+    Atomic.incr reads;
     let tags =
       List.filter_map
         (fun r ->
@@ -181,11 +191,11 @@ let torn_mget_stress ~parallelism () =
     | t0 :: rest ->
       if List.exists (fun x -> x <> t0) rest then incr torn;
       if t0 = Printf.sprintf "%08d" rounds then running := false);
-    if !reads > 200_000 then running := false
+    if Atomic.get reads > 200_000 then running := false
   done;
   Domain.join writer;
   Db.quiesce db;
-  check_bool "reader made progress" true (!reads > 10);
+  check_bool "reader made progress" true (Atomic.get reads > 10);
   check_int "no torn multi_get result" 0 !torn;
   check_int "no missing key inside a batch read" 0 !incomplete;
   Db.close db

@@ -86,22 +86,41 @@ let prop_mixed_stream =
 
 (* ---------- Crc32c ---------- *)
 
+(* Every oracle case runs against both kernels: the one [Crc32c.sub]
+   dispatches to (the CRC-32C instruction where the CPU has it) and the
+   portable slicing-by-8 kernel, which serves every other CPU. *)
+let crc_kernels =
+  [
+    ((if Crc32c.hardware then "hardware" else "dispatched"),
+     fun ~init s ~pos ~len -> Crc32c.sub ~init s ~pos ~len);
+    ("portable", fun ~init s ~pos ~len -> Crc32c.portable_sub ~init s ~pos ~len);
+  ]
+
+let crc_of kernel ?(init = 0l) s = kernel ~init s ~pos:0 ~len:(String.length s)
+
 let test_crc_known_vectors () =
-  (* Standard CRC-32C test vector: "123456789" -> 0xE3069283. *)
-  Alcotest.(check int32) "check value" 0xE3069283l (Crc32c.string "123456789");
-  Alcotest.(check int32) "empty" 0l (Crc32c.string "")
+  List.iter
+    (fun (name, k) ->
+      (* Standard CRC-32C test vector: "123456789" -> 0xE3069283. *)
+      Alcotest.(check int32) (name ^ " check value") 0xE3069283l (crc_of k "123456789");
+      Alcotest.(check int32) (name ^ " empty") 0l (crc_of k ""))
+    crc_kernels;
+  Alcotest.(check int32) "string = sub" 0xE3069283l (Crc32c.string "123456789")
 
 (* RFC 3720 (iSCSI) appendix B.4 CRC-32C examples. *)
 let test_crc_rfc3720_vectors () =
-  let check32 name want s = Alcotest.(check int32) name want (Crc32c.string s) in
-  check32 "32 x 0x00" 0x8A9136AAl (String.make 32 '\x00');
-  check32 "32 x 0xFF" 0x62A8AB43l (String.make 32 '\xff');
-  check32 "0x00..0x1F" 0x46DD794El (String.init 32 Char.chr);
-  check32 "0x1F..0x00" 0x113FDB5Cl (String.init 32 (fun i -> Char.chr (31 - i)))
+  List.iter
+    (fun (name, k) ->
+      let check32 what want s = Alcotest.(check int32) (name ^ " " ^ what) want (crc_of k s) in
+      check32 "32 x 0x00" 0x8A9136AAl (String.make 32 '\x00');
+      check32 "32 x 0xFF" 0x62A8AB43l (String.make 32 '\xff');
+      check32 "0x00..0x1F" 0x46DD794El (String.init 32 Char.chr);
+      check32 "0x1F..0x00" 0x113FDB5Cl (String.init 32 (fun i -> Char.chr (31 - i))))
+    crc_kernels
 
 (* Bytewise reference CRC-32C: the textbook one-table loop over boxed
-   [int32], kept only here as the oracle the slicing-by-8 kernel in
-   [Crc32c] must match bit for bit. *)
+   [int32], kept only here as the oracle both kernels in [Crc32c] must
+   match bit for bit. *)
 let reference_crc =
   let table =
     Array.init 256 (fun i ->
@@ -129,16 +148,64 @@ let reference_crc =
 let test_crc_every_window () =
   let rng = Random.State.make [| 21 |] in
   let s = String.init 64 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let inits = [ 0l; 0xE3069283l; -1l; 0x7fffffffl; Random.State.int32 rng Int32.max_int ] in
   List.iter
-    (fun init ->
-      for pos = 0 to 64 do
-        for len = 0 to 64 - pos do
-          let want = reference_crc ~init s ~pos ~len in
-          if Crc32c.sub ~init s ~pos ~len <> want then
-            Alcotest.failf "init=%lx pos=%d len=%d" init pos len
-        done
-      done)
-    [ 0l; 0xE3069283l; -1l; 0x7fffffffl; Random.State.int32 rng Int32.max_int ]
+    (fun (name, k) ->
+      List.iter
+        (fun init ->
+          for pos = 0 to 64 do
+            for len = 0 to 64 - pos do
+              let want = reference_crc ~init s ~pos ~len in
+              if k ~init s ~pos ~len <> want then
+                Alcotest.failf "%s: init=%lx pos=%d len=%d" name init pos len
+            done
+          done)
+        inits)
+    crc_kernels
+
+(* Random windows of strings up to 8 KiB: the 8-byte word loop runs
+   over whole blocks, from every alignment, before the tail. *)
+let test_crc_large_windows () =
+  let rng = Random.State.make [| 26 |] in
+  let s = String.init 8192 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for _ = 1 to 200 do
+    let pos = Random.State.int rng 64 in
+    let len = Random.State.int rng (String.length s - pos + 1) in
+    let init = Random.State.int32 rng Int32.max_int in
+    let want = reference_crc ~init s ~pos ~len in
+    List.iter
+      (fun (name, k) ->
+        if k ~init s ~pos ~len <> want then
+          Alcotest.failf "%s: init=%lx pos=%d len=%d" name init pos len)
+      crc_kernels
+  done;
+  List.iter
+    (fun (name, k) ->
+      Alcotest.(check int32) (name ^ " whole 8 KiB") (reference_crc ~init:0l s ~pos:0 ~len:8192)
+        (crc_of k s))
+    crc_kernels
+
+(* On an x86-64 CPU with SSE4.2, [sub] must run on the instruction: a
+   dispatch that silently falls back to the portable kernel still
+   passes every oracle case, so it is caught here. The CPU is read from
+   /proc/cpuinfo (Linux), whose x86 "flags" line names sse4_2; a host
+   without that file, or another architecture, asserts nothing. *)
+let cpu_has_sse42 () =
+  match open_in "/proc/cpuinfo" with
+  | exception Sys_error _ -> false
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> false
+      | line ->
+        (String.starts_with ~prefix:"flags" line
+        && List.mem "sse4_2" (String.split_on_char ' ' line))
+        || scan ()
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) scan
+
+let test_crc_hardware_dispatch () =
+  if cpu_has_sse42 () then check "SSE4.2 CPU runs the hardware kernel" true Crc32c.hardware
 
 let prop_crc_matches_reference =
   QCheck.Test.make ~name:"crc32c kernel = bytewise reference" ~count:500
@@ -147,15 +214,18 @@ let prop_crc_matches_reference =
       let n = String.length s in
       let pos = a mod (n + 1) in
       let len = b mod (n - pos + 1) in
-      Crc32c.sub ~init s ~pos ~len = reference_crc ~init s ~pos ~len
+      List.for_all
+        (fun (_, k) ->
+          k ~init s ~pos ~len = reference_crc ~init s ~pos ~len
+          && crc_of k ~init s = reference_crc ~init s ~pos:0 ~len:n)
+        crc_kernels
       && Crc32c.string ~init s = reference_crc ~init s ~pos:0 ~len:n)
 
 let prop_crc_chaining =
   QCheck.Test.make ~name:"crc32c chains: sub ~init:(string a) b = string (a ^ b)" ~count:300
     QCheck.(pair (string_of_size Gen.(0 -- 100)) (string_of_size Gen.(0 -- 100)))
     (fun (a, b) ->
-      Crc32c.sub ~init:(Crc32c.string a) b ~pos:0 ~len:(String.length b)
-      = Crc32c.string (a ^ b))
+      List.for_all (fun (_, k) -> crc_of k ~init:(crc_of k a) b = crc_of k (a ^ b)) crc_kernels)
 
 let test_crc_mask_roundtrip () =
   let crc = Crc32c.string "hello world" in
@@ -436,6 +506,8 @@ let suite =
     ("crc32c known vectors", `Quick, test_crc_known_vectors);
     ("crc32c RFC 3720 vectors", `Quick, test_crc_rfc3720_vectors);
     ("crc32c every window = reference", `Quick, test_crc_every_window);
+    ("crc32c random windows up to 8 KiB = reference", `Quick, test_crc_large_windows);
+    ("crc32c hardware kernel on an SSE4.2 CPU", `Quick, test_crc_hardware_dispatch);
     ("crc32c mask roundtrip", `Quick, test_crc_mask_roundtrip);
     ("crc32c substring", `Quick, test_crc_sub);
     ("hashing deterministic", `Quick, test_hash_deterministic);

@@ -22,7 +22,8 @@ let usage =
   \      (skiplist.ml, memtable.ml), the checksum paths (crc32c.ml,\n\
   \      sstable.ml, framed_log.ml), the server's per-command path\n\
   \      (resp.ml, server.ml) and the per-record merge path (iter.ml,\n\
-  \      merge_filter.ml)\n\n\
+  \      merge_filter.ml)\n\
+  \  R13 external bound to a C symbol outside crc32c.ml (the one stub module)\n\n\
    Typedtree rules (need --typed DIR with built .cmt files):\n\
   \  R9  static lockdep: whole-program acquired-before relation vs the Rank table\n\
   \  R10 iterator/read-view escape past its pin combinator\n\n\

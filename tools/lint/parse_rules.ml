@@ -51,9 +51,12 @@
          [int64] ref — use a [for] loop over a local ref). Scoped by
          file name because these idioms are fine in cold code; on the
          get path they are exactly the allocations the read path
-         exists to avoid. *)
+         exists to avoid.
+     R13 an [external] bound to a C symbol (not a [%] primitive) outside
+         crc32c.ml: the tree's foreign surface is one reviewed module
+         and its one stub file, crc32c_stubs.c. *)
 
-let all_rules = [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R12" ]
+let all_rules = [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R12"; "R13" ]
 
 (* Files allowed to touch raw mutexes: the blessed combinator itself. *)
 let r1_exempt = [ "ordered_mutex.ml" ]
@@ -105,6 +108,9 @@ let r12_hot_modules =
     "iter.ml";
     "merge_filter.ml";
   ]
+
+(* The one module allowed to bind C stubs: the checksum kernel. *)
+let r13_exempt = [ "crc32c.ml" ]
 
 (* ---------------- AST helpers ---------------- *)
 
@@ -242,6 +248,20 @@ let check_r12 ctx ~in_loop e =
         emit ctx "R12" (line_of e)
           "String.iter/Bytes.iter closure on the get path allocates per call and boxes an int64 accumulator; use a for loop over a local ref"
       | _ -> ())
+    | _ -> ()
+
+(* R13: [pval_prim] is empty for a plain [val]; a compiler primitive's
+   name begins with [%], anything else names a C symbol. Checked on every
+   value description, so an [external] in a nested module or in a
+   signature is caught too. *)
+let check_r13 ctx (vd : value_description) =
+  if ctx.active "R13" && not (List.mem ctx.base r13_exempt) then
+    match vd.pval_prim with
+    | sym :: _ when not (String.length sym > 0 && sym.[0] = '%') ->
+      emit ctx "R13" vd.pval_loc.Location.loc_start.Lexing.pos_lnum
+        (Printf.sprintf
+           "external %s binds the C symbol %s; C stubs live in crc32c.ml and its stub file only"
+           vd.pval_name.txt sym)
     | _ -> ()
 
 let check_r2_ident ctx e =
@@ -389,7 +409,11 @@ let lint_structure ctx (str : structure) =
     | _ -> ());
     Ast_iterator.default_iterator.structure_item it si
   in
-  let iter = { Ast_iterator.default_iterator with expr; structure_item } in
+  let value_description it vd =
+    check_r13 ctx vd;
+    Ast_iterator.default_iterator.value_description it vd
+  in
+  let iter = { Ast_iterator.default_iterator with expr; structure_item; value_description } in
   iter.structure iter str
 
 (* ---------------- per-file entry point ---------------- *)
