@@ -276,42 +276,6 @@ let build_config t ~filter_bits_override =
       | None -> None);
   }
 
-(* Wrap [src] so it stops at a user-key boundary once [target] bytes of
-   entries have passed, or before a key [cut ~prev key] accepts (a
-   guarded level's guard boundaries); returns whether anything remains. *)
-let capped_iter ?cut src ~target =
-  let emitted = ref 0 in
-  let stopped = ref false in
-  let check_boundary () =
-    if !emitted >= target && src.Iter.valid () then stopped := true
-  in
-  let last_key = ref None in
-  {
-    Iter.valid = (fun () -> (not !stopped) && src.Iter.valid ());
-    entry = (fun () -> src.Iter.entry ());
-    next =
-      (fun () ->
-        if (not !stopped) && src.Iter.valid () then begin
-          let e = src.Iter.entry () in
-          emitted := !emitted + Entry.encoded_size e;
-          last_key := Some e.Entry.key;
-          src.Iter.next ();
-          (* only cut between distinct user keys *)
-          if src.Iter.valid () then begin
-            let nxt = src.Iter.entry () in
-            match !last_key with
-            | Some k when not (String.equal k nxt.Entry.key) -> (
-              check_boundary ();
-              match cut with
-              | Some cut when cut ~prev:k nxt.Entry.key -> stopped := true
-              | _ -> ())
-            | _ -> ()
-          end
-        end);
-    seek = (fun _ -> invalid_arg "capped_iter: seek unsupported");
-    seek_to_first = (fun () -> () (* already positioned mid-stream *));
-  }
-
 (* File ids are allocated under a mutex: parallel subcompactions cut
    output files concurrently. Serial callers pay an uncontended lock. *)
 let alloc_file_id t =
@@ -320,18 +284,20 @@ let alloc_file_id t =
   t.next_file_id <- t.next_file_id + 1;
   id
 
-(* Drain [src] into as many files as needed; returns their metadata. *)
+(* Drain [src] into as many files as needed; returns their metadata.
+   Each file takes records until, at a user-key boundary, it holds
+   [target_file_size] bytes of them or [cut ~prev key] (a guarded
+   level's guard boundaries) accepts the next key. *)
 let write_run t ~cls ~filter_bits_override ?cut src =
   src.Iter.seek_to_first ();
+  let config = build_config t ~filter_bits_override in
   let metas = ref [] in
   while src.Iter.valid () do
     let file_id = alloc_file_id t in
     let name = Table_meta.file_name_of_id file_id in
-    let part = capped_iter ?cut src ~target:t.cfg.Config.target_file_size in
     let props =
-      Sstable.build
-        ~config:(build_config t ~filter_bits_override)
-        ~cmp:(cmp_of t) ~dev:t.dev ~cls ~name ~created_at:(Atomic.get t.clock) part
+      Sstable.build_from ~config ~limit:t.cfg.Config.target_file_size ?cut ~cmp:(cmp_of t)
+        ~dev:t.dev ~cls ~name ~created_at:(Atomic.get t.clock) src
     in
     let size = Device.size t.dev name in
     metas := Table_meta.of_props ~file_id ~file_name:name ~size props :: !metas
@@ -499,7 +465,7 @@ type merge_plan = {
   mp_bottom : bool;
   mp_bits : float option;
   mp_cut : (prev:string -> string -> bool) option;
-      (** output cut at the target level's guards ({!capped_iter}) *)
+      (** output cut at the target level's guards ({!write_run}) *)
   mp_snapshots : int list;
       (** live-snapshot seqnos captured (under [snap_mutex]) at plan
           time; the execute phase filters against exactly this list. A

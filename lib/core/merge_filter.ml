@@ -23,8 +23,11 @@ let rec covered cmp key seqno st = function
     && cmp.Comparator.compare key hi < 0)
     || covered cmp key seqno st rest
 
-(* The current-entry sentinel: [current == no_entry] means exhausted. *)
-let no_entry = { Entry.key = ""; seqno = 0; kind = Entry.Put; value = "" }
+(* Where the filter's current record is. *)
+type at =
+  | Done  (** exhausted *)
+  | Source  (** the source's current record *)
+  | Saved  (** a kept single delete, saved before its look-ahead moved the source *)
 
 let filtered ~cmp ~snapshots ~bottom ~range_tombstones (src : Iter.t) =
   let snapshots = Array.of_list (List.sort_uniq compare snapshots) in
@@ -38,8 +41,13 @@ let filtered ~cmp ~snapshots ~bottom ~range_tombstones (src : Iter.t) =
   in
   let has_rds = rds <> [] in
   (* Streaming state, boxed once per filter: no record allocates. The
-     current user key is a string plus a flag, not an option. *)
-  let current = ref no_entry in
+     filter decides on the source's view of each record — key, seqno,
+     kind — and passes a survivor on as that same view, so no value is
+     materialized. The current user key is a string plus a flag, not an
+     option. *)
+  let at = ref Done in
+  let saved = ref (Entry.delete ~key:"" ~seqno:0) in
+  let saved_view = Iter.new_view () in
   let cur_key = ref "" in
   let has_key = ref false in
   let kept_stripe = ref (-1) in
@@ -50,64 +58,67 @@ let filtered ~cmp ~snapshots ~bottom ~range_tombstones (src : Iter.t) =
       kept_stripe := -1
     end
   in
-  let rec advance () =
-    if not (src.Iter.valid ()) then current := no_entry
+  (* Settle on the next record to keep, from the source's current one:
+     a dropped record is stepped past, a kept one stays current in the
+     source until the consumer moves on. *)
+  let rec settle () =
+    if not (src.Iter.valid ()) then at := Done
     else begin
-      (* Consume the next input entry. *)
-      let e = src.Iter.entry () in
-      src.Iter.next ();
-      note_key e.Entry.key;
-      match e.Entry.kind with
+      let v = src.Iter.view () in
+      let key = v.Iter.key and seqno = v.Iter.seqno in
+      note_key key;
+      match v.Iter.kind with
       | Entry.Range_delete ->
         (* Oldest stripe at the bottom: every entry it could cover is in
            the inputs and already dropped; retire the tombstone. *)
-        if bottom && stripe e.Entry.seqno = 0 then advance () else current := e
-      | Entry.Put | Entry.Merge | Entry.Delete | Entry.Single_delete -> (
-        let st = stripe e.Entry.seqno in
-        if st = !kept_stripe then advance () (* shadowed within stripe *)
-        else if has_rds && covered cmp e.Entry.key e.Entry.seqno st rds then advance ()
+        if bottom && stripe seqno = 0 then drop () else at := Source
+      | (Entry.Put | Entry.Merge | Entry.Delete | Entry.Single_delete) as kind -> (
+        let st = stripe seqno in
+        if st = !kept_stripe then drop () (* shadowed within stripe *)
+        else if has_rds && covered cmp key seqno st rds then drop ()
         else
-          match e.Entry.kind with
+          match kind with
           | Entry.Put ->
             kept_stripe := st;
-            current := e
+            at := Source
           | Entry.Merge ->
             (* keep, but do not shadow: the chain's base must survive *)
-            current := e
+            at := Source
           | Entry.Single_delete ->
+            (* The look-ahead moves the source, so the tombstone is kept
+               as an entry of its own: a GC decision may decode. *)
+            let sd = Iter.view_entry v in
+            src.Iter.next ();
             if
               src.Iter.valid ()
               &&
-              let nxt = src.Iter.entry () in
-              String.equal nxt.Entry.key e.Entry.key
-              && nxt.Entry.kind = Entry.Put
-              && stripe nxt.Entry.seqno = st
-            then begin
+              let nxt = src.Iter.view () in
+              String.equal nxt.Iter.key key
+              && nxt.Iter.kind = Entry.Put
+              && stripe nxt.Iter.seqno = st
+            then
               (* Annihilate the pair; older versions resurface, which is
                  the documented single-delete contract. *)
-              src.Iter.next ();
-              advance ()
-            end
-            else if bottom && st = 0 then begin
-              (* Drop the tombstone but keep shadowing its stripe. *)
-              kept_stripe := st;
-              advance ()
-            end
+              drop ()
             else begin
+              (* Kept, or dropped at the bottom while still shadowing its
+                 stripe. *)
               kept_stripe := st;
-              current := e
+              if bottom && st = 0 then settle ()
+              else begin
+                saved := sd;
+                Iter.fill_view saved_view sd;
+                at := Saved
+              end
             end
           | Entry.Delete ->
-            if bottom && st = 0 then begin
-              kept_stripe := st;
-              advance ()
-            end
-            else begin
-              kept_stripe := st;
-              current := e
-            end
+            kept_stripe := st;
+            if bottom && st = 0 then drop () else at := Source
           | Entry.Range_delete -> assert false)
     end
+  and drop () =
+    src.Iter.next ();
+    settle ()
   in
   let started = ref false in
   let ensure_started () =
@@ -116,23 +127,30 @@ let filtered ~cmp ~snapshots ~bottom ~range_tombstones (src : Iter.t) =
       src.Iter.seek_to_first ();
       has_key := false;
       kept_stripe := -1;
-      advance ()
+      settle ()
     end
   in
+  let not_valid () = invalid_arg "Merge_filter: not valid" in
   {
     Iter.valid =
       (fun () ->
         ensure_started ();
-        !current != no_entry);
+        !at <> Done);
     entry =
       (fun () ->
         ensure_started ();
-        if !current == no_entry then invalid_arg "Merge_filter: not valid";
-        !current);
+        match !at with Source -> src.Iter.entry () | Saved -> !saved | Done -> not_valid ());
+    view =
+      (fun () ->
+        ensure_started ();
+        match !at with Source -> src.Iter.view () | Saved -> saved_view | Done -> not_valid ());
     next =
       (fun () ->
         ensure_started ();
-        if !current != no_entry then advance ());
+        match !at with
+        | Source -> drop ()
+        | Saved -> settle () (* the look-ahead already moved the source *)
+        | Done -> ());
     seek =
       (fun _ -> invalid_arg "Merge_filter: seek not supported");
     seek_to_first =

@@ -157,20 +157,21 @@ let rec probe_runs env (runs : Table_meta.t array array) i ~snap tally key =
 let rec resolve_key env ~snap ~rd_seq key (it : Iter.t) operands =
   if not (it.Iter.valid ()) then resolved env key operands None
   else
-    let e = it.Iter.entry () in
-    if not (String.equal e.Entry.key key) then resolved env key operands None
-    else if e.Entry.seqno > snap || e.Entry.kind = Entry.Range_delete then begin
+    let v = it.Iter.view () in
+    if not (String.equal v.Iter.key key) then resolved env key operands None
+    else if v.Iter.seqno > snap || v.Iter.kind = Entry.Range_delete then begin
       it.Iter.next ();
       resolve_key env ~snap ~rd_seq key it operands
     end
-    else if e.Entry.seqno <= rd_seq then resolved env key operands None
+    else if v.Iter.seqno <= rd_seq then resolved env key operands None
     else
-      match e.Entry.kind with
-      | Entry.Put -> resolved env key operands (Some e.Entry.value)
+      match v.Iter.kind with
+      | Entry.Put -> resolved env key operands (Some (Iter.view_value v))
       | Entry.Delete | Entry.Single_delete | Entry.Range_delete -> resolved env key operands None
       | Entry.Merge ->
+        let operand = Iter.view_value v in
         it.Iter.next ();
-        resolve_key env ~snap ~rd_seq key it (e.Entry.value :: operands)
+        resolve_key env ~snap ~rd_seq key it (operand :: operands)
 
 (* Consing along a newest-to-oldest walk leaves [operands] oldest-first
    — the operator's expected order. *)
@@ -292,7 +293,7 @@ let rec open_from r j target =
   end
 
 and settle r =
-  if r.cur.Iter.valid () then r.live <- below_hi r (r.cur.Iter.entry ()).Entry.key
+  if r.cur.Iter.valid () then r.live <- below_hi r (r.cur.Iter.view ()).Iter.key
   else open_from r (r.idx + 1) None
 
 let run_next r =
@@ -315,6 +316,7 @@ let run_iter cmp ~open_file ~failed ~lo ~hi files =
   {
     Iter.valid = (fun () -> r.live);
     entry = (fun () -> r.cur.Iter.entry ());
+    view = (fun () -> r.cur.Iter.view ());
     next = (fun () -> run_next r);
     seek = (fun target -> run_seek r target);
     seek_to_first =
@@ -334,7 +336,7 @@ let scan_open env tally ~lo ~hi f =
 
 (* Step past the versions of [key] older than the deciding one. *)
 let rec skip_key (it : Iter.t) key =
-  if it.Iter.valid () && String.equal (it.Iter.entry ()).Entry.key key then begin
+  if it.Iter.valid () && String.equal (it.Iter.view ()).Iter.key key then begin
     it.Iter.next ();
     skip_key it key
   end
@@ -368,7 +370,7 @@ let fold env ctx tally ~limit ~lo ~hi ~init ~f =
   let rec loop acc count =
     if count >= limit || not (it.Iter.valid ()) then acc
     else
-      let key = (it.Iter.entry ()).Entry.key in
+      let key = (it.Iter.view ()).Iter.key in
       if not (in_range key) then acc
       else
         let rd_seq = entry_rd_seqno cmp ~snap key 0 rds in

@@ -135,9 +135,11 @@ let footprint t = t.footprint
 
 let iterator t =
   let cur = ref Nil in
+  let entry () = match !cur with Node n -> n.entry | Nil -> invalid_arg "skiplist iter" in
   {
     Iter.valid = (fun () -> !cur != Nil);
-    entry = (fun () -> match !cur with Node n -> n.entry | Nil -> invalid_arg "skiplist iter");
+    entry;
+    view = Iter.entry_view entry;
     next = (fun () -> match !cur with Node n -> cur := Atomic.get n.next.(0) | Nil -> ());
     seek = (fun target -> cur := seek_node t target);
     seek_to_first = (fun () -> cur := Atomic.get t.head.(0));

@@ -71,9 +71,11 @@ let footprint t = t.footprint
 let iterator t =
   ensure_sorted t;
   let pos = ref t.len in
+  let entry () = t.data.(!pos) in
   {
     Iter.valid = (fun () -> !pos < t.len);
-    entry = (fun () -> t.data.(!pos));
+    entry;
+    view = Iter.entry_view entry;
     next = (fun () -> if !pos < t.len then incr pos);
     seek =
       (fun target ->

@@ -61,12 +61,13 @@ let decode r =
   let value = Codec.get_lp_string r in
   { key; seqno; kind; value }
 
+let encoded_size_of ~seqno ~key_len ~value_len =
+  Codec.varint_size seqno + 1 + Codec.varint_size key_len + key_len
+  + Codec.varint_size value_len + value_len
+
 let encoded_size e =
-  Codec.varint_size e.seqno + 1
-  + Codec.varint_size (String.length e.key)
-  + String.length e.key
-  + Codec.varint_size (String.length e.value)
-  + String.length e.value
+  encoded_size_of ~seqno:e.seqno ~key_len:(String.length e.key)
+    ~value_len:(String.length e.value)
 
 (* Words-on-heap estimate: two boxed strings plus the record itself. *)
 let footprint e = String.length e.key + String.length e.value + 48

@@ -54,6 +54,10 @@ val decode : Lsm_util.Codec.reader -> t
 val encoded_size : t -> int
 (** Exact size {!encode} will produce. *)
 
+val encoded_size_of : seqno:int -> key_len:int -> value_len:int -> int
+(** {!encoded_size} of a record from its seqno and lengths, without the
+    record. *)
+
 val footprint : t -> int
 (** Approximate in-memory footprint in bytes, used for buffer sizing. *)
 

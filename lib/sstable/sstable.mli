@@ -68,8 +68,30 @@ val build :
   Lsm_record.Iter.t ->
   Props.t
 (** Drains the iterator (which must yield [Entry.compare]-ordered entries)
-    into a new file [name] and returns its properties.
+    into a new file [name] and returns its properties: {!build_from}
+    after [seek_to_first].
     @raise Invalid_argument if the iterator yields nothing or out of order. *)
+
+val build_from :
+  ?config:build_config ->
+  ?limit:int ->
+  ?cut:(prev:string -> string -> bool) ->
+  cmp:Lsm_util.Comparator.t ->
+  dev:Lsm_storage.Device.t ->
+  cls:Lsm_storage.Io_stats.op_class ->
+  name:string ->
+  created_at:int ->
+  Lsm_record.Iter.t ->
+  Props.t
+(** Writes records from the iterator's current position into a new file
+    [name], leaving the iterator on the first record it did not take.
+    Each record moves from the iterator's {!Lsm_record.Iter.view} into
+    the block: no entry is built, and each data block is laid out in one
+    reused buffer and appended from it. The file ends at the first user-key
+    boundary where [limit] (default unbounded) bytes of records, counted
+    as [Entry.encoded_size] counts them, have gone in, or where
+    [cut ~prev key] accepts the next key.
+    @raise Invalid_argument if the iterator is exhausted or out of order. *)
 
 (** {1 Reading} *)
 
@@ -144,9 +166,15 @@ val iterator :
   Lsm_record.Iter.t
 (** Full-table iterator (includes tombstones and range-delete entries —
     compaction needs them), walking every block through one reused
-    {!Block.Cursor}; each record is materialized once, on the first
-    [entry]. [use_cache] defaults to [true]; compactions pass [false] so
-    they do not pollute the block cache (§2.1.3 / E13). *)
+    {!Block.Cursor}; a record's key is materialized at most once, on the
+    first [view] or [entry], and its value only by [entry]. [use_cache]
+    defaults to [true]; compactions pass [false] so they do not pollute
+    the block cache (§2.1.3 / E13). Without the cache, a block the cache
+    does not hold is read with {!Lsm_storage.Device.read_into} into a
+    buffer the iterator reuses for every block (and decompressed into a
+    second), so a view's value window is valid only until the iterator
+    moves; CRC checks and the ECC repair path are the same as for cached
+    reads. *)
 
 val prefetch_into_cache : reader -> cls:Lsm_storage.Io_stats.op_class -> int
 (** Load every data block into the block cache (Leaper-style refill after

@@ -72,7 +72,15 @@ val open_writer : t -> cls:Io_stats.op_class -> string -> writer
     @raise Invalid_argument if a writer is already open on that name. *)
 
 val append : writer -> string -> unit
+
+val append_sub : writer -> string -> off:int -> len:int -> unit
+(** [append_sub w s ~off ~len] appends the window [s.[off .. off + len)],
+    so a caller can write from a buffer it reuses.
+    @raise Invalid_argument if the window is out of bounds. *)
+
 val append_buffer : writer -> Buffer.t -> unit
+(** Appends the buffer's contents, with no intermediate copy. *)
+
 val written : writer -> int
 (** Bytes appended so far (= current file size). *)
 
@@ -85,8 +93,17 @@ val close : writer -> unit
 (** {1 Reading} *)
 
 val read : t -> cls:Io_stats.op_class -> string -> off:int -> len:int -> string
-(** @raise Not_found if the file does not exist.
+(** Takes the device lock once: an armed read fault ({!plan_read_faults})
+    fires inside that section, before any byte is copied.
+    @raise Not_found if the file does not exist.
     @raise Invalid_argument if the range is out of bounds. *)
+
+val read_into :
+  t -> cls:Io_stats.op_class -> string -> off:int -> len:int -> Bytes.t -> unit
+(** {!read} into [dst.[0 .. len)] instead of a fresh string, for a caller
+    that reuses one buffer across reads. Same lock, faults and
+    accounting as {!read}.
+    @raise Invalid_argument if [dst] is shorter than [len]. *)
 
 val size : t -> string -> int
 val exists : t -> string -> bool

@@ -64,17 +64,22 @@ let clear t =
   Array.fill t.bytes_written 0 num_classes 0;
   Array.fill t.sync_calls 0 num_classes 0
 
+(* Every device read and append lands here, so the counters are bumped
+   between a bare [lock] and [unlock] rather than in a [with_lock]
+   closure: nothing between them can raise. *)
 let record_read t cls ~pages ~bytes =
   let i = class_index cls in
-  Lsm_util.Ordered_mutex.with_lock t.m @@ fun () ->
+  Lsm_util.Ordered_mutex.lock t.m;
   t.pages_read.(i) <- t.pages_read.(i) + pages;
-  t.bytes_read.(i) <- t.bytes_read.(i) + bytes
+  t.bytes_read.(i) <- t.bytes_read.(i) + bytes;
+  Lsm_util.Ordered_mutex.unlock t.m
 
 let record_write t cls ~pages ~bytes =
   let i = class_index cls in
-  Lsm_util.Ordered_mutex.with_lock t.m @@ fun () ->
+  Lsm_util.Ordered_mutex.lock t.m;
   t.pages_written.(i) <- t.pages_written.(i) + pages;
-  t.bytes_written.(i) <- t.bytes_written.(i) + bytes
+  t.bytes_written.(i) <- t.bytes_written.(i) + bytes;
+  Lsm_util.Ordered_mutex.unlock t.m
 
 (* Syncs are the durability cost the WA/RA numbers do not show: a
    per-write fsync discipline can dominate latency at identical byte

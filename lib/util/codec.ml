@@ -56,14 +56,15 @@ let get_u64 r =
   r.pos <- r.pos + 8;
   v
 
-let get_varint r =
-  let rec loop shift acc =
-    if shift > 63 then corrupt "varint too long at %d" r.pos;
-    let byte = get_u8 r in
-    let acc = acc lor ((byte land 0x7f) lsl shift) in
-    if byte land 0x80 = 0 then acc else loop (shift + 7) acc
-  in
-  loop 0 0
+(* A top-level recursion: a local loop would capture [r] and allocate a
+   closure per varint, several per decoded index entry or log record. *)
+let rec varint_from r shift acc =
+  if shift > 63 then corrupt "varint too long at %d" r.pos;
+  let byte = get_u8 r in
+  let acc = acc lor ((byte land 0x7f) lsl shift) in
+  if byte land 0x80 = 0 then acc else varint_from r (shift + 7) acc
+
+let get_varint r = varint_from r 0 0
 
 let get_raw r n =
   check r n;

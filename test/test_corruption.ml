@@ -371,6 +371,77 @@ let test_bg_failure_enters_failsafe_and_resume () =
   Db.close db
 
 (* ------------------------------------------------------------------ *)
+(* A corrupt compaction input                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A compaction reads its inputs through no quarantine fence (DESIGN.md
+   §21.1): a rotted input block fails the compaction with a typed
+   corruption naming the input. The failed job installs no edit — every
+   input stays in the version and on the device, no output joins the
+   version — and, like any failed maintenance job, parks the engine in
+   fail-safe (§11.3). Nothing is quarantined, so [try_resume] returns it
+   to healthy. The input is read on the compaction's own path: from a
+   block cache that has never held it, into the iterator's reused
+   buffer. *)
+let test_corrupt_compaction_input backend () =
+  let dev = Device.in_memory () in
+  let config =
+    {
+      (small_config ()) with
+      Config.write_buffer_size = 1 lsl 20;
+      compaction =
+        { Config.default.Config.compaction with Lsm_compaction.Policy.level0_limit = 16 };
+      compaction_backend = backend;
+      compaction_parallelism = 1;
+    }
+  in
+  let db = Db.open_db ~config ~dev () in
+  for run = 0 to 2 do
+    for i = 0 to 299 do
+      Db.put db ~key:(Printf.sprintf "key-%04d" ((i * 3) + run)) (String.make 48 'v')
+    done;
+    Db.flush db
+  done;
+  let tables db =
+    Lsm_core.Version.all_files (Db.version db)
+    |> List.map (fun (f : Lsm_sstable.Table_meta.t) -> f.Lsm_sstable.Table_meta.file_name)
+    |> List.sort compare
+  in
+  let before = tables db in
+  check_int "three level-0 runs" 3 (List.length before);
+  Db.close db;
+  (* Flip one byte inside the middle data block of the second run. *)
+  let victim = List.nth before 1 in
+  let reader =
+    Lsm_sstable.Sstable.open_reader ~cmp:Lsm_util.Comparator.bytewise ~dev
+      ~cache:(Lsm_storage.Block_cache.create ~capacity:0 ()) victim
+  in
+  let index = Lsm_sstable.Sstable.index_entries reader in
+  let ie = index.(Array.length index / 2) in
+  let off = ie.Lsm_sstable.Sstable.off + (ie.Lsm_sstable.Sstable.len / 2) in
+  let byte = Device.read dev ~cls:Io_stats.C_misc victim ~off ~len:1 in
+  Device.patch dev ~cls:Io_stats.C_misc victim ~off
+    (String.make 1 (Char.chr (Char.code byte.[0] lxor 0x10)));
+  let db = Db.open_db ~config ~dev () in
+  let failed =
+    match
+      Db.major_compact db;
+      Db.quiesce db
+    with
+    | () -> None
+    | exception Lsm_error.Error (Lsm_error.Corruption { file; _ }) -> Some file
+  in
+  Alcotest.(check (option string)) "typed corruption names the input" (Some victim) failed;
+  check "fail-safe entered" true (Db.health db = Db.Failsafe_read_only);
+  Alcotest.(check (list string)) "no edit installed" before (tables db);
+  check "no input deleted" true (List.for_all (Device.exists dev) before);
+  check_int "no compaction counted" 0 (Db.stats db).Stats.compactions;
+  check "nothing quarantined" true (Db.quarantined_tables db = []);
+  check "resumed to healthy" true (Db.try_resume db = Db.Healthy);
+  check "an intact key reads" true (Db.get db "key-0000" <> None);
+  Db.close db
+
+(* ------------------------------------------------------------------ *)
 (* Proportional backpressure                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -586,4 +657,8 @@ let suite =
       test_scan_stops_before_quarantined_file;
     Alcotest.test_case "doctor repair leaves stray files alone" `Quick
       test_doctor_leaves_stray_files;
+    Alcotest.test_case "corrupt compaction input fails it, inline" `Quick
+      (test_corrupt_compaction_input Config.Inline);
+    Alcotest.test_case "corrupt compaction input fails it, background" `Quick
+      (test_corrupt_compaction_input Config.Background);
   ]
