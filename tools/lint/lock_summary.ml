@@ -527,6 +527,12 @@ and apply_flat w e fn args : ev list =
         let body = match rest with b :: _ -> body_evs w b | [] -> [] in
         [ Acquire (slot_of_mutex w m, site_of w e, body) ]
       | [] -> [])
+    | "Ordered_mutex.protect" -> (
+      (* [protect m f a b] holds [m] across [f a b]. *)
+      match present with
+      | m :: f :: args ->
+        List.concat_map (walk w) args @ [ Acquire (slot_of_mutex w m, site_of w e, body_evs w f) ]
+      | _ -> [])
     | "Ordered_mutex.lock" -> (
       match present with m :: _ -> [ Bare (slot_of_mutex w m, site_of w e) ] | [] -> [])
     | "Ordered_mutex.wait" -> (
