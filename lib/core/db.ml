@@ -15,7 +15,6 @@ module Policy = Lsm_compaction.Policy
 module Domain_pool = Lsm_util.Domain_pool
 module Ordered_mutex = Lsm_util.Ordered_mutex
 module Lsm_error = Lsm_util.Lsm_error
-module Framed_log = Lsm_storage.Framed_log
 
 type buffer_unit = { mt : Memtable.t; wal : Wal.t option; wal_name : string option }
 
@@ -1192,21 +1191,9 @@ let verify_integrity t =
     note_corruption t;
     findings := c :: !findings
   in
-  (* 1. Manifest: the frame chain must be intact up to the live end (the
-     open manifest carries no seal yet, so only framing is checked —
-     edit decodability was proven at recovery). *)
-  (match Framed_log.load t.dev ~name:Manifest.file_name with
-  | exception Not_found ->
-    add
-      (Lsm_error.Corruption
-         { file = Manifest.file_name; offset = None; detail = "manifest missing" })
-  | data -> (
-    match Framed_log.scan data (fun ~off:_ _ -> ()) with
-    | _, Framed_log.Bad_frame off ->
-      add
-        (Lsm_error.Corruption
-           { file = Manifest.file_name; offset = Some off; detail = "bad edit frame" })
-    | _ -> ()));
+  (* 1. Manifest: the frame chain must be intact up to the live end
+     (edit decodability was proven at recovery). *)
+  List.iter add (Manifest.verify t.dev);
   (* 2. Every live table, under a pin so a concurrent compaction cannot
      delete files out from under the walk. *)
   with_pin t (fun () ->
@@ -1216,27 +1203,8 @@ let verify_integrity t =
           if not (is_quarantined t f.Table_meta.file_name) then
             match verify_one_table t f with Some c -> add c | None -> ())
         (Version.all_files v));
-  (* 3. WALs: tolerant scan, reporting every mangled byte range. A file
-     deleted by a concurrent flush between listing and reading is fine. *)
-  List.iter
-    (fun name ->
-      match Wal.seq_of_file_name name with
-      | None -> ()
-      | Some _ -> (
-        match Wal.salvage t.dev ~name (fun _ -> ()) with
-        | _, gaps ->
-          List.iter
-            (fun (g0, g1) ->
-              add
-                (Lsm_error.Corruption
-                   {
-                     file = name;
-                     offset = Some g0;
-                     detail = Printf.sprintf "bad WAL frames in [%d,%d)" g0 g1;
-                   }))
-            gaps
-        | exception Not_found -> ()))
-    (Device.list_files t.dev);
+  (* 3. WALs: tolerant scan, reporting every mangled byte range. *)
+  List.iter add (Wal.verify t.dev);
   t.db_stats.Stats.scrub_runs <- t.db_stats.Stats.scrub_runs + 1;
   t.db_stats.Stats.scrub_errors <-
     t.db_stats.Stats.scrub_errors + List.length !findings;
@@ -1417,12 +1385,7 @@ let open_db ?(config = Config.default) ~dev () =
         Device.delete dev name)
     (Device.list_files dev);
   (* Replay surviving WALs (in sequence order) into a fresh buffer. *)
-  let old_wals =
-    Device.list_files dev
-    |> List.filter_map (fun n ->
-           match Wal.seq_of_file_name n with Some s -> Some (s, n) | None -> None)
-    |> List.sort compare
-  in
+  let old_wals = Wal.files dev in
   let recovered_entries = ref [] in
   List.iter
     (fun (_, name) ->

@@ -95,23 +95,7 @@ let verify ?(cmp = Comparator.bytewise) dev =
       | exception Not_found ->
         add (Lsm_error.Corruption { file = name; offset = None; detail = "referenced table missing" }))
     tables_to_check;
-  List.iter
-    (fun name ->
-      match Wal.seq_of_file_name name with
-      | None -> ()
-      | Some _ ->
-        let _, gaps = Wal.salvage dev ~name (fun _ -> ()) in
-        List.iter
-          (fun (g0, g1) ->
-            add
-              (Lsm_error.Corruption
-                 {
-                   file = name;
-                   offset = Some g0;
-                   detail = Printf.sprintf "bad WAL frames in [%d,%d)" g0 g1;
-                 }))
-          gaps)
-    (Device.list_files dev);
+  List.iter add (Wal.verify dev);
   List.rev !findings
 
 (* ------------------------------------------------------------------ *)
@@ -252,28 +236,13 @@ let repair ?(cmp = Comparator.bytewise) dev =
   (* 3. WAL chain: tolerant salvage of every log — batches on both sides
      of mid-log damage survive, every skipped byte range is disclosed —
      then re-log the survivors into one fresh sealed WAL. *)
-  let wal_files =
-    Device.list_files dev
-    |> List.filter_map (fun n ->
-           match Wal.seq_of_file_name n with Some s -> Some (s, n) | None -> None)
-    |> List.sort compare
-  in
+  let wal_files = Wal.files dev in
   let batches = ref [] in
   let wal_reports =
     List.map
       (fun (_, name) ->
         let n, gaps = Wal.salvage dev ~name (fun b -> batches := b :: !batches) in
-        List.iter
-          (fun (g0, g1) ->
-            findings :=
-              Lsm_error.Corruption
-                {
-                  file = name;
-                  offset = Some g0;
-                  detail = Printf.sprintf "bad WAL frames in [%d,%d): batches lost" g0 g1;
-                }
-              :: !findings)
-          gaps;
+        findings := List.rev_append (Framed_log.findings ~name gaps) !findings;
         { wr_file = name; wr_batches = n; wr_gaps = gaps })
       wal_files
   in

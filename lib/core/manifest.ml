@@ -3,19 +3,17 @@ module Framed_log = Lsm_storage.Framed_log
 module Io_stats = Lsm_storage.Io_stats
 module Lsm_error = Lsm_util.Lsm_error
 
-type t = { dev : Device.t; writer : Device.writer; mutable name : string }
+type t = { dev : Device.t; log : Framed_log.writer; mutable name : string }
 
 let file_name = "MANIFEST"
 let tmp_file_name = "MANIFEST.tmp"
 
 let create ?(name = file_name) dev =
-  { dev; writer = Device.open_writer dev ~cls:Io_stats.C_misc name; name }
+  { dev; log = Framed_log.create dev ~cls:Io_stats.C_misc name; name }
 
 let log_edit t edit =
-  let payload = Buffer.create 256 in
-  Version.encode_edit payload edit;
-  Device.append t.writer (Framed_log.frame (Buffer.contents payload));
-  Device.sync t.writer
+  Framed_log.append t.log Version.encode_edit edit;
+  Framed_log.sync t.log
 
 let promote t =
   if t.name <> file_name then begin
@@ -23,51 +21,24 @@ let promote t =
     t.name <- file_name
   end
 
-let close t =
-  (* Seal on clean close, like the WAL: recovery of a sealed manifest is
-     strict. Best-effort so closing after a device crash keeps its old
-     behavior. *)
-  (try Device.append t.writer Framed_log.seal_frame with Invalid_argument _ -> ());
-  Device.close t.writer
+let close t = Framed_log.close t.log
 
 let recover dev =
-  if not (Device.exists dev file_name) then Version.empty
-  else begin
-    let data = Framed_log.load dev ~name:file_name in
-    let sealed = Framed_log.is_seal_tail data in
-    let version = ref Version.empty in
-    let edits, ending =
-      Framed_log.scan data (fun ~off:_ payload ->
-          let edit = Version.decode_edit (Lsm_util.Codec.reader payload) in
-          version := Version.apply !version edit)
-    in
-    (match (sealed, ending) with
-    | true, Framed_log.Sealed_clean -> ()
-    | true, Framed_log.Bad_frame off ->
-      raise
-        (Lsm_error.corruption ~file:file_name ~offset:off
-           "bad edit frame in cleanly-closed manifest")
-    | true, Framed_log.Unsealed_end ->
-      raise
-        (Lsm_error.corruption ~file:file_name "sealed manifest with misaligned frames")
-    | false, Framed_log.Bad_frame off when Framed_log.bad_frame_is_rot data ~off ->
-      (* Intact edit frames beyond the damage: this is mid-log bit rot
-         (possibly including a rotted seal), not a crash-torn tail.
-         Truncating here would silently drop tables — and [open_db] would
-         then garbage-collect them as orphans, destroying the data the
-         doctor could have salvaged. *)
-      raise
-        (Lsm_error.corruption ~file:file_name ~offset:off
-           "valid edit frames beyond a damaged frame: bit rot, not a torn tail")
-    | false, _ ->
-      (* Unsealed manifests exist only after a crash, where a torn tail is
-         legitimate — but the tmp+promote protocol syncs at least one edit
-         frame before MANIFEST ever carries the name, so a nonempty
-         manifest recovering *zero* edits is not a crash artifact: its
-         head frame rotted. *)
-      if edits = 0 && String.length data > 0 then
-        raise
-          (Lsm_error.corruption ~file:file_name ~offset:0
-             "no valid edit frame in nonempty manifest"));
-    !version
-  end
+  let version = ref Version.empty in
+  let edits =
+    Framed_log.replay dev ~name:file_name (fun payload ->
+        version := Version.apply !version (Version.decode_edit (Lsm_util.Codec.reader payload)))
+  in
+  (* The tmp+promote protocol syncs at least one edit frame before
+     MANIFEST ever carries the name, so a nonempty manifest recovering
+     no edit is not a crash artifact: its head frame rotted. *)
+  if edits = 0 && Device.exists dev file_name && Device.size dev file_name > 0 then
+    raise
+      (Lsm_error.corruption ~file:file_name ~offset:0 "no valid edit frame in nonempty manifest");
+  !version
+
+let verify dev =
+  match Framed_log.damage dev ~name:file_name with
+  | gaps -> Framed_log.findings ~name:file_name gaps
+  | exception Not_found ->
+    [ Lsm_error.Corruption { file = file_name; offset = None; detail = "manifest missing" } ]

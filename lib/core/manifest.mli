@@ -1,8 +1,11 @@
 (** Append-only log of version edits (the MANIFEST).
 
-    Same checksummed framing as the WAL; recovery folds the intact prefix
-    of edits over {!Version.empty} to rebuild the tree shape, then the WAL
-    replays on top.
+    One record of a {!Lsm_storage.Framed_log} per edit: this module holds
+    only the edit codec's use and the file names; the frame, the seal
+    and the torn-tail-versus-rot rule are the framed log's, shared with
+    the WAL. Recovery folds the intact prefix of edits over
+    {!Version.empty} to rebuild the tree shape, then the WAL replays on
+    top.
 
     {b Manifest-swap protocol.} Reopening a database compacts the edit
     history into one snapshot edit — but the old manifest must stay
@@ -35,13 +38,20 @@ val promote : t -> unit
     transparently afterwards. *)
 
 val close : t -> unit
-(** Appends the shared seal frame (see {!Lsm_storage.Framed_log}) and
-    seals the file: recovery of a cleanly-closed manifest is strict. *)
+(** Appends the shared seal frame and seals the file: recovery of a
+    cleanly-closed manifest is strict. Idempotent. *)
 
 val recover : Lsm_storage.Device.t -> Version.t
 (** Rebuild the version from the manifest; an absent manifest yields
-    {!Version.empty}. Torn tails of an {e unsealed} (crashed) manifest
-    are ignored; a sealed manifest with any bad frame, or a nonempty
-    unsealed manifest with {e no} valid frame, raises a typed
-    [Lsm_util.Lsm_error.Corruption] instead of silently recovering an
-    older tree. *)
+    {!Version.empty}. This is {!Lsm_storage.Framed_log.replay}'s rule —
+    torn tails of an {e unsealed} (crashed) manifest are ignored; any
+    bad frame of a sealed one, or a rot-bearing frame of an unsealed
+    one, raises a typed [Lsm_util.Lsm_error.Corruption] — plus the
+    manifest's own check: a nonempty manifest with {e no} valid edit is
+    corruption too, never an empty tree. *)
+
+val verify : Lsm_storage.Device.t -> Lsm_util.Lsm_error.t list
+(** Framing check of the live manifest, whose writer is open: every
+    byte range that is not a valid frame is a [Corruption] naming its
+    start ({!Lsm_storage.Framed_log.damage}); a missing manifest is one
+    too. Edit decodability is {!recover}'s to prove. *)

@@ -1,68 +1,63 @@
-(** The CRC frame discipline shared by the WAL and the manifest.
+(** The one framed log: the frame, the seal and the torn-tail-versus-rot
+    rule that the WAL and the MANIFEST share. {!Wal} and the manifest
+    keep only their payload codecs and file names.
 
     Layout per frame: [u32 masked-crc32c | u32 payload-len | payload].
     A cleanly-closed log ends with a {e seal} frame (payload
-    {!seal_payload}); its presence distinguishes silent corruption (a bad
-    frame in a sealed log) from an ordinary crash-truncated tail. *)
+    ["LSM!SEAL"]); its presence distinguishes silent corruption (a bad
+    frame in a sealed log) from an ordinary crash-truncated tail. An
+    unsealed log's bad frame is bit rot, not a torn tail, when it bears
+    a tell no crash can produce: the frame is complete (payload all
+    present, CRC disagreeing), an intact frame follows it, or the file
+    ends in a seal frame off by a bit flip or two. *)
 
-val frame : string -> string
-(** Wrap a payload in a CRC frame. *)
+type writer
 
-val seal_payload : string
+val create : Device.t -> cls:Io_stats.op_class -> string -> writer
+(** Opens a fresh log file for appending (truncates an existing one). *)
+
+val append : writer -> (Buffer.t -> 'a -> unit) -> 'a -> unit
+(** [append w encode x] appends one record: [encode b x] writes the
+    payload into the writer's reused buffer, which is framed in place
+    and reaches the device as one append. Not durable until {!sync}.
+    @raise Invalid_argument after {!close}. *)
+
+val sync : writer -> unit
+(** Make every record appended so far crash-durable. *)
+
+val written : writer -> int
+(** Bytes appended so far (the seal, written at {!close}, not yet). *)
+
+val close : writer -> unit
+(** Appends the seal frame and closes the file (implies sync).
+    Idempotent; the seal is skipped if the file was sealed by a crash. *)
+
 val seal_size : int
+(** On-device size of the seal frame. *)
 
-val seal_frame : string
-(** The pre-framed seal sentinel, ready to append on close. *)
+val replay : Device.t -> name:string -> (string -> unit) -> int
+(** [replay dev ~name f] applies [f] to each intact record payload in
+    order and returns how many it delivered. A missing file delivers
+    none. [f] may reject a payload with [Codec.Corrupt], which makes its
+    frame bad. An unsealed (crash-truncated) log stops silently at a torn
+    tail; a bad frame in a sealed log, or one bearing a rot tell in an
+    unsealed log, raises [Lsm_util.Lsm_error.Corruption] naming its
+    offset — records before it may already have been applied. *)
 
-val is_seal_tail : string -> bool
-(** Whether the raw file image ends with a valid seal frame. *)
+val salvage : Device.t -> name:string -> (string -> unit) -> int * (int * int) list
+(** Tolerant counterpart of {!replay} for repair tools: applies [f] to
+    each intact record in file order regardless of seal state,
+    re-synchronizing past undecodable frames so records on {e both}
+    sides of mid-log damage are delivered. Returns the count and the
+    disclosed byte ranges [(start, stop)] skipped as lost. A benign
+    crash-torn tail is truncated silently, exactly as {!replay} would,
+    and not disclosed; trailing bytes after a seal are. *)
 
-(** How a frame scan ended. *)
-type scan_end =
-  | Sealed_clean  (** every frame valid, terminated by the seal *)
-  | Unsealed_end  (** every frame valid, no seal (crash-truncated log) *)
-  | Bad_frame of int  (** first undecodable frame starts at this offset *)
+val damage : Device.t -> name:string -> (int * int) list
+(** Every byte range of the log that is not a valid frame, torn tail
+    included: the check for a log whose writer is still open, which has
+    only ever appended whole frames, so no tail of it is a benign tear.
+    @raise Not_found if the file does not exist. *)
 
-val scan : string -> (off:int -> string -> unit) -> int * scan_end
-(** [scan data f] walks the frames in order, calling [f ~off payload] for
-    each valid non-seal frame, and returns how many were delivered plus
-    the ending. An [f] raising [Codec.Corrupt] marks that frame bad and
-    stops the scan (its delivery is not counted). *)
-
-val find_frame_after : string -> off:int -> int option
-(** Offset of the first complete, CRC-valid frame strictly after [off],
-    if any. The probe slides byte by byte, so it re-synchronizes even
-    though a damaged frame's length field is untrustworthy; a false
-    positive needs four arbitrary bytes to match a CRC-32C — 2^-32 per
-    candidate offset. *)
-
-val has_frame_after : string -> off:int -> bool
-(** Whether any complete, CRC-valid frame is decodable strictly after
-    [off]. A scan ending in [Bad_frame off] on an {e unsealed} log is a
-    legitimate crash-torn tail only when nothing decodable follows;
-    intact frames beyond the damage mean mid-log bit rot, which must be
-    a typed corruption, never a silent truncation. *)
-
-val scan_salvage : string -> (off:int -> string -> unit) -> int * (int * int) list
-(** [scan_salvage data f] is the tolerant counterpart of {!scan}: at an
-    undecodable frame it re-synchronizes to the next decodable frame
-    boundary ({!find_frame_after}) and continues, so intact frames on
-    {e both} sides of damage are delivered. Returns the delivered frame
-    count and the skipped byte ranges [(start, stop)] in file order
-    (empty for a clean log). Frames past a seal are not delivered;
-    trailing junk after one is still disclosed as a gap. *)
-
-val bad_frame_is_rot : string -> off:int -> bool
-(** Classify a [Bad_frame off] on an unsealed log: [true] when the
-    damage bears a tell no crash-torn tail can produce — the bad frame
-    is complete (payload all present, CRC disagreeing), or an intact
-    frame follows it ({!has_frame_after}), or the file ends in a seal
-    frame off by a bit flip or two. Recovery must then raise a typed
-    corruption instead of truncating. *)
-
-val load : Device.t -> name:string -> string
-(** Read a whole file. @raise Not_found if it does not exist. *)
-
-val is_sealed : Device.t -> name:string -> bool
-(** Whether the named file ends with a valid seal frame; [false] for a
-    missing file. *)
+val findings : name:string -> (int * int) list -> Lsm_util.Lsm_error.t list
+(** One [Corruption] per range, naming the file and the range's start. *)

@@ -17,10 +17,21 @@ let hash4 s i =
   in
   (v * 2654435761) lsr (32 - hash_bits) land (table_size - 1)
 
+(* One match table per domain, reused by every call and never cleared:
+   a call stores [base + (i - pos)] for input position [i] and reads an
+   entry below its own [base] as empty, then moves [base] past every
+   value it stored. So stale entries from earlier blocks never match,
+   and a block compresses to the same bytes whatever came before it. *)
+type matcher = { table : int array; mutable base : int }
+
+let matcher = Domain.DLS.new_key (fun () -> { table = Array.make table_size (-1); base = 0 })
+
 let compress_into out s ~pos ~len =
   let n = pos + len in
   if pos < 0 || len < 0 || n > String.length s then invalid_arg "Lz.compress_into: bad range";
-  let table = Array.make table_size (-1) in
+  let m = Domain.DLS.get matcher in
+  let table = m.table and base = m.base - pos in
+  m.base <- m.base + len;
   let anchor = ref pos in
   let i = ref pos in
   let emit_token lit_len match_len_opt =
@@ -32,10 +43,10 @@ let compress_into out s ~pos ~len =
   in
   while !i + 4 <= n do
     let h = hash4 s !i in
-    let cand = table.(h) in
-    table.(h) <- !i;
+    let cand = table.(h) - base in
+    table.(h) <- base + !i;
     let ok =
-      cand >= 0
+      cand >= pos
       && !i - cand <= 0xffff
       && s.[cand] = s.[!i]
       && s.[cand + 1] = s.[!i + 1]

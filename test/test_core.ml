@@ -828,6 +828,41 @@ let test_get_allocation_ceiling compression () =
     (mem <= memtable_hit_words_ceiling);
   Db.close db
 
+(* ---------- allocation ceiling of a put ---------- *)
+
+(* Minor words one [Db.put] allocates with the default config, a 16-byte
+   key and a 1 KiB value, memtable and WAL only (no rotation falls in
+   the measured puts). The key and value are the caller's; what is left
+   is the write path's operation list and entry, the memtable node, and
+   the WAL record's encoding, which the framed log frames in place in
+   its reused buffers (DESIGN.md §22). Measured in this test's dev
+   build: 66.9 words, 80.9 with runtime lockdep on; the ceiling adds
+   headroom to the lockdep figure. Any per-record copy of the encoded
+   record costs its length again: a WAL writer that copied it three
+   times measured 521 words, and one [Buffer.contents] of the record
+   put back into the append alone measures 199. *)
+let put_words_ceiling = 95.
+
+let test_put_allocation_ceiling () =
+  let dev = Device.in_memory () in
+  let db = Db.open_db ~config:Config.default ~dev () in
+  let n = 500 and warm = 100 in
+  let keys = Array.init (warm + n) (Printf.sprintf "put-key-%08d") in
+  let value = String.make 1024 'v' in
+  for i = 0 to warm - 1 do
+    Db.put db ~key:keys.(i) value
+  done;
+  let w0 = Gc.minor_words () in
+  for i = warm to warm + n - 1 do
+    Db.put db ~key:keys.(i) value
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_int "no flush in the measured puts" 0 (Db.stats db).Stats.flushes;
+  check
+    (Printf.sprintf "put %.1f words <= %.0f" words put_words_ceiling)
+    true (words <= put_words_ceiling);
+  Db.close db
+
 (* ---------- allocation ceiling of a cached scan ---------- *)
 
 (* Minor words one 50-row [Db.scan] allocates on a fully cached store of
@@ -1106,4 +1141,5 @@ let suite =
         test_compaction_allocation_ceiling ~block_size:1024 ~ceiling:20. );
       ("Db.get allocation ceiling", `Quick, test_get_allocation_ceiling Sstable.C_none);
       ("Db.get allocation ceiling, C_lz", `Quick, test_get_allocation_ceiling Sstable.C_lz);
-      ("scan allocation ceiling", `Quick, test_scan_allocation_ceiling) ]
+      ("scan allocation ceiling", `Quick, test_scan_allocation_ceiling);
+      ("Db.put allocation ceiling", `Quick, test_put_allocation_ceiling) ]

@@ -171,6 +171,56 @@ let test_verify_integrity_reports_findings () =
   check "scrub quarantined the table" true (Db.quarantined_tables db <> []);
   Db.close db
 
+(* Start offset of the frame that holds byte [off] of a pristine log
+   image ([u32 crc | u32 len | payload] frames). *)
+let frame_holding image off =
+  let rec walk pos =
+    let plen = Int32.to_int (String.get_int32_le image (pos + 4)) land 0xffffffff in
+    if off < pos + 8 + plen then pos else walk (pos + 8 + plen)
+  in
+  walk 0
+
+(* Log rot on a live store: one flipped bit in the open MANIFEST or in
+   the active WAL must come back from [verify_integrity] as a typed
+   corruption naming that file and the offset of the frame the bit sits
+   in. Several seeds, so the flip lands in headers and payloads alike. *)
+let test_verify_integrity_reports_log_rot cls () =
+  for seed = 1 to 6 do
+    let dev = Device.in_memory () in
+    build_store ~n:300 dev;
+    let db = Db.open_db ~config:(small_config ()) ~dev () in
+    for i = 0 to 19 do
+      Db.put db ~key:(Printf.sprintf "live-%02d" i) (String.make 40 'w')
+    done;
+    check "sound store: no findings" true (Db.verify_integrity db = []);
+    let images =
+      List.filter_map
+        (fun name ->
+          if Device.classify name = cls then
+            Some (name, Device.read dev ~cls:Io_stats.C_misc name ~off:0 ~len:(Device.size dev name))
+          else None)
+        (Device.list_files dev)
+    in
+    let hits = Device.plan_corruption dev ~seed ~classes:[ cls ] ~pages:1 () in
+    check "log was hit" true (hits <> []);
+    let findings = Db.verify_integrity db in
+    List.iter
+      (fun (h : Device.corruption_hit) ->
+        let frame = frame_holding (List.assoc h.Device.hit_file images) h.Device.hit_off in
+        check
+          (Printf.sprintf "seed %d: %s rot at %d reported at frame %d" seed h.Device.hit_file
+             h.Device.hit_off frame)
+          true
+          (List.exists
+             (function
+               | Lsm_error.Corruption { file; offset = Some o; _ } ->
+                 file = h.Device.hit_file && o = frame
+               | _ -> false)
+             findings))
+      hits;
+    Db.close db
+  done
+
 let test_background_scrub () =
   let dev = Device.in_memory () in
   build_store ~n:300 dev;
@@ -638,6 +688,10 @@ let suite =
       test_corrupt_table_quarantined_typed_degraded;
     Alcotest.test_case "verify_integrity reports findings" `Quick
       test_verify_integrity_reports_findings;
+    Alcotest.test_case "verify_integrity reports MANIFEST rot" `Quick
+      (test_verify_integrity_reports_log_rot Device.F_manifest);
+    Alcotest.test_case "verify_integrity reports WAL rot" `Quick
+      (test_verify_integrity_reports_log_rot Device.F_wal);
     Alcotest.test_case "background scrub quarantines rot" `Quick test_background_scrub;
     Alcotest.test_case "bg failure -> fail-safe -> resume" `Quick
       test_bg_failure_enters_failsafe_and_resume;

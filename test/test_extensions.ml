@@ -315,6 +315,28 @@ let test_lz_compresses_repetitive_data () =
     true
     (String.length c * 10 < String.length s * 6)
 
+(* The match table is reused across calls, never cleared: a block must
+   still compress to the same bytes whatever was compressed before it,
+   here blocks that share its content (whose stale positions would
+   match) and ones that fill the table with unrelated positions. *)
+let test_lz_independent_of_history () =
+  let block = String.concat "" (List.init 300 (fun i -> Printf.sprintf "key%06d=value%06d;" (i mod 40) i)) in
+  let fresh = compress block in
+  let history =
+    [ block; String.make 5000 'q'; String.sub block 100 2000;
+      String.init 70_000 (fun i -> Char.chr (i * 7919 land 0xff)) ]
+  in
+  List.iter
+    (fun h ->
+      ignore (compress h);
+      Alcotest.(check string) "same bytes after another block" fresh (compress block);
+      (* And inside a larger buffer, at an offset. *)
+      let framed = h ^ block in
+      let b = Buffer.create 64 in
+      Lz.compress_into b framed ~pos:(String.length h) ~len:(String.length block);
+      Alcotest.(check string) "same bytes at an offset" fresh (Buffer.contents b))
+    history
+
 let test_lz_rejects_corruption () =
   let s = String.concat "" (List.init 50 (fun i -> Printf.sprintf "row%04d" i)) in
   let c = compress s in
@@ -575,6 +597,7 @@ let suite =
     ("lz roundtrip basic", `Quick, test_lz_roundtrip_basic);
     ("lz compresses repetitive data", `Quick, test_lz_compresses_repetitive_data);
     ("lz rejects corruption", `Quick, test_lz_rejects_corruption);
+    ("lz output independent of earlier blocks", `Quick, test_lz_independent_of_history);
     ("compression in engine", `Quick, test_compression_in_engine);
     ("index: put/lookup", `Quick, test_index_put_lookup);
     ("index: update moves terms", `Quick, test_index_update_moves_terms);

@@ -348,6 +348,75 @@ let prop_wal_replay_preserves_batches =
       ignore (Wal.replay dev ~name:"w" (fun b -> got := b :: !got));
       List.rev !got = batches)
 
+(* ---------- WAL and MANIFEST byte goldens ---------- *)
+
+(* The exact bytes both logs put on the device, with the device's
+   mutation and sync counts for writing them: the mutation count is the
+   coordinate system of [After_ops] crash points, so a writer that
+   splits or merges appends moves every crash plan. The WAL's large
+   batch outgrows any small starting buffer and the small batch after it
+   must not carry its leftovers. *)
+let log_golden dev name =
+  let data = Device.read dev ~cls:Io_stats.C_misc name ~off:0 ~len:(Device.size dev name) in
+  Printf.sprintf "%s %d bytes, %d mutations, %d syncs"
+    (Digest.to_hex (Digest.string data))
+    (String.length data) (Device.mutation_count dev) (Device.sync_count dev)
+
+let test_wal_golden () =
+  let dev = Device.in_memory () in
+  let wal = Wal.create dev ~name:"wal" in
+  Wal.append wal [ Entry.put ~key:"key-000001" ~seqno:1 "v1" ];
+  Wal.append wal ~sync:false [ Entry.put ~key:"key-000002" ~seqno:2 (String.make 100 'b') ];
+  Wal.append wal
+    [
+      Entry.put ~key:"key-000003" ~seqno:3 "v3";
+      Entry.delete ~key:"key-000001" ~seqno:4;
+      Entry.single_delete ~key:"key-000002" ~seqno:5;
+      Entry.merge ~key:"key-000004" ~seqno:6 "+1";
+    ];
+  Wal.append wal [ Entry.range_delete ~start_key:"key-000010" ~end_key:"key-000020" ~seqno:7 ];
+  Wal.append wal
+    (List.init 40 (fun i ->
+         Entry.put ~key:(Printf.sprintf "big-%06d" i) ~seqno:(8 + i) (String.make 300 'x')));
+  Wal.append wal [ Entry.put ~key:"small" ~seqno:48 "s" ];
+  Wal.sync wal;
+  Wal.close wal;
+  check_str "WAL bytes and device ops"
+    "94d514ada2c90070ab2e285f4724b6f4 12894 bytes, 15 mutations, 7 syncs" (log_golden dev "wal")
+
+let test_manifest_golden () =
+  let module Manifest = Lsm_core.Manifest in
+  let module Version = Lsm_core.Version in
+  let meta id lo hi =
+    {
+      Lsm_sstable.Table_meta.file_id = id;
+      file_name = Lsm_sstable.Table_meta.file_name_of_id id;
+      size = 1000 * id;
+      entries = 10 * id;
+      point_tombstones = id mod 3;
+      range_tombstones = id mod 2;
+      min_key = lo;
+      max_key = hi;
+      min_seqno = id;
+      max_seqno = 100 + id;
+      created_at = id;
+      data_bytes = 900 * id;
+      ecc = None;
+    }
+  in
+  let dev = Device.in_memory () in
+  let m = Manifest.create ~name:Manifest.tmp_file_name dev in
+  Manifest.log_edit m
+    { Version.added = [ (0, 1, meta 1 "a" "m"); (0, 2, meta 2 "c" "z") ]; removed = []; seqno_watermark = 102 };
+  Manifest.promote m;
+  Manifest.log_edit m
+    { Version.added = [ (1, 3, meta 3 "a" "z") ]; removed = [ 1; 2 ]; seqno_watermark = 103 };
+  Manifest.log_edit m { Version.added = []; removed = []; seqno_watermark = 200 };
+  Manifest.close m;
+  check "promoted" false (Device.exists dev Manifest.tmp_file_name);
+  check_str "MANIFEST bytes and device ops"
+    "4b1df81f3235cafe7b74e415e36991ec 136 bytes, 10 mutations, 4 syncs" (log_golden dev Manifest.file_name)
+
 let qt t =
   let name, _speed, fn = QCheck_alcotest.to_alcotest t in
   (name, `Quick, fn)
@@ -376,6 +445,8 @@ let suite =
     ("wal missing file", `Quick, test_wal_missing_file);
     ("wal torn tail after crash", `Quick, test_wal_torn_tail);
     ("wal stops at corrupt record", `Quick, test_wal_corrupt_record_stops_replay);
+    ("wal bytes golden", `Quick, test_wal_golden);
+    ("manifest bytes golden", `Quick, test_manifest_golden);
     qt prop_cache_never_exceeds_capacity;
     qt prop_wal_replay_preserves_batches;
   ]

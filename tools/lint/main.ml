@@ -20,9 +20,10 @@ let usage =
   \      in loops, String.iter/Bytes.iter closures) in the get-path hot modules\n\
   \      (block.ml, hashing.ml, bloom.ml, blocked_bloom.ml), the write buffer\n\
   \      (skiplist.ml, memtable.ml), the checksum paths (crc32c.ml,\n\
-  \      sstable.ml, framed_log.ml), the server's per-command path\n\
-  \      (resp.ml, server.ml), the per-record merge path (iter.ml,\n\
-  \      merge_filter.ml) and compaction's per-page paths (device.ml, lz.ml)\n\
+  \      sstable.ml, framed_log.ml), the WAL codec (wal.ml), the server's\n\
+  \      per-command path (resp.ml, server.ml), the per-record merge path\n\
+  \      (iter.ml, merge_filter.ml) and compaction's per-page paths\n\
+  \      (device.ml, lz.ml)\n\
   \  R13 external bound to a C symbol outside crc32c.ml (the one stub module)\n\n\
    Typedtree rules (need --typed DIR with built .cmt files):\n\
   \  R9  static lockdep: whole-program acquired-before relation vs the Rank table\n\

@@ -38,7 +38,8 @@
          per-record block decoder block.ml, the per-probe hashing
          and bloom filters, the write buffer's skiplist.ml and
          memtable.ml, the checksum paths crc32c.ml, sstable.ml and
-         framed_log.ml, which hash bytes in place, the server's
+         framed_log.ml, which hash bytes in place, the WAL's batch
+         codec wal.ml, which runs once per put, the server's
          per-command path resp.ml and server.ml, which encode replies
          in place, the per-record merge path iter.ml and
          merge_filter.ml, and compaction's per-page paths device.ml and
@@ -89,7 +90,8 @@ let r8_exempt = [ "ordered_mutex.ml" ]
    the write buffer every point lookup descends first, the read path
    that walks the buffers and probes each run's one file, the checksum
    paths (the CRC kernel, the table meta CRC, the framed log), which
-   hash bytes where they lie, the server's codec and reactor, which
+   hash bytes where they lie, the WAL's batch codec, which runs once
+   per put, the server's codec and reactor, which
    run once per command and encode every reply into one buffer, the
    k-way merge with its compaction filter, which every scanned or
    compacted record passes through, and the device and block codec,
@@ -107,6 +109,7 @@ let r12_hot_modules =
     "crc32c.ml";
     "sstable.ml";
     "framed_log.ml";
+    "wal.ml";
     "resp.ml";
     "server.ml";
     "iter.ml";
