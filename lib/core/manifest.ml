@@ -26,8 +26,9 @@ let close t = Framed_log.close t.log
 let recover dev =
   let version = ref Version.empty in
   let edits =
-    Framed_log.replay dev ~name:file_name (fun payload ->
-        version := Version.apply !version (Version.decode_edit (Lsm_util.Codec.reader payload)))
+    Framed_log.replay dev ~name:file_name (fun data ~off ~len ->
+        let payload = Lsm_util.Codec.reader (String.sub data off len) in
+        version := Version.apply !version (Version.decode_edit payload))
   in
   (* The tmp+promote protocol syncs at least one edit frame before
      MANIFEST ever carries the name, so a nonempty manifest recovering

@@ -8,8 +8,10 @@
     the next touch. A dropped reader that is still in use by an iterator
     stays valid — readers are immutable once opened.
 
-    All operations are mutex-protected: parallel subcompactions and
-    fanned-out point lookups hit the cache from several domains. *)
+    The readers live in one {!Lsm_storage.Lru}, each charged 1 at
+    offset 0, behind one mutex: parallel subcompactions and fanned-out
+    point lookups hit the cache from several domains. A {!get} hit
+    allocates nothing. *)
 
 type t
 
@@ -47,5 +49,3 @@ val total_opens : t -> int
 
 val evictions : t -> int
 (** Readers dropped by the capacity bound (not by {!evict}). *)
-
-val block_cache : t -> Sstable.cached_block Lsm_storage.Block_cache.t

@@ -15,11 +15,11 @@
     explicit byte charge (the decoded footprint), which is what
     {!used_bytes} and the eviction budget account.
 
-    The cache is striped into [shards] independent LRUs, each guarded by
-    its own mutex, with keys routed by hash — so it is safe (and cheap)
-    to hit from several domains at once. One shard (the default) behaves
-    exactly like the former global LRU. Statistics aggregate across
-    shards; capacity is split evenly between them. *)
+    The cache is striped into [shards] independent {!Lru}s, each guarded
+    by its own mutex, with keys routed by hash — so it is safe (and
+    cheap) to hit from several domains at once. One shard (the default)
+    is one global LRU. Statistics aggregate across shards; capacity is
+    split evenly between them. A {!find} hit allocates nothing. *)
 
 type 'a t
 
@@ -53,15 +53,8 @@ val remove : 'a t -> file:string -> off:int -> unit
     a single block found corrupt in cache without disturbing the file's
     other hot blocks. Not counted as an eviction. *)
 
-val get_or_load : 'a t -> file:string -> off:int -> (unit -> 'a * int) -> 'a
-(** [get_or_load t ~file ~off load] returns the cached entry or calls
-    [load] — which produces the entry and its byte charge — caches the
-    result, and returns it. *)
-
 val evict_file : 'a t -> string -> int
 (** Drop every cached block of a file; returns how many were dropped. *)
-
-val clear : 'a t -> unit
 
 (** {1 Statistics} *)
 

@@ -79,17 +79,23 @@ let load dev ~name =
 (* The payload length in the header of the frame at [pos]. *)
 let length_at data pos = Int32.to_int (String.get_int32_le data (pos + 4)) land 0xffffffff
 
-(* The frame that starts at [pos], if it is complete and its CRC holds:
-   its payload length. *)
+(* The payload length of the frame that starts at [pos] if it is
+   complete and its CRC holds, else -1. *)
 let valid_frame data pos =
   let len = String.length data in
-  if len - pos < 8 then None
+  if len - pos < 8 then -1
   else begin
     let plen = length_at data pos in
     if plen <= len - pos - 8 && crc_matches data ~pos:(pos + 8) ~len:plen (String.get_int32_le data pos)
-    then Some plen
-    else None
+    then plen
+    else -1
   end
+
+(* Is the payload at [data[pos, pos+plen)] the seal's? The seal payload
+   is 8 bytes, compared in place as one int64. *)
+let is_seal data pos plen =
+  plen = String.length seal_payload
+  && String.get_int64_le data pos = String.get_int64_le seal_payload 0
 
 (* Offset of the first complete, CRC-valid, non-empty frame strictly
    after [off]. The probe slides byte by byte, so it re-synchronizes
@@ -100,13 +106,15 @@ let find_frame_after data ~off =
   let len = String.length data in
   let rec probe pos =
     if pos + 8 > len then None
-    else match valid_frame data pos with Some plen when plen > 0 -> Some pos | _ -> probe (pos + 1)
+    else if valid_frame data pos > 0 then Some pos
+    else probe (pos + 1)
   in
   probe (off + 1)
 
-(* Walk the frames in order, calling [f payload] on each valid non-seal
-   frame. At an undecodable frame (bad CRC, cut short, or a payload [f]
-   rejects with [Codec.Corrupt]) a [strict] walk stops, a tolerant one
+(* Walk the frames in order, calling [f data ~off ~len] on the payload
+   window of each valid non-seal frame; nothing is copied. At an
+   undecodable frame (bad CRC, cut short, or a payload [f] rejects with
+   [Codec.Corrupt]) a [strict] walk stops, a tolerant one
    skips to the next decodable frame; either way the skipped range is
    recorded. A seal ends the walk; bytes after it are a gap. Returns the
    frames delivered, the gaps in file order, and whether the walk ended
@@ -123,22 +131,20 @@ let walk data ~strict f =
   in
   while !pos < len do
     let p = !pos in
-    match valid_frame data p with
-    | None -> skip p
-    | Some plen ->
-      let payload = String.sub data (p + 8) plen in
-      if payload = seal_payload then begin
-        sealed := true;
-        if p + 8 + plen < len then gaps := (p + 8 + plen, len) :: !gaps;
-        pos := len
-      end
-      else begin
-        match f payload with
-        | () ->
-          incr frames;
-          pos := p + 8 + plen
-        | exception Codec.Corrupt _ -> skip p
-      end
+    let plen = valid_frame data p in
+    if plen < 0 then skip p
+    else if is_seal data (p + 8) plen then begin
+      sealed := true;
+      if p + 8 + plen < len then gaps := (p + 8 + plen, len) :: !gaps;
+      pos := len
+    end
+    else begin
+      match f data ~off:(p + 8) ~len:plen with
+      | () ->
+        incr frames;
+        pos := p + 8 + plen
+      | exception Codec.Corrupt _ -> skip p
+    end
   done;
   (!frames, List.rev !gaps, !sealed)
 
@@ -210,7 +216,7 @@ let salvage dev ~name f =
   end
 
 let damage dev ~name =
-  let _, gaps, _ = walk (load dev ~name) ~strict:false (fun _ -> ()) in
+  let _, gaps, _ = walk (load dev ~name) ~strict:false (fun _ ~off:_ ~len:_ -> ()) in
   gaps
 
 let findings ~name gaps =

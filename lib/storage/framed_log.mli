@@ -35,16 +35,19 @@ val close : writer -> unit
 val seal_size : int
 (** On-device size of the seal frame. *)
 
-val replay : Device.t -> name:string -> (string -> unit) -> int
-(** [replay dev ~name f] applies [f] to each intact record payload in
-    order and returns how many it delivered. A missing file delivers
-    none. [f] may reject a payload with [Codec.Corrupt], which makes its
-    frame bad. An unsealed (crash-truncated) log stops silently at a torn
+val replay : Device.t -> name:string -> (string -> off:int -> len:int -> unit) -> int
+(** [replay dev ~name f] calls [f data ~off ~len] on each intact record
+    in order, where the payload is [data[off, off+len)] of the file's
+    bytes, and returns how many it delivered. Nothing is copied: [f]
+    reads the payload in place or copies what it keeps. A missing file
+    delivers none. [f] may reject a payload with [Codec.Corrupt], which
+    makes its frame bad. An unsealed (crash-truncated) log stops silently at a torn
     tail; a bad frame in a sealed log, or one bearing a rot tell in an
     unsealed log, raises [Lsm_util.Lsm_error.Corruption] naming its
     offset — records before it may already have been applied. *)
 
-val salvage : Device.t -> name:string -> (string -> unit) -> int * (int * int) list
+val salvage :
+  Device.t -> name:string -> (string -> off:int -> len:int -> unit) -> int * (int * int) list
 (** Tolerant counterpart of {!replay} for repair tools: applies [f] to
     each intact record in file order regardless of seal state,
     re-synchronizing past undecodable frames so records on {e both}

@@ -40,10 +40,34 @@ let encode_batch b entries =
   Codec.put_varint b (List.length entries);
   encode_entries b entries
 
-let decode_batch f payload =
-  let r = Codec.reader payload in
+(* Replay and salvage hand [f] the decoded batch, so they copy the
+   payload out of the file's bytes first. *)
+let decode_batch f data ~off ~len =
+  let r = Codec.reader (String.sub data off len) in
   let count = Codec.get_varint r in
   f (List.init count (fun _ -> Entry.decode r))
+
+(* The scrub's check: step over a batch where it lies, raising
+   [Codec.Corrupt] wherever [decode_batch] would (a bad count, seqno,
+   kind or length, or an entry running past the payload) but building
+   no entry. *)
+let skip r ~stop n =
+  if n < 0 || n > stop - r.Codec.pos then raise (Codec.Corrupt "entry runs past its record");
+  r.pos <- r.pos + n
+
+let rec skip_entries r ~stop = function
+  | 0 -> ()
+  | n ->
+    ignore (Codec.get_varint r);
+    ignore (Entry.kind_of_int (Codec.get_u8 r));
+    skip r ~stop (Codec.get_varint r);
+    skip r ~stop (Codec.get_varint r);
+    skip_entries r ~stop (n - 1)
+
+let check_batch data ~off ~len =
+  let r = Codec.reader ~pos:off data and stop = off + len in
+  skip_entries r ~stop (Codec.get_varint r);
+  if r.pos > stop then raise (Codec.Corrupt "batch runs past its record")
 
 let append t ?(sync = true) = function
   | [] -> ()
@@ -60,7 +84,7 @@ let salvage dev ~name f = Framed_log.salvage dev ~name (decode_batch f)
 let verify dev =
   List.concat_map
     (fun (_, name) ->
-      match salvage dev ~name ignore with
+      match Framed_log.salvage dev ~name check_batch with
       | _, gaps -> Framed_log.findings ~name gaps
       | exception Not_found -> [])
     (files dev)

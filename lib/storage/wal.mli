@@ -64,6 +64,9 @@ val salvage :
     lost. A benign crash-torn tail is truncated silently, not disclosed. *)
 
 val verify : Device.t -> Lsm_util.Lsm_error.t list
-(** The WAL chain's report: {!salvage} of every log in {!files}, each
-    disclosed gap as a [Corruption] naming the log and the gap's start.
-    A log deleted between listing and reading is skipped. *)
+(** The WAL chain's report: a {!Framed_log.salvage} of every log in
+    {!files}, each disclosed gap as a [Corruption] naming the log and
+    the gap's start. Each batch is stepped over where it lies rather
+    than decoded, but fails exactly where the decoder would, so the
+    gaps are {!salvage}'s. A log deleted between listing and reading is
+    skipped. *)

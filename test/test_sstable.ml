@@ -635,6 +635,36 @@ let test_table_cache_shares_readers () =
   Table_cache.evict tc "t.sst";
   check_int "evicted" 0 (Table_cache.open_count tc)
 
+(* A reader hit allocates nothing (DESIGN.md §23), as a block cache hit
+   does: one reused probe key, the stored [Some], no closure around the
+   lock. Runtime lockdep allocates per lock it tracks, so the gate
+   allows what one bare lock and unlock cost (0 with tracking off). *)
+let test_table_cache_hit_allocates_nothing () =
+  let dev, cache = fresh_env () in
+  ignore (build_table dev (many_entries 10));
+  let tc = Table_cache.create ~cmp ~dev ~cache () in
+  ignore (Table_cache.get tc "t.sst");
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Table_cache.get tc "t.sst"))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  let ceiling =
+    let m =
+      Lsm_util.Ordered_mutex.create ~rank:Lsm_util.Ordered_mutex.Rank.table_cache ~name:"probe"
+    in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      Lsm_util.Ordered_mutex.lock m;
+      Lsm_util.Ordered_mutex.unlock m
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  check_int "opened once" 1 (Table_cache.total_opens tc);
+  if words > ceiling +. 0.01 then
+    Alcotest.failf "%.2f minor words per hit, ceiling %.2f" words ceiling
+
 (* A cached block that rots after validation (CRC-valid container,
    garbage records) must be dropped alone — the file's other blocks stay
    hot — and the read healed from the device. *)
@@ -778,6 +808,7 @@ let suite =
     ("table meta roundtrip", `Quick, test_table_meta_roundtrip);
     ("table meta overlaps", `Quick, test_table_meta_overlaps);
     ("table cache shares readers", `Quick, test_table_cache_shares_readers);
+    ("table cache hit allocates nothing", `Quick, test_table_cache_hit_allocates_nothing);
     qt prop_block_roundtrip;
     qt prop_cursor_matches_reference;
     qt prop_seek_at_restart_boundaries;

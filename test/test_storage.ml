@@ -237,13 +237,61 @@ let test_cache_replace_same_key () =
   check "replaced" true (Block_cache.find c ~file:"f" ~off:0 = Some "newer");
   check_int "usage reflects replacement" 5 (Block_cache.used_bytes c)
 
-let test_cache_get_or_load () =
+(* The read path's idiom: probe, and on a miss load and insert. *)
+let test_cache_find_then_insert () =
   let c = Block_cache.create ~capacity:100 () in
   let loads = ref 0 in
-  let load () = incr loads; ("blk", 3) in
-  check_str "first loads" "blk" (Block_cache.get_or_load c ~file:"f" ~off:7 load);
-  check_str "second cached" "blk" (Block_cache.get_or_load c ~file:"f" ~off:7 load);
-  check_int "loaded once" 1 !loads
+  let get () =
+    match Block_cache.find c ~file:"f" ~off:7 with
+    | Some d -> d
+    | None ->
+      incr loads;
+      insert_str c ~file:"f" ~off:7 "blk";
+      "blk"
+  in
+  check_str "first loads" "blk" (get ());
+  check_str "second cached" "blk" (get ());
+  check_int "loaded once" 1 !loads;
+  check_int "one miss" 1 (Block_cache.misses c);
+  check_int "one hit" 1 (Block_cache.hits c)
+
+(* A hit allocates nothing (DESIGN.md §23): the shard's one probe key
+   is reused, the [Some] stored at insert is returned, and the shard
+   lock is taken without a closure. A per-probe [(file, off)] tuple or
+   [option] links in the recency list each cost words on every hit.
+   Runtime lockdep allocates per lock it tracks, so the gate allows
+   what one bare lock and unlock cost (0 with tracking off). *)
+let lock_words () =
+  let m =
+    Lsm_util.Ordered_mutex.create ~rank:Lsm_util.Ordered_mutex.Rank.block_cache_shard
+      ~name:"probe"
+  in
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Lsm_util.Ordered_mutex.lock m;
+    Lsm_util.Ordered_mutex.unlock m
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_cache_hit_allocates_nothing () =
+  List.iter
+    (fun shards ->
+      let c = Block_cache.create ~shards ~capacity:(1 lsl 20) () in
+      for off = 0 to 63 do
+        insert_str c ~file:"f" ~off "block"
+      done;
+      let n = 10_000 in
+      let w0 = Gc.minor_words () in
+      for i = 1 to n do
+        ignore (Sys.opaque_identity (Block_cache.find c ~file:"f" ~off:(i land 63)))
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int n in
+      check_int "every probe hit" n (Block_cache.hits c);
+      let ceiling = lock_words () in
+      if words > ceiling +. 0.01 then
+        Alcotest.failf "%d shard(s): %.2f minor words per hit, ceiling %.2f" shards words ceiling)
+    [ 1; 4 ]
 
 let prop_cache_never_exceeds_capacity =
   QCheck.Test.make ~name:"cache stays within capacity" ~count:100
@@ -252,6 +300,132 @@ let prop_cache_never_exceeds_capacity =
       let c = Block_cache.create ~capacity:128 () in
       List.iter (fun (off, len) -> insert_str c ~file:"f" ~off (String.make len 'x')) ops;
       Block_cache.used_bytes c <= 128)
+
+(* ---------- Lru against a model ---------- *)
+
+type lru_op =
+  | Find of string * int
+  | Insert of string * int * int  (* file, off, charge *)
+  | Remove of string * int
+  | Remove_file of string
+  | Set_capacity of int
+
+let show_lru_op = function
+  | Find (f, o) -> Printf.sprintf "find %s %d" f o
+  | Insert (f, o, c) -> Printf.sprintf "insert %s %d ~charge:%d" f o c
+  | Remove (f, o) -> Printf.sprintf "remove %s %d" f o
+  | Remove_file f -> Printf.sprintf "remove_file %s" f
+  | Set_capacity c -> Printf.sprintf "set_capacity %d" c
+
+(* Three files and six offsets so keys collide often; charges 0, in
+   range and above any capacity the ops set (0 to 40). *)
+let lru_op_gen =
+  let open QCheck.Gen in
+  let file = oneofl [ "a"; "b"; "c" ] and off = int_bound 5 in
+  frequency
+    [
+      (4, map2 (fun f o -> Find (f, o)) file off);
+      ( 4,
+        map3
+          (fun f o c -> Insert (f, o, c))
+          file off
+          (oneof [ return 0; int_range 1 12; int_range 41 60 ]) );
+      (1, map2 (fun f o -> Remove (f, o)) file off);
+      (1, map (fun f -> Remove_file f) file);
+      (1, map (fun c -> Set_capacity c) (int_bound 40));
+    ]
+
+(* The reference: entries most recent first, each [(file, off, value,
+   charge)]; inserts stamp their step number as the value. *)
+type lru_model = {
+  mutable entries : (string * int * int * int) list;
+  mutable cap : int;
+  mutable m_hits : int;
+  mutable m_misses : int;
+  mutable m_evictions : int;
+}
+
+let model_used m = List.fold_left (fun a (_, _, _, c) -> a + c) 0 m.entries
+let model_without m f o = List.filter (fun (f', o', _, _) -> not (f' = f && o' = o)) m.entries
+
+let model_trim m =
+  while model_used m > m.cap do
+    m.entries <- List.filteri (fun i _ -> i < List.length m.entries - 1) m.entries;
+    m.m_evictions <- m.m_evictions + 1
+  done
+
+(* Applies one op to the model; returns what the real call must return. *)
+let model_step m step = function
+  | Find (f, o) -> (
+    match List.find_opt (fun (f', o', _, _) -> f' = f && o' = o) m.entries with
+    | Some e ->
+      m.m_hits <- m.m_hits + 1;
+      m.entries <- e :: model_without m f o;
+      let _, _, v, _ = e in
+      Some v
+    | None ->
+      m.m_misses <- m.m_misses + 1;
+      None)
+  | Insert (f, o, c) ->
+    if c <= m.cap && m.cap > 0 then begin
+      m.entries <- (f, o, step, c) :: model_without m f o;
+      model_trim m
+    end;
+    None
+  | Remove (f, o) ->
+    m.entries <- model_without m f o;
+    None
+  | Remove_file f ->
+    let kept = List.filter (fun (f', _, _, _) -> f' <> f) m.entries in
+    let dropped = List.length m.entries - List.length kept in
+    m.entries <- kept;
+    Some dropped
+  | Set_capacity c ->
+    m.cap <- c;
+    model_trim m;
+    None
+
+let lru_step t step = function
+  | Find (f, o) -> Lru.find t f o
+  | Insert (f, o, c) ->
+    Lru.insert t f o ~charge:c step;
+    None
+  | Remove (f, o) ->
+    Lru.remove t f o;
+    None
+  | Remove_file f -> Some (Lru.remove_file t f)
+  | Set_capacity c ->
+    Lru.set_capacity t c;
+    None
+
+let prop_lru_matches_model =
+  QCheck.Test.make ~name:"lru = list model" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list show_lru_op)
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (0 -- 150) lru_op_gen))
+    (fun ops ->
+      let t = Lru.create ~capacity:30 in
+      let m = { entries = []; cap = 30; m_hits = 0; m_misses = 0; m_evictions = 0 } in
+      List.iteri
+        (fun step op ->
+          let want = model_step m step op and got = lru_step t step op in
+          let observe used length hits misses evictions =
+            Printf.sprintf "used %d, length %d, hits %d, misses %d, evictions %d" used length hits
+              misses evictions
+          in
+          if got <> want then
+            QCheck.Test.fail_reportf "step %d (%s): result differs from the model" step
+              (show_lru_op op);
+          let real =
+            observe (Lru.used t) (Lru.length t) (Lru.hits t) (Lru.misses t) (Lru.evictions t)
+          and model =
+            observe (model_used m) (List.length m.entries) m.m_hits m.m_misses m.m_evictions
+          in
+          if real <> model then
+            QCheck.Test.fail_reportf "step %d (%s): %s, model %s" step (show_lru_op op) real model)
+        ops;
+      true)
 
 (* ---------- WAL ---------- *)
 
@@ -348,6 +522,44 @@ let prop_wal_replay_preserves_batches =
       ignore (Wal.replay dev ~name:"w" (fun b -> got := b :: !got));
       List.rev !got = batches)
 
+(* [Wal.verify] steps over each batch in place instead of decoding it,
+   so it must reject exactly the payloads the decoder rejects: CRC-valid
+   frames whose batch is bad (a count past the entries, an unknown kind,
+   a length past the record) are findings, and good ones are not. The
+   payloads are encoded batches with bytes overwritten or cut off, each
+   framed intact, so only the batch codec can object. *)
+let prop_wal_verify_matches_decoder =
+  QCheck.Test.make ~name:"wal verify = batch decoder's gaps" ~count:200
+    QCheck.(
+      list_of_size
+        Gen.(1 -- 8)
+        (triple
+           (list_of_size Gen.(0 -- 4)
+              (pair (string_gen_of_size Gen.(0 -- 6) Gen.printable)
+                 (string_gen_of_size Gen.(0 -- 12) Gen.printable)))
+           (list_of_size Gen.(0 -- 3) (pair small_nat (int_bound 255)))
+           (option small_nat)))
+    (fun records ->
+      let dev = Device.in_memory () in
+      let name = Wal.file_name_of_seq 1 in
+      let log = Framed_log.create dev ~cls:Io_stats.C_user_write name in
+      List.iter
+        (fun (kvs, pokes, cut) ->
+          let b = Buffer.create 64 in
+          Lsm_util.Codec.put_varint b (List.length kvs);
+          List.iteri (fun i (k, v) -> Entry.encode b (Entry.put ~key:k ~seqno:i v)) kvs;
+          let p = Buffer.to_bytes b in
+          List.iter
+            (fun (at, byte) ->
+              if Bytes.length p > 0 then Bytes.set p (at mod Bytes.length p) (Char.chr byte))
+            pokes;
+          let p = match cut with Some n when n < Bytes.length p -> Bytes.sub p 0 n | _ -> p in
+          Framed_log.append log Buffer.add_bytes p)
+        records;
+      Framed_log.close log;
+      let _, gaps = Wal.salvage dev ~name ignore in
+      Wal.verify dev = Framed_log.findings ~name gaps)
+
 (* ---------- WAL and MANIFEST byte goldens ---------- *)
 
 (* The exact bytes both logs put on the device, with the device's
@@ -439,7 +651,8 @@ let suite =
     ("cache zero capacity", `Quick, test_cache_zero_capacity);
     ("cache evict file", `Quick, test_cache_evict_file);
     ("cache replace same key", `Quick, test_cache_replace_same_key);
-    ("cache get_or_load", `Quick, test_cache_get_or_load);
+    ("cache find then insert", `Quick, test_cache_find_then_insert);
+    ("cache hit allocates nothing", `Quick, test_cache_hit_allocates_nothing);
     ("wal roundtrip", `Quick, test_wal_roundtrip);
     ("wal skips empty batches", `Quick, test_wal_empty_batch_skipped);
     ("wal missing file", `Quick, test_wal_missing_file);
@@ -448,5 +661,7 @@ let suite =
     ("wal bytes golden", `Quick, test_wal_golden);
     ("manifest bytes golden", `Quick, test_manifest_golden);
     qt prop_cache_never_exceeds_capacity;
+    qt prop_lru_matches_model;
     qt prop_wal_replay_preserves_batches;
+    qt prop_wal_verify_matches_decoder;
   ]

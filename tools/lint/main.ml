@@ -18,11 +18,11 @@ let usage =
   \  R8  unbounded busy-wait loop without backoff\n\
   \  R12 allocation-heavy idioms (String.sub ^, String.concat, Bytes.to_string\n\
   \      in loops, String.iter/Bytes.iter closures) in the get-path hot modules\n\
-  \      (block.ml, hashing.ml, bloom.ml, blocked_bloom.ml), the write buffer\n\
-  \      (skiplist.ml, memtable.ml), the checksum paths (crc32c.ml,\n\
-  \      sstable.ml, framed_log.ml), the WAL codec (wal.ml), the server's\n\
-  \      per-command path (resp.ml, server.ml), the per-record merge path\n\
-  \      (iter.ml, merge_filter.ml) and compaction's per-page paths\n\
+  \      (block.ml, hashing.ml, bloom.ml, blocked_bloom.ml), the caches' LRU\n\
+  \      (lru.ml), the write buffer (skiplist.ml, memtable.ml), the checksum\n\
+  \      paths (crc32c.ml, sstable.ml, framed_log.ml), the WAL codec (wal.ml),\n\
+  \      the server's per-command path (resp.ml, server.ml), the per-record\n\
+  \      merge path (iter.ml, merge_filter.ml) and compaction's per-page paths\n\
   \      (device.ml, lz.ml)\n\
   \  R13 external bound to a C symbol outside crc32c.ml (the one stub module)\n\n\
    Typedtree rules (need --typed DIR with built .cmt files):\n\

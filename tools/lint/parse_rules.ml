@@ -36,8 +36,9 @@
          defines the delegating wrapper).
      R12 allocation-heavy idioms in the point-lookup hot modules (the
          per-record block decoder block.ml, the per-probe hashing
-         and bloom filters, the write buffer's skiplist.ml and
-         memtable.ml, the checksum paths crc32c.ml, sstable.ml and
+         and bloom filters, the caches' one LRU lru.ml, which every
+         cached block and table probe runs, the write buffer's
+         skiplist.ml and memtable.ml, the checksum paths crc32c.ml, sstable.ml and
          framed_log.ml, which hash bytes in place, the WAL's batch
          codec wal.ml, which runs once per put, the server's
          per-command path resp.ml and server.ml, which encode replies
@@ -87,7 +88,8 @@ let r7_exempt = [ "xor_filter.ml" ]
 let r8_exempt = [ "ordered_mutex.ml" ]
 
 (* Files on the per-record block decode and per-probe filter paths,
-   the write buffer every point lookup descends first, the read path
+   the LRU every cached block and table probe runs, the write buffer
+   every point lookup descends first, the read path
    that walks the buffers and probes each run's one file, the checksum
    paths (the CRC kernel, the table meta CRC, the framed log), which
    hash bytes where they lie, the WAL's batch codec, which runs once
@@ -103,6 +105,7 @@ let r12_hot_modules =
     "hashing.ml";
     "bloom.ml";
     "blocked_bloom.ml";
+    "lru.ml";
     "skiplist.ml";
     "memtable.ml";
     "read_path.ml";
