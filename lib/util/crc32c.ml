@@ -89,28 +89,21 @@ let[@inline] check_window s ~pos ~len =
   if pos < 0 || len < 0 || pos > String.length s - len then
     invalid_arg "Crc32c.sub: out of bounds"
 
-let[@inline] register init = lnot (Int32.to_int init) land 0xffffffff
-let[@inline] result c = Int32.of_int (c lxor 0xffffffff)
+let[@inline] register init = lnot init land 0xffffffff
+let[@inline] result c = c lxor 0xffffffff
 
-let sub ?(init = 0l) s ~pos ~len =
+let sub ?(init = 0) s ~pos ~len =
   check_window s ~pos ~len;
   let c = register init in
   result (if hardware then hardware_fold c s pos len else portable_fold c s ~pos ~len)
 
-let portable_sub ?(init = 0l) s ~pos ~len =
+let portable_sub ?(init = 0) s ~pos ~len =
   check_window s ~pos ~len;
   result (portable_fold (register init) s ~pos ~len)
 
 let string ?init s = sub ?init s ~pos:0 ~len:(String.length s)
 
-let mask_delta = 0xa282ead8l
+let mask_delta = 0xa282ead8
 
-let mask crc =
-  let rotated =
-    Int32.logor (Int32.shift_right_logical crc 15) (Int32.shift_left crc 17)
-  in
-  Int32.add rotated mask_delta
-
-let unmask masked =
-  let rotated = Int32.sub masked mask_delta in
-  Int32.logor (Int32.shift_right_logical rotated 17) (Int32.shift_left rotated 15)
+(* Rotate right by 15 within 32 bits, then add the delta modulo 2^32. *)
+let[@inline] mask crc = (((crc lsr 15) lor (crc lsl 17)) + mask_delta) land 0xffffffff

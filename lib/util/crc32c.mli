@@ -1,9 +1,15 @@
-(** CRC-32C (Castagnoli) checksums, as used by the block and WAL formats. *)
+(** CRC-32C (Castagnoli) checksums, as used by the block and WAL formats.
 
-val string : ?init:int32 -> string -> int32
-(** [string s] is the CRC-32C of [s]. [init] continues a running checksum. *)
+    A checksum is a native [int] holding 32 significant bits (OCaml 5
+    native code is 64-bit only), so computing, masking and comparing one
+    allocates nothing. A site that stores a checksum as an [int32] boxes
+    it there. *)
 
-val sub : ?init:int32 -> string -> pos:int -> len:int -> int32
+val string : ?init:int -> string -> int
+(** [string s] is the CRC-32C of [s], in [\[0, 2{^32})]. [init] continues
+    a running checksum. *)
+
+val sub : ?init:int -> string -> pos:int -> len:int -> int
 (** Checksum of a substring, by the kernel {!hardware} names.
     @raise Invalid_argument if the window is out of bounds. *)
 
@@ -12,13 +18,11 @@ val hardware : bool
     x86-64), [false] when it runs the portable slicing-by-8 kernel.
     Decided once, at module initialisation, from the CPU; not a setting. *)
 
-val portable_sub : ?init:int32 -> string -> pos:int -> len:int -> int32
+val portable_sub : ?init:int -> string -> pos:int -> len:int -> int
 (** {!sub} by the portable kernel whatever the CPU: the fallback, exposed
     so tests can hold both kernels to the same oracle. *)
 
-val mask : int32 -> int32
-(** Rotate-and-offset masking (à la LevelDB) so that checksums of data that
-    itself embeds checksums remain well-distributed. *)
-
-val unmask : int32 -> int32
-(** Inverse of {!mask}. *)
+val mask : int -> int
+(** Rotate-and-offset masking (à la LevelDB) of a 32-bit checksum, so
+    that checksums of data that itself embeds checksums remain
+    well-distributed. *)
