@@ -170,9 +170,11 @@ val iterator :
     first [view] or [entry], and its value only by [entry]. [use_cache]
     defaults to [true]; compactions pass [false] so they do not pollute
     the block cache (§2.1.3 / E13). Without the cache, a block the cache
-    does not hold is read with {!Lsm_storage.Device.read_into} into a
-    buffer the iterator reuses for every block (and decompressed into a
-    second), so a view's value window is valid only until the iterator
+    does not hold is read with {!Lsm_storage.Device.read_view}: on the
+    in-memory device it is parsed where it lies in the device's chunk,
+    and on disk it is copied into a buffer the iterator reuses for every
+    block; a compressed block is decompressed into a second reused
+    buffer. So a view's value window is valid only until the iterator
     moves; CRC checks and the ECC repair path are the same as for cached
     reads. *)
 
