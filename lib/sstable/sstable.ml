@@ -848,11 +848,11 @@ let cache_insert t (ie : index_entry) p =
 (* The block is parsed where the device shows it: in place in a chunk
    of the in-memory device, whether it then enters the cache or only
    [scratch]'s reader sees it. Only a block the device has to copy (on
-   disk) lands in a buffer: [scratch.raw], or a fresh one when that is
-   too short, which [scratch] then keeps; without [scratch], a fresh one
-   that the cache then owns. The view that carries the window is the
-   domain's own, so a fetch allocates no page and no view; it lets go of
-   the chunk once the block is parsed. *)
+   disk, or under a fault's overlay) lands in a buffer: [scratch.raw],
+   or a fresh one when that is too short, which [scratch] then keeps;
+   without [scratch], a fresh one that the cache then owns. The view
+   that carries the window is the domain's own, so a fetch allocates no
+   page and no view; it lets go of the chunk once the block is parsed. *)
 let views = Domain.DLS.new_key Device.view
 
 let fetch_block ?scratch t ~cls (ie : index_entry) =

@@ -1,39 +1,42 @@
-(* An in-memory file is a table of fixed-size chunks, written once:
-   an append copies its bytes into the last chunk, or into new ones,
-   and no written byte is ever rewritten. Chunk [i] holds the file's
-   bytes from [starts.(i)] up to [starts.(i + 1)] (the last chunk: up to
-   the file's length, which a crash tear may lower past whole chunks);
-   the rest of a chunk that an append did not fit in stays unused. An
-   append of at most [chunk_size] bytes never straddles two chunks, so
-   every table block is one window of one chunk and a read can hand it
-   out in place ([read_view]).
+(* An in-memory file is a table of fixed-size chunks, written once and
+   only by the file's writer: an append copies its bytes into the last
+   chunk, or into new ones, and no byte below the file's length is ever
+   written again. Chunk [i] holds the file's bytes from [starts.(i)] up
+   to [starts.(i + 1)] (the last chunk: up to the file's length, which a
+   crash tear may lower past whole chunks); the rest of a chunk that an
+   append did not fit in stays unused. An append of at most
+   [chunk_size] bytes never straddles two chunks, so every table block
+   is one window of one chunk and a read can hand it out in place
+   ([read_view]).
 
-   The table is immutable and replaced whole, by a compare-and-set,
-   when an append adds chunks or a patch, a planted corruption or a
-   crash tear rewrites bytes; those copy the chunks they touch, so a
-   window handed out earlier keeps the bytes it was given. The length
-   is published after the bytes and the table it covers, so a reader
-   that loads the length and then the table sees a consistent prefix
-   while the file's one writer appends on another domain. *)
+   Faults lie beside the bytes, as an overlay: a patch, planted rot and
+   a crash tear's scramble each add [(offset, bytes)] edits to the
+   file's list, newest last, under the device lock. A read of a window
+   that an edit overlaps copies it and applies the edits oldest first.
+
+   The table and the edit list are immutable values, replaced whole.
+   The length is published after the bytes and the table it covers (by
+   the writer) and after the edits it needs (by a tear), so a reader
+   that loads the length, then the table and the edits, sees a
+   consistent prefix while the writer appends on another domain. *)
 let chunk_size = 65536
 
 type chunks = { bufs : Bytes.t array; starts : int array }
 
-(* [state] is the file's length shifted left by two, plus [sealed_bit]
-   once a close or a crash tear has sealed the file and [frozen_bit]
-   while a rewrite holds it (see [rewrite]). The writer publishes a
-   longer length by a CAS from its own unflagged length, so that CAS
-   fails while the file is frozen or sealed. *)
+(* [state] is the file's length shifted left by one, plus [sealed_bit]
+   once a close or a crash tear has sealed the file: a file is unsealed
+   exactly while its writer is open. The writer publishes a longer
+   length by a CAS from its own unsealed length, so that CAS fails for
+   good once the file is sealed. *)
 type mem_file = {
   tbl : chunks Atomic.t;
   state : int Atomic.t;
+  edits : (int * string) list Atomic.t;
   mutable synced : int;  (** crash-durable prefix length *)
-  mutable writing : bool;
 }
 
 let sealed_bit = 1
-let frozen_bit = 2
-let length_of state = state lsr 2
+let length_of state = state lsr 1
 let length f = length_of (Atomic.get f.state)
 let is_sealed f = Atomic.get f.state land sealed_bit <> 0
 let no_chunks = { bufs = [||]; starts = [||] }
@@ -51,118 +54,80 @@ let chunk_index tbl off =
 let chunk_end tbl i flen =
   if i + 1 < Array.length tbl.starts then tbl.starts.(i + 1) else flen
 
+(* No edit overlaps [off, off + len). *)
+let rec untouched edits ~off ~len =
+  match edits with
+  | [] -> true
+  | (o, s) :: rest -> (off + len <= o || o + String.length s <= off) && untouched rest ~off ~len
+
 (* Copy the file's bytes [off, off + len) into [dst] from offset 0, chunk
-   by chunk. *)
-let blit_out tbl ~flen ~off ~len dst =
-  let rec go i off dpos =
-    if dpos < len then begin
-      let n = min (len - dpos) (chunk_end tbl i flen - off) in
-      Bytes.blit tbl.bufs.(i) (off - tbl.starts.(i)) dst dpos n;
-      go (i + 1) (off + n) (dpos + n)
+   by chunk, then apply the edits that overlap them, oldest first. *)
+let copy_out tbl edits ~off ~len dst =
+  (* The window's end is all [chunk_end] needs of the last chunk. *)
+  let stop = off + len in
+  let rec go i pos =
+    if pos < stop then begin
+      let n = min stop (chunk_end tbl i stop) - pos in
+      Bytes.blit tbl.bufs.(i) (pos - tbl.starts.(i)) dst (pos - off) n;
+      go (i + 1) (pos + n)
     end
   in
-  if len > 0 then go (chunk_index tbl off) off 0
+  if len > 0 then go (chunk_index tbl off) off;
+  List.iter
+    (fun (o, s) ->
+      let lo = max o off and hi = min (o + String.length s) (off + len) in
+      if lo < hi then Bytes.blit_string s (lo - o) dst (lo - off) (hi - lo))
+    edits
+
+(* The file's current bytes [off, off + len), edits applied. *)
+let current f ~off ~len =
+  let b = Bytes.create len in
+  copy_out (Atomic.get f.tbl) (Atomic.get f.edits) ~off ~len b;
+  Bytes.unsafe_to_string b
+
+(* Appends [es] to the file's edits. Every caller holds the device
+   lock, so the CAS loop never runs twice. *)
+let rec add_edits f es =
+  let old = Atomic.get f.edits in
+  if not (Atomic.compare_and_set f.edits old (old @ es)) then add_edits f es
 
 (* The writer's append of [src.[off, off + len)] to a file of [n] bytes,
    [blit] copying it. Only the file's one writer calls it, and it knows
-   the length. It lands unless a rewrite or a crash tear took the file
-   since the table was loaded: then the table swap or the length CAS
-   fails, the result is [false] and nothing of the append is published
-   (its bytes lie past the length). *)
+   the length. It lands unless a crash tear sealed the file: then the
+   length CAS fails, the result is [false] and nothing of the append is
+   published (its bytes lie past the length). *)
 let mem_append blit f src ~n ~off ~len =
   len = 0
   ||
   let tbl = Atomic.get f.tbl in
   let k = Array.length tbl.bufs in
   let room = if k = 0 then 0 else tbl.starts.(k - 1) + chunk_size - n in
-  (if len <= room then begin
-     blit src off tbl.bufs.(k - 1) (n - tbl.starts.(k - 1)) len;
-     true
-   end
-   else begin
-     (* Only an append that spans chunks anyway fills the last one's
-        tail; a smaller one starts a chunk of its own. *)
-     let head = if len > chunk_size then room else 0 in
-     if head > 0 then blit src off tbl.bufs.(k - 1) (n - tbl.starts.(k - 1)) head;
-     let fresh = (len - head + chunk_size - 1) / chunk_size in
-     let bufs = Array.make (k + fresh) Bytes.empty and starts = Array.make (k + fresh) 0 in
-     Array.blit tbl.bufs 0 bufs 0 k;
-     Array.blit tbl.starts 0 starts 0 k;
-     for j = 0 to fresh - 1 do
-       let pos = head + (j * chunk_size) in
-       let c = Bytes.create chunk_size in
-       blit src (off + pos) c 0 (min chunk_size (len - pos));
-       bufs.(k + j) <- c;
-       starts.(k + j) <- n + pos
-     done;
-     Atomic.compare_and_set f.tbl tbl { bufs; starts }
-   end)
-  && Atomic.compare_and_set f.state (n lsl 2) ((n + len) lsl 2)
+  if len <= room then blit src off tbl.bufs.(k - 1) (n - tbl.starts.(k - 1)) len
+  else begin
+    (* Only an append that spans chunks anyway fills the last one's
+       tail; a smaller one starts a chunk of its own. *)
+    let head = if len > chunk_size then room else 0 in
+    if head > 0 then blit src off tbl.bufs.(k - 1) (n - tbl.starts.(k - 1)) head;
+    let fresh = (len - head + chunk_size - 1) / chunk_size in
+    let bufs = Array.make (k + fresh) Bytes.empty and starts = Array.make (k + fresh) 0 in
+    Array.blit tbl.bufs 0 bufs 0 k;
+    Array.blit tbl.starts 0 starts 0 k;
+    for j = 0 to fresh - 1 do
+      let pos = head + (j * chunk_size) in
+      let c = Bytes.create chunk_size in
+      blit src (off + pos) c 0 (min chunk_size (len - pos));
+      bufs.(k + j) <- c;
+      starts.(k + j) <- n + pos
+    done;
+    Atomic.set f.tbl { bufs; starts }
+  end;
+  Atomic.compare_and_set f.state (n lsl 1) ((n + len) lsl 1)
 
-(* Copy-on-write over one file's table: a chunk is copied the first
-   time one of its bytes changes, and [table] is the new table. *)
-type cow = { orig : chunks; cbufs : Bytes.t array }
-
-(* Over the chunks of [tbl] that start below [len]: any later ones hold
-   only an append that has not landed. *)
-let cow tbl ~len =
-  let k = if len = 0 then 0 else chunk_index tbl (len - 1) + 1 in
-  let orig =
-    if k = Array.length tbl.bufs then tbl
-    else { bufs = Array.sub tbl.bufs 0 k; starts = Array.sub tbl.starts 0 k }
-  in
-  { orig; cbufs = Array.copy orig.bufs }
-
-let cow_chunk c i =
-  if c.cbufs.(i) == c.orig.bufs.(i) then c.cbufs.(i) <- Bytes.copy c.orig.bufs.(i);
-  c.cbufs.(i)
-
-let cow_update c off g =
-  let i = chunk_index c.orig off in
-  let b = cow_chunk c i and p = off - c.orig.starts.(i) in
-  Bytes.set b p (g (Bytes.get b p))
-
-(* Write [data] over the file's bytes from [off], chunk by chunk. *)
-let cow_blit c ~off data =
-  let len = String.length data in
-  let rec go off pos =
-    if pos < len then begin
-      let i = chunk_index c.orig off in
-      let n = min (len - pos) (chunk_end c.orig i (off + len - pos) - off) in
-      Bytes.blit_string data pos (cow_chunk c i) (off - c.orig.starts.(i)) n;
-      go (off + n) (pos + n)
-    end
-  in
-  go off 0
-
-let table c = { bufs = c.cbufs; starts = c.orig.starts }
-
-(* Sets [bits] in the file's state, a CAS loop against its writer's
-   appends; returns the state it found. *)
-let rec add_flags f bits =
+(* Sets the sealed bit, a CAS loop against the writer's appends; returns
+   the state it found. *)
+let rec seal f =
   let v = Atomic.get f.state in
-  if Atomic.compare_and_set f.state v (v lor bits) then v else add_flags f bits
-
-(* A rewrite of bytes below the file's length (a patch, planted rot, a
-   crash tear's scramble), made with the device lock held. It freezes
-   the length first, so the writer's next length CAS fails: the writer
-   then waits for the device lock and redoes its append on the new
-   table. The table swap is a CAS loop: a table the writer swapped in
-   meanwhile only adds chunks that [cow] drops, and [edit len c], which
-   gets the frozen length, runs again on fresh copies of it. Returns the
-   state the freeze found; the caller then stores the file's next
-   state, which thaws it. *)
-let rewrite f edit =
-  let v = add_flags f frozen_bit in
-  let len = length_of v in
-  let rec swap () =
-    let tbl = Atomic.get f.tbl in
-    let c = cow tbl ~len in
-    edit len c;
-    if not (Atomic.compare_and_set f.tbl tbl (table c)) then swap ()
-  in
-  swap ();
-  v
+  if Atomic.compare_and_set f.state v (v lor sealed_bit) then v else seal f
 
 type backend =
   | Mem of (string, mem_file) Hashtbl.t
@@ -199,7 +164,7 @@ type plan = {
    several domains safe. Appends to an already-open writer deliberately
    bypass it: each file has exactly one writer, and a reader of a file
    being written (a live WAL scrub) sees a consistent prefix by the
-   publication order of [mem_file]. (The crash-plan hook in
+   publication order set out at the top of this file. (The crash-plan hook in
    [post_mutation] takes it only briefly.) *)
 type t = {
   backend : backend;
@@ -304,28 +269,24 @@ let scramble ch = Char.chr (Char.code ch lxor 0x5a)
    the instant of failure may survive partially (Tear_keep) or survive
    scrambled (Tear_corrupt). Corruption never touches synced bytes — the
    sync contract is exactly that they are immune. Whatever survives is,
-   by definition, the new durable image. The length only drops: a
-   reader that loaded the old one still finds every chunk it
-   addresses. The file ends sealed, so its writer's next length CAS
-   fails for good. *)
+   by definition, the new durable image. The file is sealed first, so
+   its writer's length CAS fails from then on; a scramble is published
+   as one edit before the kept length. The length only drops: a reader
+   that loaded the old one still finds every chunk it addresses. *)
 let apply_tear f tear =
-  let keep len =
+  let len = length_of (seal f) in
+  let keep =
     match tear with
     | Tear_none -> f.synced
     | Tear_keep n | Tear_corrupt n -> min len (f.synced + max 0 n)
   in
-  let scramble_tail len c =
-    match tear with
-    | Tear_corrupt _ ->
-      for i = f.synced to keep len - 1 do
-        cow_update c i scramble
-      done
-    | Tear_none | Tear_keep _ -> ()
-  in
-  let keep = keep (length_of (rewrite f scramble_tail)) in
+  (match tear with
+  | Tear_corrupt _ when keep > f.synced ->
+    let tail = current f ~off:f.synced ~len:(keep - f.synced) in
+    add_edits f [ (f.synced, String.map scramble tail) ]
+  | Tear_none | Tear_keep _ | Tear_corrupt _ -> ());
   f.synced <- keep;
-  f.writing <- false;
-  Atomic.set f.state ((keep lsl 2) lor sealed_bit)
+  Atomic.set f.state ((keep lsl 1) lor sealed_bit)
 
 (* Must be called with [t.m] held. *)
 let fire_crash_locked t tear =
@@ -413,22 +374,28 @@ let plan_corruption t ~seed ?(classes = [ F_sst; F_manifest; F_wal; F_other ])
   in
   List.concat_map
     (fun (name, f) ->
-      let synced_pages = ((f.synced - 1) / t.page_size) + 1 in
+      (* A live writer moves [synced] without the lock; bounding it by the
+         length, loaded before the table, keeps every flip in the table
+         [current] loads. *)
+      let synced = min f.synced (length f) in
+      let synced_pages = ((synced - 1) / t.page_size) + 1 in
       let page_idx = Array.init synced_pages Fun.id in
       Lsm_util.Rng.shuffle rng page_idx;
       let flips =
         List.init (min pages synced_pages) (fun i ->
             let page = page_idx.(i) in
-            let page_len = min t.page_size (f.synced - (page * t.page_size)) in
+            let page_len = min t.page_size (synced - (page * t.page_size)) in
             let off = (page * t.page_size) + Lsm_util.Rng.int rng page_len in
             (off, Lsm_util.Rng.int rng 8))
       in
-      let flip _ c =
-        List.iter
-          (fun (off, bit) -> cow_update c off (fun ch -> Char.chr (Char.code ch lxor (1 lsl bit))))
-          flips
-      in
-      Atomic.set f.state (rewrite f flip);
+      (* The flips hit distinct pages, so each reads a byte no other
+         flip of the batch changes. *)
+      add_edits f
+        (List.map
+           (fun (off, bit) ->
+             let ch = (current f ~off ~len:1).[0] in
+             (off, String.make 1 (Char.chr (Char.code ch lxor (1 lsl bit)))))
+           flips);
       List.map (fun (off, _) -> { hit_file = name; hit_class = classify name; hit_off = off }) flips)
     victims
 
@@ -453,7 +420,7 @@ let read_fault_locked t name =
          ("injected transient read fault: " ^ name))
   | _ -> ()
 
-(* ---------------- writing ---------------- *)
+(* ---------------- writers ---------------- *)
 
 let open_writer t ~cls name =
   check_alive t;
@@ -462,10 +429,10 @@ let open_writer t ~cls name =
     match t.backend with
     | Mem files ->
       (match Hashtbl.find_opt files name with
-      | Some f when f.writing -> invalid_arg ("Device.open_writer: already open: " ^ name)
+      | Some f when not (is_sealed f) -> invalid_arg ("Device.open_writer: already open: " ^ name)
       | _ -> ());
       let f =
-        { tbl = Atomic.make no_chunks; state = Atomic.make 0; synced = 0; writing = true }
+        { tbl = Atomic.make no_chunks; state = Atomic.make 0; edits = Atomic.make []; synced = 0 }
       in
       Hashtbl.replace files name f;
       { dev = t; name; cls; w_written = 0; sink = Mem_sink f; closed = false }
@@ -533,12 +500,12 @@ let append_from ~blit ~output w src ~off ~len =
   (match w.sink with
   | Mem_sink f ->
     check_unsealed w f;
-    while not (mem_append blit f src ~n:w.w_written ~off ~len) do
-      (* A rewrite holds the file, and the device lock until it is
-         done; unless it was a crash tear, the append is made again. *)
-      locked w.dev ignore;
-      if is_sealed f then raise Crashed
-    done
+    if not (mem_append blit f src ~n:w.w_written ~off ~len) then begin
+      (* Only a crash tear fails the length CAS: it seals the file
+         first. *)
+      check_unsealed w f;
+      assert false
+    end
   | Disk_sink oc -> output oc src off len);
   appended w len ~tripped:(trip >= 0)
 
@@ -574,9 +541,7 @@ let close w =
     w.closed <- true;
     locked w.dev @@ fun () ->
     match w.sink with
-    | Mem_sink f ->
-      ignore (add_flags f sealed_bit);
-      f.writing <- false
+    | Mem_sink f -> ignore (seal f)
     | Disk_sink oc ->
       close_out oc;
       (match w.dev.backend with
@@ -609,19 +574,20 @@ let disk_open dir name ~off ~len =
   seek_in ic off;
   ic
 
-(* Every read runs these three steps: [mem_table] or [disk_read_into]
+(* Every read runs these three steps: [mem_find] or [disk_read_into]
    first, [account] last.
 
    A read takes the device lock once, to consume an armed fault and, in
    memory, to find the file; the bytes are located after it. The file's
-   length is loaded before its chunk table (see [mem_file]), and no
-   chunk is ever rewritten, so the read sees the file as it was when
-   found. [mem_table] returns a table that covers [off, off + len). *)
-let mem_table t name ~off ~len =
+   length is loaded before its chunk table and edits (see the top of
+   this file), and no chunk byte below the length is ever written
+   again, so the read sees the file as it was when found. [mem_find]
+   returns a file whose table covers [off, off + len). *)
+let mem_find t name ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Device.read: negative range";
   let f = Lsm_util.Ordered_mutex.protect t.m mem_file_locked t name in
   if off + len > length f then invalid_arg "Device.read: out of bounds";
-  Atomic.get f.tbl
+  f
 
 let disk_read_into t dir name ~off ~len dst =
   if off < 0 || len < 0 then invalid_arg "Device.read: negative range";
@@ -649,17 +615,18 @@ let read_view t ~cls name ~off ~len dst v =
   let in_place =
     match t.backend with
     | Mem _ ->
-      let tbl = mem_table t name ~off ~len in
+      let f = mem_find t name ~off ~len in
+      let tbl = Atomic.get f.tbl in
+      let edits = Atomic.get f.edits in
       let i = if len = 0 then -1 else chunk_index tbl off in
-      if i >= 0 && off + len <= chunk_end tbl i (off + len) then begin
+      if i >= 0 && off + len <= chunk_end tbl i (off + len) && untouched edits ~off ~len
+      then begin
         show v tbl.bufs.(i) ~pos:(off - tbl.starts.(i));
         true
       end
       else begin
-        (* The bounds check read the length; the last chunk's data ends
-           at [off + len] at the latest, which is all [blit_out] needs. *)
         let b = landing dst len in
-        blit_out tbl ~flen:(off + len) ~off ~len b;
+        copy_out tbl edits ~off ~len b;
         show v b ~pos:0;
         false
       end
@@ -692,11 +659,12 @@ let exists t name =
   | Mem files -> locked t (fun () -> Hashtbl.mem files name)
   | Disk d -> Sys.file_exists (disk_path d.dir name)
 
-(* In-place overwrite of already-written bytes — the primitive ECC repair
-   stands on. Deliberately not routed through a writer handle: repair
-   targets sealed, immutable tables, and never extends a file. Patched
-   bytes inherit the durability of the bytes they replace (a repair of the
-   synced prefix stays synced — the durable frontier never moves). *)
+(* Overwrite of already-written bytes — the primitive ECC repair stands
+   on; in memory, one edit of the file's overlay. Deliberately not routed
+   through a writer handle: repair targets sealed, immutable tables, and
+   never extends a file. Patched bytes inherit the durability of the
+   bytes they replace (a repair of the synced prefix stays synced — the
+   durable frontier never moves). *)
 let patch t ~cls name ~off data =
   check_alive t;
   let len = String.length data in
@@ -706,8 +674,8 @@ let patch t ~cls name ~off data =
     locked t @@ fun () ->
     let f = find_mem files name in
     if off + len > length f then invalid_arg "Device.patch: out of bounds";
-    if f.writing then invalid_arg ("Device.patch: file has an open writer: " ^ name);
-    if len > 0 then Atomic.set f.state (rewrite f (fun _ c -> cow_blit c ~off data))
+    if not (is_sealed f) then invalid_arg ("Device.patch: file has an open writer: " ^ name);
+    if len > 0 then add_edits f [ (off, data) ]
   | Disk d ->
     let path = disk_path d.dir name in
     if not (Sys.file_exists path) then raise Not_found;

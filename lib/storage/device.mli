@@ -13,9 +13,11 @@
       how WAL and manifest recovery are exercised. A file is a table of
       fixed-size chunks written once: an append copies its bytes once,
       one of at most a chunk never straddles two chunks, and a read can
-      return a window of a chunk in place ({!read_view}). A patch, a
-      planted corruption or a crash tear copies the chunks it changes,
-      so no byte a reader was handed ever changes under it.
+      return a window of a chunk in place ({!read_view}). Only the file's
+      writer writes its chunks. A patch, a planted corruption or a crash
+      tear never does: its bytes are an overlay, and a window it
+      overlaps is copied, so no byte a reader was handed ever changes
+      under it.
     - {!on_disk} — real files under a directory, for running the engine
       against an actual file system.
 
@@ -122,22 +124,22 @@ val read_view :
   t -> cls:Io_stats.op_class -> string -> off:int -> len:int -> Bytes.t -> view -> bool
 (** [read_view t ~cls name ~off ~len dst v] reads the window without
     copying it where it can: on the in-memory backend, a window that
-    lies in one chunk (every append of at most a chunk does) is shown in
-    place, [v.base] being that chunk, and the result is [true]. The
-    chunk is shared and must never be written; its bytes in the window
-    never change, since a patch, corruption or tear copies the chunks
-    it changes. Otherwise (the on-disk backend, or a window across a
-    chunk edge) the bytes are copied into [dst], or into a fresh buffer
-    if [dst] is shorter than [len], [v] is set to that buffer at
-    position 0, and the result is [false]. Same lock, faults, errors and
-    accounting as {!read}. *)
+    lies in one chunk (every append of at most a chunk does) and that no
+    fault overlaps is shown in place, [v.base] being that chunk, and the
+    result is [true]. The chunk is shared and must never be written; its
+    bytes in the window never change, since a patch, corruption or tear
+    leaves the chunks alone: its bytes are an overlay. Otherwise (the on-disk backend, a window across a chunk edge, or
+    one a fault overlaps) the bytes are copied into [dst], or into a
+    fresh buffer if [dst] is shorter than [len], [v] is set to that
+    buffer at position 0, and the result is [false]. Same lock, faults,
+    errors and accounting as {!read}. *)
 
 val size : t -> string -> int
 val exists : t -> string -> bool
 
 val patch : t -> cls:Io_stats.op_class -> string -> off:int -> string -> unit
-(** [patch t ~cls name ~off data] overwrites [data] in place at [off] in a
-    file that has no open writer — the primitive ECC repair stands on. It
+(** [patch t ~cls name ~off data] overwrites the bytes at [off] with [data] in
+    a file that has no open writer — the primitive ECC repair stands on. It
     never extends a file, and repaired bytes inherit the durability of the
     bytes they replace (a patch of the synced prefix stays synced).
     @raise Not_found if the file does not exist.

@@ -664,14 +664,18 @@ let test_manifest_golden () =
 (* ---------- in-memory files against a plain-buffer model ---------- *)
 
 (* Each file of the model is a [Buffer] with its synced length, its open
-   writer and the windows its appends wrote. A window that one append of
-   at most a chunk wrote must come back in place from [read_view]:
-   that is the rule that keeps every table block in one chunk. *)
+   writer, the windows its appends wrote and the ranges its faults
+   touched. A window that one append of at most a chunk wrote, and that
+   no fault touched, must come back in place from [read_view]: that is
+   the rule that keeps every table block in one chunk. A window a fault
+   touched must come back copied into the caller's buffer. *)
 type mfile = {
   data : Buffer.t;
   mutable msynced : int;
   mutable mw : Device.writer option;
   mutable appends : (int * int) list;  (** (offset, length) of each append *)
+  mutable faults : (int * int) list;
+      (** (offset, length) of each patch, rot hit and tear scramble *)
 }
 
 type dop =
@@ -769,9 +773,11 @@ let run_device_model ops =
       fail "read_view f%d [%d,+%d) copied past the caller's buffer" i off len;
     let one_append =
       List.exists (fun (o, l) -> l <= chunk && o <= off && off + len <= o + l) s.appends
-    in
-    if len > 0 && one_append && not in_place then
-      fail "read_view f%d [%d,+%d) inside one append was copied" i off len
+    and faulted = List.exists (fun (o, l) -> o < off + len && off < o + l) s.faults in
+    if len > 0 && one_append && (not faulted) && not in_place then
+      fail "read_view f%d [%d,+%d) inside one append was copied" i off len;
+    if len > 0 && faulted && in_place then
+      fail "read_view f%d [%d,+%d) that a fault touched was shown in place" i off len
   in
   let step op =
     match op with
@@ -781,7 +787,9 @@ let run_device_model ops =
         | Some ({ mw = Some _; _ } as s) -> s
         | _ ->
           let w = Device.open_writer dev ~cls:Io_stats.C_flush (slot_name i) in
-          let s = { data = Buffer.create 16; msynced = 0; mw = Some w; appends = [] } in
+          let s =
+            { data = Buffer.create 16; msynced = 0; mw = Some w; appends = []; faults = [] }
+          in
           model.(i) <- Some s;
           s
       in
@@ -815,6 +823,7 @@ let run_device_model ops =
         let off, len = window s a b in
         let data = rand_bytes rng len in
         Device.patch dev ~cls:Io_stats.C_misc (slot_name i) ~off data;
+        if len > 0 then s.faults <- (off, len) :: s.faults;
         let b = Buffer.to_bytes s.data in
         Bytes.blit_string data 0 b off len;
         Buffer.clear s.data;
@@ -831,6 +840,7 @@ let run_device_model ops =
             let x = Char.code got lxor Char.code (Buffer.nth s.data off) in
             if off >= s.msynced || x = 0 || x land (x - 1) <> 0 then
               fail "corruption of %s at %d is not one flipped bit" h.Device.hit_file off;
+            s.faults <- (off, 1) :: s.faults;
             let b = Buffer.to_bytes s.data in
             Bytes.set b off got;
             Buffer.clear s.data;
@@ -850,10 +860,12 @@ let run_device_model ops =
               | Device.Tear_corrupt n -> (min len (s.msynced + n), true)
             in
             let b = Buffer.sub s.data 0 keep |> Bytes.of_string in
-            if scramble then
+            if scramble && keep > s.msynced then begin
               for j = s.msynced to keep - 1 do
                 Bytes.set b j (Char.chr (Char.code (Bytes.get b j) lxor 0x5a))
               done;
+              s.faults <- (s.msynced, keep - s.msynced) :: s.faults
+            end;
             Buffer.clear s.data;
             Buffer.add_bytes s.data b;
             s.msynced <- keep;
@@ -909,7 +921,9 @@ let prop_device_matches_model =
 
 (* A view is a window of a chunk the device may share with later reads,
    so it must keep the bytes it was handed: a patch, a planted
-   corruption and a crash tear all copy the chunks they change. *)
+   corruption and a crash tear lie beside the chunks, as an overlay, and
+   a window one of them overlaps is copied. A window none overlaps is
+   still shown in place. *)
 let test_view_survives_rewrites () =
   let dev = Device.in_memory () in
   let cls = Io_stats.C_misc in
@@ -931,13 +945,21 @@ let test_view_survives_rewrites () =
   sees v ~len:50 (String.sub bytes 100 50);
   check_str "a new read sees the patch" (String.make 50 'P')
     (Device.read dev ~cls "t.sst" ~off:100 ~len:50);
-  (* planted corruption *)
-  let v = view_of "t.sst" ~off:0 ~len:10_000 in
+  ignore (view_of "t.sst" ~off:1000 ~len:50);
+  let v = Device.view () in
+  check "a patched window is copied" false
+    (Device.read_view dev ~cls "t.sst" ~off:100 ~len:50 Bytes.empty v);
+  sees v ~len:50 (String.make 50 'P');
+  (* planted corruption, viewed in a file no patch touched *)
+  let w = Device.open_writer dev ~cls "u.sst" in
+  Device.append w bytes;
+  Device.close w;
+  let v = view_of "u.sst" ~off:0 ~len:10_000 in
   let before = String.sub v.Device.base v.Device.pos 10_000 in
   let hits = Device.plan_corruption dev ~seed:7 ~pages:3 () in
   check "bits flipped" true (hits <> []);
   sees v ~len:10_000 before;
-  check "a new read sees the rot" true (Device.read dev ~cls "t.sst" ~off:0 ~len:10_000 <> before);
+  check "a new read sees the rot" true (Device.read dev ~cls "u.sst" ~off:0 ~len:10_000 <> before);
   (* crash tear over unsynced bytes *)
   let w = Device.open_writer dev ~cls "wal-1" in
   Device.append w (String.sub bytes 0 1000);
@@ -1031,7 +1053,7 @@ let test_concurrent_prefix_reads () =
        (List.filter (fun (n, d) -> d <> Digest.string (String.sub full 0 n)) seen));
   check_int "a live scrub found nothing" 0 findings
 
-(* A live file's writer and a rewrite on another domain. Byte [p] of the
+(* A live file's writer and a fault on another domain. Byte [p] of the
    file is [pattern p]; appends of varied size cross chunk edges and
    span whole chunks. *)
 let period = 65_537
@@ -1055,7 +1077,7 @@ let append_pattern w ~stop =
 (* A crash fired on one domain while another appends across chunk
    edges: the writer gets [Crashed], every append that returned is kept
    (the tear keeps the whole unsynced tail), and that tail reads
-   scrambled, so no table the writer swapped in undid the tear. *)
+   scrambled, so nothing the writer did undid the tear. *)
 let test_crash_under_live_writer () =
   with_lockdep @@ fun () ->
   for round = 1 to 8 do
@@ -1101,10 +1123,10 @@ let test_crash_under_live_writer () =
   done
 
 (* Planted rot of a live file while its writer appends on another
-   domain: the rewrite freezes the file, and the writer redoes an
-   append it raced on the new chunks, so the file holds every appended
-   byte and the bits the rot reports (a byte hit once differs in one
-   bit; one hit more than once may differ in any). *)
+   domain: the rot's edits lie beside the chunks and the writer never
+   waits for them, so the file holds every appended byte and the bits
+   the rot reports (a byte hit once differs in one bit; one hit more
+   than once may differ in any). *)
 let test_rot_under_live_writer () =
   with_lockdep @@ fun () ->
   let dev = Device.in_memory () in
