@@ -92,5 +92,3 @@ let granularity_name = function Whole_level -> "whole-level" | Single_file -> "s
 let describe t =
   Printf.sprintf "%s/%s/%s T=%d L0=%d" (layout_name t.layout)
     (granularity_name t.granularity) (movement_name t.movement) t.size_ratio t.level0_limit
-
-let pp ppf t = Format.pp_print_string ppf (describe t)

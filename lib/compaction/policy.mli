@@ -80,8 +80,4 @@ val is_guard : stride_base:int -> size_ratio:int -> level:int -> string -> bool
     are never persisted; a guard of level [l] is one of every deeper level
     whenever each stride divides the one above. *)
 
-val layout_name : data_layout -> string
-val movement_name : movement -> string
-val granularity_name : granularity -> string
 val describe : t -> string
-val pp : Format.formatter -> t -> unit

@@ -63,6 +63,5 @@ let epoch t =
 
 let buffer_bytes t = t.buffer
 let cache_bytes t = t.total - t.buffer
-let epochs t = t.n_epochs
 let moves_to_buffer t = t.to_buffer
 let moves_to_cache t = t.to_cache

@@ -33,6 +33,5 @@ val epoch : t -> unit
 
 val buffer_bytes : t -> int
 val cache_bytes : t -> int
-val epochs : t -> int
 val moves_to_buffer : t -> int
 val moves_to_cache : t -> int

@@ -45,6 +45,7 @@ val device : t -> Lsm_storage.Device.t
 
 val put : t -> key:string -> string -> unit
 val delete : t -> string -> unit
+(* lsm-lint: allow R14 — public API: the single-delete tombstone of the write path *)
 val single_delete : t -> string -> unit
 (** Deletion of a key guaranteed to have been put at most once since the
     last delete; cheaper to purge (§2.3.3, [101]). *)
@@ -97,6 +98,7 @@ val release : t -> Snapshot.t -> unit
 (** Unregister one registration of the snapshot's seqno (idempotent per
     registration; releasing twice only affects duplicate pins). *)
 
+(* lsm-lint: allow R14 — public API: how many snapshots pin old versions *)
 val live_snapshots : t -> int list
 (** Consistent copy of the registered snapshot seqnos, newest first —
     what flush/merge planning passes to the merge filter. Test hook. *)
@@ -107,6 +109,8 @@ val flush : t -> unit
 (** Rotate and flush every buffer to level 0, then run any triggered
     compactions. *)
 
+(* lsm-lint: allow R14 — public API: one synchronous compaction step for callers that
+   drive maintenance *)
 val compact_once : t -> bool
 (** If a compaction is due, drain the lane and run one budget round of
     the cascade now ([Config.compaction_bytes_per_round]); [false] if
@@ -160,9 +164,12 @@ type quarantine_entry = {
   q_detail : string;
 }
 
+(* lsm-lint: allow R14 — public API: the engine health state an operator polls after a
+   background error *)
 val health : t -> health
 val quarantined_tables : t -> quarantine_entry list
 
+(* lsm-lint: allow R14 — public API: the operator's recovery step out of a degraded state *)
 val try_resume : t -> health
 (** Leave fail-safe mode: drains the lane, discards the parked failure
     (abandoned flushes retry) and returns the resulting health —
@@ -175,6 +182,7 @@ val verify_integrity : t -> Lsm_util.Lsm_error.t list
     findings are returned (never raised — the scrubber reports, it does
     not abort on the first defect). *)
 
+(* lsm-lint: allow R14 — public API: the online integrity sweep *)
 val scrub : t -> unit
 (** Lane variant of {!verify_integrity}'s table pass: one verification
     job per live table, rate-limited by [Config.scrub_delay], so
@@ -182,6 +190,7 @@ val scrub : t -> unit
     returns). Findings land in {!stats} and {!quarantined_tables};
     {!quiesce} waits for completion. *)
 
+(* lsm-lint: allow R14 — public API: consistent on-device checkpoints *)
 val checkpoint : t -> dest:Lsm_storage.Device.t -> unit
 (** Consistent full backup: flush, copy every live table to [dest], and
     write a manifest describing exactly this version — [dest] then opens
@@ -194,6 +203,7 @@ val wake : t -> int
 
 (** {1 Runtime memory knobs (§2.3.1)} *)
 
+(* lsm-lint: allow R14 — public API: the live write-buffer budget *)
 val write_buffer_size : t -> int
 val set_write_buffer_size : t -> int -> unit
 (** Change the rotation threshold on the fly (rotating immediately if the
@@ -211,14 +221,18 @@ val io_stats : t -> Lsm_storage.Io_stats.t
 val version : t -> Version.t
 val block_cache : t -> Lsm_sstable.Sstable.cached_block Lsm_storage.Block_cache.t
 val table_cache : t -> Lsm_sstable.Table_cache.t
+(* lsm-lint: allow R14 — public API: advances the logical clock that TTL compaction reads *)
 val tick : t -> int
 
+(* lsm-lint: allow R14 — public API: the full logical contents, the inline-vs-background
+   equivalence witness *)
 val dump_entries : t -> (int * Lsm_record.Entry.t) list
 (** Every on-disk entry paired with its level, in probe order: the
     verification hook the parallel-compaction determinism test compares
     across engines (identical logical state = identical dumps, whatever
     the physical file boundaries). Reads every table; debug/test only. *)
 
+(* lsm-lint: allow R14 — public API: the newest committed sequence number *)
 val last_seqno : t -> int
 val write_amplification : t -> float
 (** Device bytes written (flush + compaction + WAL) / user bytes. *)
@@ -226,5 +240,6 @@ val write_amplification : t -> float
 val space_amplification : t -> float
 (** Live device bytes / logical user data bytes (latest versions only). *)
 
+(* lsm-lint: allow R14 — public API: the tree-shape invariant check *)
 val check_invariants : t -> (unit, string) result
 val pp_tree : Format.formatter -> t -> unit

@@ -30,7 +30,3 @@ val filtered :
     supports [seek_to_first]/[next]/[valid]/[entry] (what the SSTable
     builder consumes); [seek] degrades to a full rescan and is not meant
     for use. *)
-
-val stripe_of : snapshots:int array -> int -> int
-(** Exposed for tests: [stripe_of ~snapshots seqno] with [snapshots]
-    sorted ascending; equal results = no snapshot separates the seqnos. *)

@@ -41,10 +41,12 @@ val rds_of_files : env -> Table_meta.t list -> Lsm_record.Entry.t list
 
 (** {1 File selection} *)
 
+(* lsm-lint: allow R14 — the read path's run search, tested against a linear-scan oracle *)
 val seek_run : Lsm_util.Comparator.t -> Table_meta.t array -> string -> int
 (** The first file of one run (sorted, disjoint) whose [max_key >= key],
     or the run's length: where a seek into the run lands. *)
 
+(* lsm-lint: allow R14 — the read path's file search, tested against a linear-scan oracle *)
 val run_file : Lsm_util.Comparator.t -> Table_meta.t array -> string -> int
 (** The index of the one file of the run that may hold [key], or [-1]:
     {!seek_run}, kept when the file starts at or below [key]. *)

@@ -248,7 +248,7 @@ let rec start t = function
   | dispatched ->
     let rest = List.tl dispatched in
     (match List.hd dispatched with
-    | tk, slot -> ignore (Domain_pool.submit t.pool (fun () -> run_ticket t tk slot)));
+    | tk, slot -> Domain_pool.submit t.pool (fun () -> run_ticket t tk slot));
     start t rest
 
 and run_ticket t tk slot =
@@ -395,7 +395,6 @@ let conflicts_pending t key =
         (fun p -> (not (is_discarded p)) && p.key <> Flush && conflicts t.cmp p.key key)
         t.order)
 
-let pending t = Ordered_mutex.with_lock t.m (fun () -> List.length t.order)
 let unapplied_bytes t = Ordered_mutex.with_lock t.m (fun () -> t.unapplied)
 
 (* Backpressure stop: block until [pred] (called with [t.m] held) turns

@@ -96,10 +96,6 @@ val conflicts_pending : t -> key -> bool
     unaffected: execution still serializes, only the pick decision
     looks through flushes. *)
 
-val pending : t -> int
-(** Tickets enqueued but not yet committed (queued, running, parked,
-    or discarded-but-undrained). *)
-
 val unapplied_bytes : t -> int
 (** Sum of [input_bytes] over uncommitted tickets — the
     enqueued-but-unapplied component of byte-denominated backpressure

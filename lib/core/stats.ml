@@ -95,58 +95,6 @@ let provision_workers t n =
   if Array.length t.sched_workers <> n then
     t.sched_workers <- Array.init n (fun _ -> { w_jobs = 0; w_busy_ns = 0; w_bytes = 0 })
 
-let clear t =
-  t.user_puts <- 0;
-  t.user_deletes <- 0;
-  t.user_gets <- 0;
-  t.user_scans <- 0;
-  t.user_bytes_ingested <- 0;
-  t.gets_found <- 0;
-  t.runs_probed <- 0;
-  t.filter_negatives <- 0;
-  t.filter_false_positives <- 0;
-  t.range_filter_skips <- 0;
-  t.flushes <- 0;
-  t.compactions <- 0;
-  t.trivial_moves <- 0;
-  t.compaction_bytes_read <- 0;
-  t.compaction_bytes_written <- 0;
-  t.compaction_wall_ns <- 0;
-  t.subcompactions <- 0;
-  t.write_stalls <- 0;
-  t.write_slowdowns <- 0;
-  t.write_stops <- 0;
-  t.corruptions_detected <- 0;
-  t.tables_quarantined <- 0;
-  t.failsafe_entries <- 0;
-  t.resumes <- 0;
-  t.scrub_runs <- 0;
-  t.scrub_errors <- 0;
-  t.scrub_runs_scheduled <- 0;
-  t.ecc_repairs <- 0;
-  t.ecc_unrecoverable <- 0;
-  Histogram.clear t.ecc_repair_ns;
-  Histogram.clear t.stall_burst_bytes;
-  Histogram.clear t.compaction_burst_bytes;
-  Histogram.clear t.get_run_probes;
-  Histogram.clear t.write_latency_ns;
-  Histogram.clear t.slowdown_delay_ns;
-  Array.iter
-    (fun w ->
-      w.w_jobs <- 0;
-      w.w_busy_ns <- 0;
-      w.w_bytes <- 0)
-    t.sched_workers;
-  t.sched_edits_parked <- 0;
-  Histogram.clear t.sched_queue_depth;
-  Histogram.clear t.sched_parked_edits
-
-let write_amp_engine t =
-  if t.user_bytes_ingested = 0 then 0.0
-  else
-    float_of_int (t.compaction_bytes_written + Histogram.total t.stall_burst_bytes)
-    /. float_of_int t.user_bytes_ingested
-
 let avg_probes_per_get t =
   if t.user_gets = 0 then 0.0 else float_of_int t.runs_probed /. float_of_int t.user_gets
 

@@ -102,14 +102,9 @@ type t = {
 }
 
 val create : unit -> t
-val clear : t -> unit
 
 val provision_workers : t -> int -> unit
 (** (Re)size [sched_workers] to [n] zeroed slots. Called by the
     scheduler when a lane attaches; idempotent for a same-size lane. *)
 
-val write_amp_engine : t -> float
-(** (flush+compaction bytes written) / user bytes — the engine-level WA. *)
-
-val avg_probes_per_get : t -> float
 val pp : Format.formatter -> t -> unit

@@ -120,19 +120,6 @@ let all_files t =
 let file_count t = List.length (all_files t)
 let total_bytes t = List.fold_left (fun acc (f : Table_meta.t) -> acc + f.size) 0 (all_files t)
 
-let find_file t fid =
-  let result = ref None in
-  Array.iteri
-    (fun li runs ->
-      List.iter
-        (fun r ->
-          List.iter
-            (fun (f : Table_meta.t) -> if f.file_id = fid then result := Some (li, r.group, f))
-            r.files)
-        runs)
-    t.levels;
-  !result
-
 let check_invariants ~cmp t =
   let seen = Hashtbl.create 64 in
   let err = ref None in
@@ -282,8 +269,6 @@ module Pins = struct
            reg.deferred <- (reg.seq, f) :: reg.deferred;
            Atomic.set reg.waiting (List.length reg.deferred);
            runnable_locked reg))
-
-  let deferred_count reg = Ordered_mutex.with_lock reg.m (fun () -> List.length reg.deferred)
 
   let drain reg =
     run_all

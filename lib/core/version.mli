@@ -57,8 +57,6 @@ val last_level : t -> int
 val file_count : t -> int
 val total_bytes : t -> int
 val all_files : t -> Table_meta.t list
-val find_file : t -> int -> (int * int * Table_meta.t) option
-(** [find_file t id] = (level, group, meta). *)
 
 val check_invariants : cmp:Lsm_util.Comparator.t -> t -> (unit, string) result
 (** Structural soundness: runs internally non-overlapping and sorted;
@@ -95,9 +93,6 @@ module Pins : sig
   val defer : registry -> (unit -> unit) -> unit
   (** [defer reg delete] — run [delete] once every pin taken before the
       latest {!advance} has dropped; immediately if none is live. *)
-
-  val deferred_count : registry -> int
-  (** Deletions still waiting on a pin (observability / tests). *)
 
   val drain : registry -> unit
   (** Run every deferred deletion unconditionally. Only sound once no

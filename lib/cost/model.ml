@@ -96,13 +96,6 @@ let long_scan_cost d w =
   | `Tiering -> w.long_scan_pages *. t
   | `Lazy_leveling -> w.long_scan_pages *. (1.0 +. (1.0 /. t)) (* last level dominates *)
 
-let space_amp d _w =
-  let t = float_of_int (max 2 d.size_ratio) in
-  match d.layout with
-  | `Leveling -> 1.0 /. t
-  | `Tiering -> t -. 1.0
-  | `Lazy_leveling -> 1.0 /. t (* dominated by the leveled last level *)
-
 let mixed_cost d w =
   (w.f_insert *. write_cost d w)
   +. (w.f_point_lookup_hit *. point_lookup_hit_cost d w)

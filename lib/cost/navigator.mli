@@ -4,9 +4,6 @@
 
 type candidate = { design : Model.design; cost : float }
 
-val default_size_ratios : int list
-(** [2; 4; 6; 8; 10; 12; 16]. *)
-
 val enumerate :
   ?size_ratios:int list ->
   ?layouts:[ `Leveling | `Tiering | `Lazy_leveling ] list ->

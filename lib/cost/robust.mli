@@ -8,11 +8,15 @@
     the nominal one; as ρ grows, it backs away from designs whose
     advantage is brittle (e.g. extreme tiering when reads might appear). *)
 
+(* lsm-lint: allow R14 — the uncertainty region robust_best searches; test_cost checks it
+   holds the expected workload *)
 val neighborhood : rho:float -> Model.workload -> Model.workload list
 (** Deterministic sample of mix perturbations with ‖Δ‖₁ ≤ ρ (corner
     shifts between every pair of mix components, plus ŵ itself).
     Fractions stay non-negative and renormalized. *)
 
+(* lsm-lint: allow R14 — the min-max objective robust_best minimises; test_cost compares
+   designs under it *)
 val worst_case_cost : rho:float -> Model.design -> Model.workload -> float
 (** Max cost over the neighborhood. *)
 

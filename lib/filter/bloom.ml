@@ -51,7 +51,6 @@ let mem_hashed t h1 h2 =
 let mem t key = t.nbits = 0 || Hashing.double_hash_with key t mem_hashed
 
 let bit_count t = t.nbits
-let num_probes t = t.k
 
 let encode t =
   let b = Buffer.create (Bytes.length t.bits + 16) in

@@ -21,11 +21,10 @@ val mem : t -> string -> bool
 val bit_count : t -> int
 (** Total bits of the array (0 for the always-true filter). *)
 
-val num_probes : t -> int
-
 val encode : t -> string
 val decode : string -> t
 (** @raise Lsm_util.Codec.Corrupt on malformed input. *)
 
+(* lsm-lint: allow R14 — reference false-positive rate the measured one is tested against *)
 val theoretical_fpr : bits_per_key:float -> float
 (** [0.6185 ^ bits_per_key] — the textbook optimum used by the cost models. *)

@@ -91,25 +91,6 @@ let mem t key =
   let i1 = index_of t key in
   bucket_has t i1 fp || bucket_has t (alt_index t i1 fp) fp
 
-let remove_from t bucket fp =
-  let rec loop s =
-    if s >= slots_per_bucket then false
-    else if slot t bucket s = fp then begin
-      set_slot t bucket s 0;
-      true
-    end
-    else loop (s + 1)
-  in
-  loop 0
-
-let remove t key =
-  let fp = Hashing.fingerprint key ~bits:t.fp_bits in
-  let i1 = index_of t key in
-  let removed = remove_from t i1 fp || remove_from t (alt_index t i1 fp) fp in
-  if removed then t.count <- t.count - 1;
-  removed
-
-let count t = t.count
 let bit_count t = Array.length t.table * t.fp_bits
 
 let encode t =

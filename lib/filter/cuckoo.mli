@@ -18,11 +18,6 @@ val add : t -> string -> bool
 
 val mem : t -> string -> bool
 
-val remove : t -> string -> bool
-(** Deletes one matching fingerprint; [false] if none found. Only call for
-    keys that were actually inserted (standard cuckoo-filter caveat). *)
-
-val count : t -> int
 val bit_count : t -> int
 val encode : t -> string
 val decode : string -> t

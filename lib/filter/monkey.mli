@@ -17,15 +17,14 @@ val allocate : total_bits:float -> level_entries:int array -> float array
     [bits.(i) *. entries.(i)] is ≤ [total_bits] (within solver tolerance).
     Levels with zero entries get 0. *)
 
+(* lsm-lint: allow R14 — reference allocation Monkey is tested against *)
 val uniform : total_bits:float -> level_entries:int array -> float array
 (** The baseline: same bits-per-key everywhere (what E3 compares against). *)
 
+(* lsm-lint: allow R14 — the cost both allocations are compared by in the Monkey test *)
 val expected_probes : fprs:float array -> float
 (** Expected superfluous run probes of a zero-result lookup: [Σ p_i]
     (one term per run; for leveling, one run per level). *)
 
 val fpr_of_bits : float -> float
 (** [0.6185 ^ bits_per_key], 1.0 at zero bits. *)
-
-val bits_of_fpr : float -> float
-(** Inverse of {!fpr_of_bits}: [ln p / ln 0.6185], 0 for p >= 1. *)

@@ -77,8 +77,6 @@ let bit_count t =
   | I_cuckoo f -> Cuckoo.bit_count f
   | I_xor st -> Xor_filter.bit_count (force_xor st)
 
-let policy t = t.pol
-
 let tag = function
   | I_none -> 0
   | I_bloom _ -> 1

@@ -27,7 +27,6 @@ val mem : t -> string -> bool
     instance triggers the (cached) static construction. *)
 
 val bit_count : t -> int
-val policy : t -> policy
 
 val encode : t -> string
 val decode : string -> t

@@ -53,7 +53,6 @@ let may_overlap t ~lo ~hi =
       | Some _ | None -> true
     end
 
-let prefix_len t = t.plen
 let bit_count t = Bloom.bit_count t.bloom
 
 let encode t =

@@ -9,13 +9,10 @@
 type t
 
 val build : prefix_len:int -> bits_per_key:float -> keys:string list -> t
-val may_contain_prefix : t -> string -> bool
-(** Probe one prefix (the argument is truncated/padded to [prefix_len]). *)
 
 val may_overlap : t -> lo:string -> hi:string option -> bool
 (** Conservative range-overlap test for [\[lo, hi)]; [None] = unbounded. *)
 
-val prefix_len : t -> int
 val bit_count : t -> int
 val encode : t -> string
 val decode : string -> t

@@ -6,12 +6,6 @@ type policy =
   | Surf of { max_prefix : int; suffix_len : int }
   | Rosetta of { levels : int; bits_per_key : float }
 
-let policy_name = function
-  | No_range_filter -> "none"
-  | Prefix _ -> "prefix-bloom"
-  | Surf _ -> "surf"
-  | Rosetta _ -> "rosetta"
-
 type impl =
   | I_none
   | I_prefix of Prefix_bloom.t

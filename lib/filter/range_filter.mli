@@ -8,8 +8,6 @@ type policy =
   | Surf of { max_prefix : int; suffix_len : int }
   | Rosetta of { levels : int; bits_per_key : float }
 
-val policy_name : policy -> string
-
 type t
 
 val build : policy -> keys:string list -> t

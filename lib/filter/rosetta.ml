@@ -74,10 +74,6 @@ let range_query t lo hi =
   in
   go 0L 0
 
-let may_contain t key =
-  let v = key_to_int key in
-  doubt t v 64
-
 let may_overlap t ~lo ~hi =
   let lo_v = key_to_int lo in
   match hi with

@@ -19,10 +19,6 @@ val build :
     levels conservatively return "maybe". [bits_per_key] (default 10.0) is
     the per-level budget. *)
 
-val key_to_int : string -> int64
-(** The (exposed for tests) key mapping. *)
-
-val may_contain : t -> string -> bool
 val may_overlap : t -> lo:string -> hi:string option -> bool
 (** Overlap with the key range [\[lo, hi)]. *)
 

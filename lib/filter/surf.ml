@@ -65,10 +65,6 @@ let may_overlap t ~lo ~hi =
       | None -> true
       | Some hi -> String.compare t.prefixes.(i) hi < 0
 
-let may_contain t key = contains_exact t key || has_proper_prefix_of t key
-
-let stored_count t = Array.length t.prefixes
-
 let bit_count t =
   8 * Array.fold_left (fun acc p -> acc + String.length p + 1) 0 t.prefixes
 

@@ -17,11 +17,9 @@ val build : ?max_prefix:int -> ?suffix_len:int -> keys:string list -> unit -> t
     what lets the filter reject short ranges that fall inside a stored
     prefix's shadow. [suffix_len = 0] is SuRF-Base. *)
 
-val may_contain : t -> string -> bool
 val may_overlap : t -> lo:string -> hi:string option -> bool
 (** Overlap with [\[lo, hi)]; [None] = unbounded above. *)
 
-val stored_count : t -> int
 val bit_count : t -> int
 (** Memory: total stored prefix bytes * 8 (plus negligible structure). *)
 

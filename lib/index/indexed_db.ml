@@ -54,8 +54,6 @@ let create ~db ~indexes =
     invalid_arg "Indexed_db.create: duplicate index names";
   { store = db; indexes }
 
-let db t = t.store
-
 let get t key = Db.get t.store (record_key key)
 
 let sorted_terms spec ~key ~value =

@@ -29,9 +29,8 @@ val create : db:Lsm_core.Db.t -> indexes:index_spec list -> t
     Reopening over a recovered [db] with the same specs resumes cleanly —
     index entries are durable data. *)
 
-val db : t -> Lsm_core.Db.t
-
 val put : t -> key:string -> string -> unit
+(* lsm-lint: allow R14 — public API of the secondary-index engine: primary lookup *)
 val get : t -> string -> string option
 val delete : t -> string -> unit
 
@@ -39,6 +38,7 @@ val scan :
   t -> ?limit:int -> lo:string -> hi:string option -> unit -> (string * string) list
 (** Over record keys only (index entries are invisible). *)
 
+(* lsm-lint: allow R14 — public API of the secondary-index engine: lookup by index term *)
 val lookup : t -> index:string -> term:string -> (string * string) list
 (** All (key, value) records whose extractor produced [term], in key
     order. @raise Not_found for an unknown index name. *)
@@ -46,5 +46,6 @@ val lookup : t -> index:string -> term:string -> (string * string) list
 val lookup_keys : t -> index:string -> term:string -> string list
 (** Primary keys only: one scan, no per-record gets. *)
 
+(* lsm-lint: allow R14 — public API of the secondary-index engine: live index entries *)
 val index_entry_count : t -> index:string -> int
 (** Live composite entries (for tests/metrics). *)

@@ -83,7 +83,6 @@ let gc t ?(max_segments = 1) () =
     victims;
   { segments_dropped = List.length victims; live_moved = !live_moved; dead_dropped = !dead_dropped }
 
-let db t = t.tree
 let value_log t = t.vlog
 
 let to_kv_store t =
@@ -103,4 +102,3 @@ let to_kv_store t =
     user_bytes = (fun () -> t.logical_bytes);
     space_bytes = (fun () -> Lsm_storage.Device.total_bytes t.dev);
   }
-let logical_bytes t = t.logical_bytes

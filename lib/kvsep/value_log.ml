@@ -82,8 +82,6 @@ let drop_segment t seg =
   Device.delete t.dev (seg_name seg);
   t.sealed <- List.filter (fun s -> s <> seg) t.sealed
 
-let active_segment t = t.head
-
 let total_bytes t =
   List.fold_left
     (fun acc seg -> acc + Device.size t.dev (seg_name seg))

@@ -32,7 +32,8 @@ val fold_segment :
 (** Iterate every record of a segment (for garbage collection). *)
 
 val drop_segment : t -> int -> unit
-val active_segment : t -> int
+(* lsm-lint: allow R14 — public API of the key-value-separated engine: the log space gc
+   reclaims *)
 val total_bytes : t -> int
 val close : t -> unit
 

@@ -25,9 +25,6 @@ type t = {
 let create_sized ~cmp ~buckets () =
   { cmp; buckets = Array.make buckets []; count = 0; footprint = 0 }
 
-let create ~cmp () =
-  create_sized ~cmp ~buckets:default_buckets ()
-
 let index_of t key = Hashing.bucket ~buckets:(Array.length t.buckets) key
 
 let add t e =

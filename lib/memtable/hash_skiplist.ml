@@ -28,9 +28,6 @@ let create_sized ~cmp ~buckets () =
     footprint = 0;
   }
 
-let create ~cmp () =
-  create_sized ~cmp ~buckets:default_buckets ()
-
 let bucket_of t key =
   t.buckets.(Hashing.bucket ~buckets:(Array.length t.buckets) key)
 

@@ -13,9 +13,6 @@ val default_buckets : int
 val create_sized : cmp:Lsm_util.Comparator.t -> buckets:int -> unit -> t
 (** Explicit bucket count, used by [Memtable]. *)
 
-val create : cmp:Lsm_util.Comparator.t -> unit -> t
-(** Default buckets, keyed on the whole key. *)
-
 val add : t -> Lsm_record.Entry.t -> unit
 val find : t -> max_seqno:int -> string -> Lsm_record.Entry.t option
 val count : t -> int

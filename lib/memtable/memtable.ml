@@ -58,8 +58,6 @@ let create ?(kind = Skiplist) ~budget ~cmp () =
   in
   { k = kind; impl; keys; range_dels = [] }
 
-let kind t = t.k
-
 (* The key goes into the filter before the entry goes into the buffer:
    a reader whose ceiling covers the entry captured it after this add
    returned, so it sees these bits (DESIGN.md §18). *)

@@ -14,10 +14,6 @@ type kind =
           put every key that shares it — one tenant's, on the server —
           in one bucket. *)
 
-val default_hash_skiplist : kind
-val default_hash_linkedlist : kind
-(** Each kind with its default bucket count. *)
-
 val kind_name : kind -> string
 val all_kinds : kind list
 (** One representative of each implementation, for tests and benchmarks. *)
@@ -30,7 +26,6 @@ val create : ?kind:kind -> budget:int -> cmp:Lsm_util.Comparator.t -> unit -> t
     filter once, for the most entries that many bytes can hold. A buffer
     that outgrows its budget stays correct, with a denser filter. *)
 
-val kind : t -> kind
 val add : t -> Lsm_record.Entry.t -> unit
 
 val find : t -> max_seqno:int -> string -> Lsm_record.Entry.t option

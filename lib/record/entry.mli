@@ -33,16 +33,8 @@ val kind_to_int : kind -> int
 val kind_of_int : int -> kind
 (** @raise Lsm_util.Codec.Corrupt on unknown tags. *)
 
-val kind_to_string : kind -> string
-
 val put : key:string -> seqno:int -> string -> t
 val delete : key:string -> seqno:int -> t
-val single_delete : key:string -> seqno:int -> t
-val range_delete : start_key:string -> end_key:string -> seqno:int -> t
-val merge : key:string -> seqno:int -> string -> t
-
-val is_tombstone : t -> bool
-(** [Delete], [Single_delete], and [Range_delete] entries. *)
 
 val compare : Lsm_util.Comparator.t -> t -> t -> int
 (** Key ascending, then seqno descending, then kind (for determinism). *)
@@ -51,14 +43,9 @@ val encode : Buffer.t -> t -> unit
 val decode : Lsm_util.Codec.reader -> t
 (** Wire format: varint seqno | u8 kind | lp key | lp value. *)
 
-val encoded_size : t -> int
-(** Exact size {!encode} will produce. *)
-
 val encoded_size_of : seqno:int -> key_len:int -> value_len:int -> int
 (** {!encoded_size} of a record from its seqno and lengths, without the
     record. *)
 
 val footprint : t -> int
 (** Approximate in-memory footprint in bytes, used for buffer sizing. *)
-
-val pp : Format.formatter -> t -> unit

@@ -20,8 +20,6 @@ type limits = {
   max_bytes : int option;  (** key+value bytes per window; [None] = unlimited *)
 }
 
-val unlimited : limits
-
 type denial = {
   tenant : string;
   dimension : [ `Ops | `Bytes ];

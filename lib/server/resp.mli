@@ -15,19 +15,10 @@ exception Malformed of string
 (** The bytes cannot be a RESP frame (bad type byte, non-numeric length,
     missing CRLF, negative or oversized length). Connection-fatal. *)
 
-val max_bulk_len : int
-(** Upper bound accepted for any single bulk string or array arity
-    (defense against hostile [$9999999999] headers). *)
-
 (** {1 Requests — arrays of bulk strings} *)
 
 val encode_command : string list -> string
 (** Client side: [encode_command ["PUT"; k; v]] is the request frame. *)
-
-val parse_command : Bytes.t -> pos:int -> len:int -> (string list * int) option
-(** Server side: decode one command from [bytes[pos, len)]. [Some (args,
-    pos')] on a complete frame, [None] if more bytes are needed.
-    @raise Malformed on protocol errors. *)
 
 (** {1 Replies} *)
 
@@ -39,6 +30,8 @@ type reply =
   | Nil  (** [$-1\r\n] — absent value *)
   | Array of reply list  (** [*N\r\n] followed by N replies *)
 
+(* lsm-lint: allow R14 — the reference encoder: a property test checks add_reply's bytes
+   against it *)
 val encode_reply : reply -> string
 (** One reply as a fresh string: the bytes {!add_reply} appends. *)
 
@@ -66,7 +59,7 @@ val fill : buf -> (Bytes.t -> int -> int -> int) -> int
     room, and appends the count it returns (which it also returns). *)
 
 val next_command : buf -> string list option
-(** Parse and consume the first pending command ({!parse_command});
+(** Parse and consume the first pending command;
     [None] (consuming nothing) while its frame is incomplete.
     @raise Malformed on protocol errors. *)
 
@@ -89,8 +82,9 @@ val consume : buf -> int -> unit
     largest request or reply. *)
 
 val parse_reply : Bytes.t -> pos:int -> len:int -> (reply * int) option
-(** Client side: decode one reply from [bytes[pos, len)]; same contract
-    as {!parse_command}. @raise Malformed on protocol errors. *)
+(** Client side: decode one reply from [bytes[pos, len)]: [Some (reply,
+    pos')] on a complete frame, [None] if more bytes are needed.
+    @raise Malformed on protocol errors. *)
 
 val error_code : reply -> string option
 (** [Some code] (the first word) when the reply is an [Error]. *)

@@ -94,9 +94,6 @@ let create ?quota ?(backlog = 128) ~shards ~sock_path () =
     writes = 0;
   }
 
-let sock_path t = t.path
-let draining t = t.draining
-
 let stats t =
   {
     accepted = t.accepted;

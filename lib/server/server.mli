@@ -76,9 +76,7 @@ val run : t -> unit
 val request_shutdown : t -> unit
 (** Programmatic [SHUTDOWN] (signal handlers, tests). *)
 
-val draining : t -> bool
 val stats : t -> stats
-val sock_path : t -> string
 
 val close : t -> unit
 (** Force-close listener and every connection without draining. Safe

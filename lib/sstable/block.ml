@@ -2,7 +2,6 @@ module Codec = Lsm_util.Codec
 module Crc32c = Lsm_util.Crc32c
 module Comparator = Lsm_util.Comparator
 module Entry = Lsm_record.Entry
-module Slice = Lsm_record.Slice
 module Iter = Lsm_record.Iter
 
 module Builder = struct
@@ -101,11 +100,7 @@ module Builder = struct
 
   let add_view t (v : Iter.view) = add_record t v.key v.seqno v.kind v.vbase v.voff v.vlen
 
-  let add t (e : Entry.t) =
-    add_record t e.key e.seqno e.kind e.value 0 (String.length e.value)
-
   let size_estimate t = t.len - 1 + (4 * (t.nrestarts + 2))
-  let count t = t.count
   let is_empty t = t.count = 0
 
   (* Seal the block where its records lie: restart trailer, then the CRC
@@ -428,10 +423,6 @@ module Cursor = struct
 
   let require c who = if not c.cvalid then invalid_arg ("Block.Cursor." ^ who ^ ": not valid")
 
-  let key c =
-    require c "key";
-    Bytes.sub_string c.kbuf 0 c.klen
-
   let key_compare c target =
     require c "key_compare";
     Comparator.compare_bytes c.cmp c.kbuf ~len:c.klen target
@@ -444,10 +435,6 @@ module Cursor = struct
     require c "kind";
     c.ckind
 
-  let value_slice c =
-    require c "value_slice";
-    Slice.v c.p.pbody ~off:c.voff ~len:c.vlen
-
   let fill_view c (v : Iter.view) =
     require c "fill_view";
     v.key <- Bytes.sub_string c.kbuf 0 c.klen;
@@ -456,10 +443,6 @@ module Cursor = struct
     v.vbase <- c.p.pbody;
     v.voff <- c.voff;
     v.vlen <- c.vlen
-
-  let value c =
-    require c "value";
-    String.sub c.p.pbody c.voff c.vlen
 
   let entry c =
     require c "entry";

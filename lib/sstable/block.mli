@@ -28,13 +28,9 @@ module Builder : sig
       on afterwards. Records must arrive in [Entry.compare] order (not
       checked here; the SSTable builder enforces it). *)
 
-  val add : t -> Lsm_record.Entry.t -> unit
-  (** {!add_view} of an entry, through the same encoder. *)
-
   val size_estimate : t -> int
   (** Current encoded size including the trailer. *)
 
-  val count : t -> int
   val is_empty : t -> bool
 
   val finish_into : t -> int
@@ -112,9 +108,6 @@ module Cursor : sig
   val next : t -> unit
   val valid : t -> bool
 
-  val key : t -> string
-  (** Materializes the current key (copies out of the arena). *)
-
   val key_compare : t -> string -> int
   (** Compare the current key against [target] without materializing. *)
 
@@ -124,12 +117,6 @@ module Cursor : sig
   val fill_view : t -> Lsm_record.Iter.view -> unit
   (** Show the current record in a view: the key is materialized (the
       one copy), the value is a window of the block body. *)
-
-  val value : t -> string
-  (** Materializes the current value. *)
-
-  val value_slice : t -> Lsm_record.Slice.t
-  (** Borrowed view of the current value; no copy. *)
 
   val entry : t -> Lsm_record.Entry.t
   (** Materialize the current record (the only per-record allocation on

@@ -112,14 +112,6 @@ module Props = struct
       data_bytes;
       ecc;
     }
-
-  let pp ppf t =
-    Format.fprintf ppf "entries=%d tombstones=%d(+%d range) keys=[%S..%S] seq=[%d..%d] born=%d"
-      t.entries t.point_tombstones (List.length t.range_tombstones) t.min_key t.max_key
-      t.min_seqno t.max_seqno t.created_at;
-    match t.ecc with
-    | Some (k, m, page) -> Format.fprintf ppf " ecc=%d+%d/%dB" k m page
-    | None -> ()
 end
 
 type compression = C_none | C_lz
@@ -789,10 +781,7 @@ let open_reader ~cmp ~dev ~cache ?(on_ecc = fun (_ : ecc_event) -> ()) name =
           raise e2)))
 
 let props t = t.rprops
-let name t = t.rname
 let file_size t = t.size
-let index_block_count t = Array.length t.index
-let filter_bits t = Point_filter.bit_count t.filter
 
 let may_contain_key t key =
   t.cmp.Comparator.compare key t.rprops.Props.min_key >= 0
@@ -969,9 +958,6 @@ let get_unfiltered t ~cls ~max_seqno key =
       l.busy <- false;
       raise e
   end
-
-let get t ~cls ?(max_seqno = max_int) key =
-  if not (may_contain_key t key) then None else get_unfiltered t ~cls ~max_seqno key
 
 (* Table iteration through one reused block cursor: [Block.Cursor.reset]
    re-aims it at each block in turn, inside [with_block], so a cached

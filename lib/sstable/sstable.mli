@@ -26,8 +26,6 @@ module Props : sig
             by [m] parity pages. Lets a scrub rebuild a rotted parity
             section deterministically. [None] for legacy tables. *)
   }
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** {1 Building} *)
@@ -56,6 +54,8 @@ type build_config = {
           pre-ECC readers and ECC readers accept both formats. *)
 }
 
+(* lsm-lint: allow R14 — the table layer's defaults, as Config.default is the engine's:
+   tests derive every table build configuration from it *)
 val default_build_config : build_config
 
 val build :
@@ -127,10 +127,11 @@ val open_reader :
     file; retriable [Io_error]s are retried with bounded backoff. *)
 
 val props : reader -> Props.t
-val name : reader -> string
+
+(* lsm-lint: allow R14 — where the ECC parity section starts; the ECC layout tests check
+   the locator against it *)
 val file_size : reader -> int
-val index_block_count : reader -> int
-val filter_bits : reader -> int
+(** Bytes of the table image, without a trailing ECC section. *)
 
 val may_contain_key : reader -> string -> bool
 (** Point-filter probe only (no I/O). *)
@@ -138,25 +139,17 @@ val may_contain_key : reader -> string -> bool
 val may_overlap_range : reader -> lo:string -> hi:string option -> bool
 (** Key-range check against (min_key, max_key) and the range filter. *)
 
-val get :
-  reader ->
-  cls:Lsm_storage.Io_stats.op_class ->
-  ?max_seqno:int ->
-  string ->
-  Lsm_record.Entry.t option
-(** Newest visible version of the key in this table (may be a tombstone —
-    the caller interprets it). Probes the filter first; on a filter
-    negative, performs no I/O. Never returns [Range_delete] entries. *)
-
 val get_unfiltered :
   reader ->
   cls:Lsm_storage.Io_stats.op_class ->
   max_seqno:int ->
   string ->
   Lsm_record.Entry.t option
-(** {!get} without the point-filter probe, for a caller that has just
-    asked {!may_contain_key} itself and got [true]: one hash and one
-    filter probe per table, not two. *)
+(** Newest visible version of the key in this table (may be a tombstone —
+    the caller interprets it; never a [Range_delete] entry). It does not
+    probe the point filter: the caller asks {!may_contain_key} first and
+    reads only on [true], so one lookup hashes the key and probes the
+    filter once per table. *)
 
 val iterator :
   reader ->

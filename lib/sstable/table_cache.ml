@@ -65,10 +65,6 @@ let evict t name =
   locked t (fun () -> Lru.remove t.readers name 0);
   ignore (Lsm_storage.Block_cache.evict_file t.cache name)
 
-let set_capacity t capacity =
-  if capacity < 1 then invalid_arg "Table_cache.set_capacity: capacity must be >= 1";
-  locked t @@ fun () -> Lru.set_capacity t.readers capacity
-
 let capacity t = Lru.capacity t.readers
 let open_count t = locked t (fun () -> Lru.length t.readers)
 let total_opens t = t.opens

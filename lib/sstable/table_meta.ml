@@ -54,8 +54,6 @@ let id_of_file_name name =
 let overlaps (c : Comparator.t) t ~lo ~hi =
   c.compare t.min_key hi <= 0 && c.compare lo t.max_key <= 0
 
-let overlaps_file c a b = overlaps c a ~lo:b.min_key ~hi:b.max_key
-
 let tombstone_density t =
   if t.entries = 0 then 0.0
   else float_of_int (t.point_tombstones + t.range_tombstones) /. float_of_int t.entries
@@ -102,7 +100,3 @@ let decode r =
     created_at;
     data_bytes;
   }
-
-let pp ppf t =
-  Format.fprintf ppf "#%d[%S..%S %dB %de %dt@%d]" t.file_id t.min_key t.max_key t.size
-    t.entries t.point_tombstones t.created_at

@@ -39,11 +39,8 @@ val id_of_file_name : string -> int option
 val overlaps : Lsm_util.Comparator.t -> t -> lo:string -> hi:string -> bool
 (** Closed-interval key-range intersection test. *)
 
-val overlaps_file : Lsm_util.Comparator.t -> t -> t -> bool
-
 val tombstone_density : t -> float
 (** (point + range tombstones) / entries — Lethe's file-picking signal. *)
 
 val encode : Buffer.t -> t -> unit
 val decode : Lsm_util.Codec.reader -> t
-val pp : Format.formatter -> t -> unit

@@ -29,8 +29,6 @@ let create ?(shards = 1) ~capacity () =
         lru = Lru.create ~capacity:caps.(i);
       })
 
-let shard_count t = Array.length t
-
 (* The stripe comes from a hash seeded with the offset, not from the
    hash [Lru] takes its bucket from: had both used the low bits of one
    hash, each of 4 stripes would fill a quarter of its buckets. *)

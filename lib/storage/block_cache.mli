@@ -28,15 +28,20 @@ val create : ?shards:int -> capacity:int -> unit -> 'a t
     zero capacity disables caching (every lookup misses, inserts are
     dropped). *)
 
-val shard_count : 'a t -> int
-
+(* lsm-lint: allow R14 — the byte budget as set; the sharded-cache tests check that the
+   stripes' split sums back to it *)
 val capacity : 'a t -> int
 
 val set_capacity : 'a t -> int -> unit
 (** Adjust the byte budget at runtime (evicting LRU entries if shrinking) —
     the hook adaptive memory management (§2.3.1) turns. *)
 
+(* lsm-lint: allow R14 — the charge the budget bounds; the cache model test checks it
+   against a byte model after every operation *)
 val used_bytes : 'a t -> int
+
+(* lsm-lint: allow R14 — resident blocks; the cache and prefetch tests check which inserts
+   the budget kept *)
 val block_count : 'a t -> int
 
 val find : 'a t -> file:string -> off:int -> 'a option

@@ -68,6 +68,8 @@ val on_disk : ?page_size:int -> dir:string -> unit -> t
 
 val page_size : t -> int
 
+(* lsm-lint: allow R14 — the simulator's chunk geometry: the in-place view and memory-
+   bound tests reason in chunks *)
 val chunk_size : int
 (** Bytes per chunk of an in-memory file (64 KiB): a constant of the
     simulator, not a setting. *)
@@ -184,6 +186,7 @@ val plan_crash : t -> ?tear:tear -> crash_point -> unit
 
 val cancel_crash_plan : t -> unit
 
+(* lsm-lint: allow R14 — fault-injection hook: whether a planned crash fired *)
 val is_crashed : t -> bool
 (** True between a planned crash firing and {!revive}. While true, every
     mutating operation raises {!Crashed}; reads still work. *)
@@ -207,6 +210,8 @@ type file_class =
   | F_wal  (** [wal-*] log files *)
   | F_other
 
+(* lsm-lint: allow R14 — fault-injection vocabulary: tests find the files a class-targeted
+   fault hits *)
 val classify : string -> file_class
 
 type corruption_hit = {
@@ -230,12 +235,14 @@ val plan_corruption :
     can map damage to blocks. Applied immediately to the durable image.
     @raise Invalid_argument on the on-disk backend or [pages < 1]. *)
 
+(* lsm-lint: allow R14 — fault-injection hook: fail the next n reads *)
 val plan_read_faults : t -> ?classes:file_class list -> int -> unit
 (** Arm [n] transient read faults: the next [n] {!read}s of files in
     [classes] raise a retriable [Lsm_util.Lsm_error.Io_error] before
     returning any bytes (the data is undamaged — a retry succeeds once
     the charges are spent). [n = 0] disarms. Works on both backends. *)
 
+(* lsm-lint: allow R14 — fault-injection hook: how many planned read faults fired *)
 val read_faults_fired : t -> int
 (** Total injected read faults raised so far. *)
 

@@ -64,7 +64,6 @@ let append t encode x =
   Device.append_sub t.dw (Bytes.unsafe_to_string t.frame) ~off:0 ~len:(plen + 8)
 
 let sync t = Device.sync t.dw
-let written t = Device.written t.dw
 
 let close t =
   if not t.closed then begin

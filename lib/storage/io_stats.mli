@@ -14,35 +14,18 @@ type op_class =
   | C_gc  (** value-log garbage collection (kv-separation) *)
   | C_misc
 
-val all_classes : op_class list
-val class_name : op_class -> string
-
 type t
 
 val create : unit -> t
-val clear : t -> unit
 
 val record_read : t -> op_class -> pages:int -> bytes:int -> unit
-val record_write : t -> op_class -> pages:int -> bytes:int -> unit
-val record_sync : t -> op_class -> unit
+val record_write : t -> op_class -> bytes:int -> unit
 
 val pages_read : ?cls:op_class -> t -> int
-val pages_written : ?cls:op_class -> t -> int
 val bytes_read : ?cls:op_class -> t -> int
 val bytes_written : ?cls:op_class -> t -> int
-
-val syncs : ?cls:op_class -> t -> int
-(** Sync calls charged to each class — the durability cost that byte
-    counts alone hide (a per-write fsync discipline vs. batched syncs). *)
-
-val write_amplification : t -> user_bytes:int -> float
-(** Total device bytes written divided by logical user bytes ingested. *)
-
-val snapshot : t -> (op_class * (int * int * int * int)) list
-(** Per class: (pages_read, bytes_read, pages_written, bytes_written). *)
 
 val diff : t -> t -> t
 (** [diff now before] — counters accumulated between two snapshots. *)
 
 val copy : t -> t
-val pp : Format.formatter -> t -> unit

@@ -4,7 +4,6 @@ module Entry = Lsm_record.Entry
 type t = Framed_log.writer
 
 let create dev ~name = Framed_log.create dev ~cls:Io_stats.C_user_write name
-let seal_size = Framed_log.seal_size
 let file_name_of_seq n = Printf.sprintf "wal-%06d.log" n
 
 (* Accept exactly the names [file_name_of_seq] generates: an all-digit
@@ -76,7 +75,6 @@ let append t ?(sync = true) = function
     if sync then Framed_log.sync t
 
 let sync = Framed_log.sync
-let size = Framed_log.written
 let close = Framed_log.close
 let replay dev ~name f = Framed_log.replay dev ~name (decode_batch f)
 let salvage dev ~name f = Framed_log.salvage dev ~name (decode_batch f)

@@ -39,15 +39,8 @@ val sync : t -> unit
     of [append ~sync:false] (e.g. recovery re-logging) before anything
     that assumed durability — like deleting the logs replayed from. *)
 
-val size : t -> int
-(** Bytes of batch records appended so far (the seal frame, written at
-    {!close}, is not yet included). *)
-
 val close : t -> unit
 (** Appends the seal frame and seals the file (implies sync). *)
-
-val seal_size : int
-(** On-device size of the seal frame. *)
 
 val replay :
   Device.t -> name:string -> (Lsm_record.Entry.t list -> unit) -> int

@@ -43,7 +43,6 @@ val remaining : reader -> int
 val at_end : reader -> bool
 
 val get_u8 : reader -> int
-val get_u16 : reader -> int
 val get_u32 : reader -> int
 val get_u64 : reader -> int64
 val get_varint : reader -> int

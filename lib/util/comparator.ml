@@ -2,9 +2,6 @@ type t = { name : string; compare : string -> string -> int }
 
 let bytewise = { name = "bytewise"; compare = String.compare }
 
-let reverse_bytewise =
-  { name = "reverse-bytewise"; compare = (fun a b -> String.compare b a) }
-
 let common_prefix_len a b =
   let n = min (String.length a) (String.length b) in
   let rec loop i = if i < n && a.[i] = b.[i] then loop (i + 1) else i in
@@ -63,7 +60,6 @@ let compare_sub c s ~pos ~len b =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Comparator.compare_sub: slice out of bounds";
   if c.name = "bytewise" then bytewise_sub s pos len b
-  else if c.name = "reverse-bytewise" then -bytewise_sub s pos len b
   else c.compare (String.sub s pos len) b
 
 let rec bytes_loop s len b nb n i =
@@ -80,5 +76,4 @@ let compare_bytes c s ~len b =
   if len < 0 || len > Bytes.length s then
     invalid_arg "Comparator.compare_bytes: length out of bounds";
   if c.name = "bytewise" then bytewise_bytes s len b
-  else if c.name = "reverse-bytewise" then -bytewise_bytes s len b
   else c.compare (Bytes.sub_string s 0 len) b

@@ -9,8 +9,6 @@ type t = {
 val bytewise : t
 (** Lexicographic comparison on bytes — the default everywhere. *)
 
-val reverse_bytewise : t
-
 val shortest_separator : t -> string -> string -> string
 (** [shortest_separator c a b] with [compare a b < 0] is a short key [s]
     with [a <= s < b]; used as the fence key between two data blocks.
@@ -25,12 +23,12 @@ val max_key : t -> string -> string -> string
 
 val compare_sub : t -> string -> pos:int -> len:int -> string -> int
 (** [compare_sub c s ~pos ~len b] compares the slice [s.[pos..pos+len)]
-    against [b] under [c] — allocation-free for {!bytewise} and
-    {!reverse_bytewise}; custom comparators pay one substring copy.
+    against [b] under [c] — allocation-free for {!bytewise};
+    custom comparators pay one substring copy.
     @raise Invalid_argument if the slice is out of bounds. *)
 
 val compare_bytes : t -> Bytes.t -> len:int -> string -> int
 (** [compare_bytes c buf ~len b] compares [buf[0..len)] against [b]
-    under [c], allocation-free for the built-in comparators. This is the
+    under [c], allocation-free for {!bytewise}. This is the
     block cursor's key comparison: the current key lives in a reusable
     arena buffer and is never materialized just to be compared. *)

@@ -13,11 +13,14 @@ val sub : ?init:int -> string -> pos:int -> len:int -> int
 (** Checksum of a substring, by the kernel {!hardware} names.
     @raise Invalid_argument if the window is out of bounds. *)
 
+(* lsm-lint: allow R14 — which kernel runs: the dispatch test checks an SSE4.2 host runs
+   the hardware one *)
 val hardware : bool
 (** [true] when {!sub} runs on the CPU's CRC-32C instruction (SSE4.2 on
     x86-64), [false] when it runs the portable slicing-by-8 kernel.
     Decided once, at module initialisation, from the CPU; not a setting. *)
 
+(* lsm-lint: allow R14 — reference implementation the hardware kernel is tested against *)
 val portable_sub : ?init:int -> string -> pos:int -> len:int -> int
 (** {!sub} by the portable kernel whatever the CPU: the fallback, exposed
     so tests can hold both kernels to the same oracle. *)

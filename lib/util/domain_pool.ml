@@ -9,9 +9,7 @@ type 'a future = {
 type t = {
   m : Ordered_mutex.t;
   work_ready : Condition.t;
-  idle : Condition.t;
   queue : (unit -> unit) Queue.t;
-  mutable outstanding : int;
   mutable stopped : bool;
   mutable workers : unit Domain.t array;
 }
@@ -44,9 +42,7 @@ let create ~size =
     {
       m = Ordered_mutex.create ~rank:Ordered_mutex.Rank.domain_pool ~name:"domain_pool.queue";
       work_ready = Condition.create ();
-      idle = Condition.create ();
       queue = Queue.create ();
-      outstanding = 0;
       stopped = false;
       workers = [||];
     }
@@ -74,7 +70,7 @@ let run_into fut f =
   let v = match f () with r -> Done r | exception e -> Failed e in
   fulfill fut v
 
-let submit t f =
+let submit_future t f =
   let fut =
     {
       fm = Ordered_mutex.create ~rank:Ordered_mutex.Rank.future ~name:"domain_pool.future";
@@ -84,16 +80,9 @@ let submit t f =
   in
   if Array.length t.workers = 0 then run_into fut f
   else begin
-    let task () =
-      run_into fut f;
-      Ordered_mutex.with_lock t.m (fun () ->
-          t.outstanding <- t.outstanding - 1;
-          if t.outstanding = 0 then Condition.broadcast t.idle)
-    in
     Ordered_mutex.with_lock t.m (fun () ->
         if t.stopped then invalid_arg "Domain_pool.submit: pool is shut down";
-        t.outstanding <- t.outstanding + 1;
-        Queue.add task t.queue;
+        Queue.add (fun () -> run_into fut f) t.queue;
         Condition.signal t.work_ready)
   end;
   fut
@@ -111,25 +100,16 @@ let await fut =
   | Failed e -> raise e
   | Pending -> assert false
 
+let submit t f = ignore (submit_future t f)
+
 let map_list t f xs =
-  let futs = List.map (fun x -> submit t (fun () -> f x)) xs in
+  let futs = List.map (fun x -> submit_future t (fun () -> f x)) xs in
   (* Settle every future before re-raising, so an early failure does not
      leave workers racing tasks the caller has abandoned. *)
   let results =
     List.map (fun fut -> match await fut with v -> Ok v | exception e -> Error e) futs
   in
   List.map (function Ok v -> v | Error e -> raise e) results
-
-let pending t = Ordered_mutex.with_lock t.m (fun () -> t.outstanding)
-
-(* [run_into] never lets a task exception escape, so [outstanding] is
-   decremented exactly once per submitted task and the idle broadcast
-   cannot be skipped. *)
-let wait_idle t =
-  Ordered_mutex.with_lock t.m (fun () ->
-      while t.outstanding > 0 do
-        Ordered_mutex.wait t.idle t.m
-      done)
 
 let shutdown t =
   let already_stopped =

@@ -1,11 +1,11 @@
-(** A fixed pool of worker domains with submit/await futures.
+(** A fixed pool of worker domains.
 
     OCaml 5 domains are heavyweight (each owns a minor heap and takes part
     in every stop-the-world section), so the engine spawns them once and
     reuses them for every parallel job — RocksDB's background-thread-pool
-    shape, minus the priority lanes. Tasks are closures; results travel
-    back through futures. A task's exception is captured and re-raised at
-    {!await} in the submitting domain.
+    shape, minus the priority lanes. Tasks are closures: {!submit} runs
+    one for its effect, {!map_list} joins a batch and returns its
+    results, re-raising a task's exception in the submitting domain.
 
     A pool of size 0 degenerates to inline execution: {!submit} runs the
     task immediately on the calling domain. This is what
@@ -13,8 +13,6 @@
     no domains at all. *)
 
 type t
-
-type 'a future
 
 val create : size:int -> t
 (** Spawn [size] worker domains ([size >= 0]). *)
@@ -28,28 +26,15 @@ val ensure_size : t -> int -> unit
     Concurrent growers are not supported.
     @raise Invalid_argument if the pool has been shut down or [n < 0]. *)
 
-val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue a task. On a size-0 pool the task runs before [submit]
-    returns.
+val submit : t -> (unit -> unit) -> unit
+(** Enqueue a task; an exception it raises is dropped. On a size-0
+    pool the task runs before [submit] returns.
     @raise Invalid_argument if the pool has been shut down. *)
-
-val await : 'a future -> 'a
-(** Block until the task finishes; returns its result or re-raises its
-    exception. Idempotent. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Submit one task per element and await them all, preserving order.
     Exceptions re-raise after every task has settled (no worker is left
     running a task whose input list entry was dropped). *)
-
-val pending : t -> int
-(** Tasks submitted but not yet finished (queued + running). Always 0
-    on a size-0 pool. *)
-
-val wait_idle : t -> unit
-(** Block until every submitted task has finished (pending = 0). Tasks
-    submitted by other domains while waiting extend the wait; the
-    caller is responsible for quiescing producers first. *)
 
 val shutdown : t -> unit
 (** Finish queued tasks, then join every worker. Idempotent; further

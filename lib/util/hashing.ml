@@ -27,8 +27,6 @@ let double_hash_with s x k =
   let h = splitmix64 (fnv1a64 s) in
   k x (Int64.to_int h land mask62) (Int64.to_int (splitmix64 h) land mask62 lor 1)
 
-let double_hash s = double_hash_with s () (fun () h1 h2 -> (h1, h2))
-
 let fingerprint s ~bits =
   if bits < 1 || bits > 30 then invalid_arg "Hashing.fingerprint: bits out of range";
   let h = Int64.to_int (splitmix64 (Int64.logxor (fnv1a64 s) 0x5bd1e995L)) in

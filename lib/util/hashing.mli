@@ -6,9 +6,6 @@
 val splitmix64 : int64 -> int64
 (** One step of the splitmix64 finalizer; a strong bijective mixer. *)
 
-val fnv1a64 : string -> int64
-(** FNV-1a over the bytes of the string. *)
-
 val string64 : ?seed:int64 -> string -> int64
 (** Default string hash: FNV-1a followed by a splitmix finalizer, optionally
     keyed by [seed]. *)
@@ -18,16 +15,13 @@ val bucket : buckets:int -> string -> int
     [key] falls in: {!string64} of the whole key. The one bucketing rule
     of both hash buffers; allocates nothing. *)
 
-val double_hash : string -> int * int
-(** [double_hash s] derives two positive 62-bit ints [(h1, h2)] from one hash
-    of [s], for Kirsch–Mitzenmacher double hashing ([g_i = h1 + i*h2]).
-    [h2] is forced odd so successive probes cycle through power-of-two
-    table sizes. *)
-
 val double_hash_with : string -> 'a -> ('a -> int -> int -> 'b) -> 'b
-(** [double_hash_with s x k] is [let h1, h2 = double_hash s in k x h1 h2]
-    without building the pair: the filter probe path passes a top-level
-    [k] and its state [x], so one probe allocates nothing. *)
+(** [double_hash_with s x k] derives two positive 62-bit ints [h1], [h2]
+    from one hash of [s], for Kirsch–Mitzenmacher double hashing
+    ([g_i = h1 + i*h2]), and returns [k x h1 h2]. [h2] is forced odd so
+    successive probes cycle through power-of-two table sizes. The
+    filter probe path passes a top-level [k] and its state [x], so one
+    probe allocates nothing. *)
 
 val fingerprint : string -> bits:int -> int
 (** [fingerprint s ~bits] is a non-zero fingerprint of [s] in [1, 2^bits - 1]

@@ -37,15 +37,6 @@ type t = {
 let create () =
   { counts = Array.make num_buckets 0; count = 0; total = 0; min_v = max_int; max_v = 0 }
 
-let clear t =
-  Array.fill t.counts 0 num_buckets 0;
-  t.count <- 0;
-  t.total <- 0;
-  t.min_v <- max_int;
-  t.max_v <- 0
-
-let copy t = { t with counts = Array.copy t.counts }
-
 let add t v =
   if v < 0 then invalid_arg "Histogram.add: negative value";
   let b = bucket_of_value v in
@@ -78,15 +69,6 @@ let percentile t p =
        done
      with Exit -> ());
     !result
-  end
-
-let merge ~into src =
-  Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
-  into.count <- into.count + src.count;
-  into.total <- into.total + src.total;
-  if src.count > 0 then begin
-    if src.min_v < into.min_v then into.min_v <- src.min_v;
-    if src.max_v > into.max_v then into.max_v <- src.max_v
   end
 
 let pp_summary ppf t =

@@ -28,8 +28,6 @@ let to_string = function
   | Read_only detail -> Printf.sprintf "store is read-only: %s" detail
   | Shutdown -> "store is shut down"
 
-let pp ppf e = Fmt.string ppf (to_string e)
-
 let () =
   Printexc.register_printer (function
     | Error e -> Some ("Lsm_error.Error: " ^ to_string e)

@@ -30,4 +30,3 @@ val io_error : retriable:bool -> string -> exn
 val read_only : string -> exn
 
 val to_string : t -> string
-val pp : t Fmt.t

@@ -62,9 +62,6 @@ let create ~rank ~name =
   if rank < 0 then invalid_arg "Ordered_mutex.create: negative rank";
   { m = Mutex.create (); rank; name }
 
-let rank t = t.rank
-let name t = t.name
-
 let violation fmt = Printf.ksprintf (fun s -> raise (Violation s)) fmt
 
 (* Runs before [Mutex.lock], so a raise leaves nothing held. *)
@@ -242,7 +239,6 @@ module Graph = struct
     end
 
   let path () = !path
-  let recording () = Atomic.get recording
 end
 
 let () =

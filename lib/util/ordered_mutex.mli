@@ -61,9 +61,6 @@ val create : rank:int -> name:string -> t
 (** [name] appears in {!Violation} messages; [rank] orders this lock in
     the hierarchy. Raises [Invalid_argument] on negative rank. *)
 
-val rank : t -> int
-val name : t -> string
-
 val with_lock : t -> (unit -> 'a) -> 'a
 (** Runs [f] with the lock held; exception-safe (the lock is released
     on raise). This is the blessed combinator lint rule R1 points
@@ -90,8 +87,11 @@ val set_enforce : bool -> unit
 (** Toggle checking at runtime (tests). Toggle only while the calling
     domain holds no ordered mutexes. *)
 
+(* lsm-lint: allow R14 — lockdep (synchronisation checking): tests save and restore
+   enforcement *)
 val enabled : unit -> bool
 
+(* lsm-lint: allow R14 — lockdep: tests check a violation unwinds the held stack *)
 val held_names : unit -> string list
 (** Names of the locks the calling domain currently holds, outermost
     first. Debugging aid; meaningful only while enforcement or graph
@@ -122,21 +122,23 @@ module Graph : sig
       was held; [stack] is the full held-stack sample (outermost first,
       [dst] last) from the edge's first sighting. *)
 
+  (* lsm-lint: allow R14 — lockdep graph recording: tests point it at a scratch file *)
   val set_path : string option -> unit
   (** [set_path (Some file)] starts recording and registers the
       exit-time merge into [file]; [set_path None] stops recording
       (already-recorded edges of this run are kept until
       {!reset_run}). *)
 
+  (* lsm-lint: allow R14 — lockdep graph recording: tests save and restore the recording
+     path *)
   val path : unit -> string option
-  val recording : unit -> bool
 
-  val edges : unit -> edge list
-  (** This run's edges so far, sorted. *)
-
+  (* lsm-lint: allow R14 — lockdep graph recording: tests simulate separate runs *)
   val reset_run : unit -> unit
   (** Clear this run's edge table (tests simulate multiple runs). *)
 
+  (* lsm-lint: allow R14 — lockdep graph recording: tests merge a simulated run now rather
+     than at exit *)
   val merge_to_file : unit -> edge list
   (** Merge this run's edges into the configured file now and return
       the merged graph; [[]] and a no-op when no path is set. Called

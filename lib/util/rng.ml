@@ -27,10 +27,6 @@ let float t bound =
 let bool t = Int64.logand (int64 t) 1L = 1L
 let bernoulli t p = float t 1.0 < p
 
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -11,9 +11,6 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives an independent stream (also advances [t]). *)
 
-val int64 : t -> int64
-(** Next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). Requires [bound > 0]. *)
 
@@ -23,9 +20,6 @@ val float : t -> float -> float
 val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

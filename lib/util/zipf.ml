@@ -26,9 +26,6 @@ let create ?(theta = 0.99) n =
   in
   { n; theta; alpha; zetan; eta; zeta2 }
 
-let n t = t.n
-let theta t = t.theta
-
 (* Gray et al.'s algorithm, as used in YCSB's ZipfianGenerator. *)
 let next t rng =
   let u = Rng.float rng 1.0 in

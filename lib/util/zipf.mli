@@ -11,9 +11,6 @@ val create : ?theta:float -> int -> t
     [theta] (default [0.99], YCSB's constant) controls skew; must be in
     (0, 1). Preprocessing is O(n) (computes the zeta normalizer). *)
 
-val n : t -> int
-val theta : t -> float
-
 val next : t -> Rng.t -> int
 (** Draw a rank in [0, n). *)
 

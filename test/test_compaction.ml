@@ -144,8 +144,11 @@ let test_pick_empty () =
 let test_describe () =
   check "describes leveling" true
     (String.length (Policy.describe (Policy.leveled ())) > 0);
+  let d =
+    Policy.describe { (Policy.leveled ()) with Policy.movement = Policy.Expired_ttl { ttl = 7 } }
+  in
   Alcotest.(check string) "movement names" "expired-ttl(7)"
-    (Policy.movement_name (Policy.Expired_ttl { ttl = 7 }))
+    (List.nth (String.split_on_char '/' (List.hd (String.split_on_char ' ' d))) 2)
 
 (* ---------- planner picks on hand-built trees ---------- *)
 

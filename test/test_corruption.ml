@@ -598,9 +598,9 @@ let test_wal_salvage_two_rot_sites () =
   let bounds =
     List.map
       (fun i ->
-        let start = Wal.size wal in
+        let start = Device.size dev "wal-000001.log" in
         Wal.append wal (batch i);
-        (i, start, Wal.size wal))
+        (i, start, Device.size dev "wal-000001.log"))
       [ 1; 2; 3; 4; 5 ]
   in
   Wal.close wal;

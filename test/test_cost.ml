@@ -53,11 +53,6 @@ let test_lazy_leveling_between () =
   check "lazy write cost between" true (w `Tiering <= w `Lazy_leveling && w `Lazy_leveling <= w `Leveling);
   check "lazy scan cost between" true (r `Leveling <= r `Lazy_leveling && r `Lazy_leveling <= r `Tiering)
 
-let test_space_amp_ordering () =
-  check "tiering space amp worse" true
-    (Model.space_amp (design `Tiering 10) base_workload
-    > Model.space_amp (design `Leveling 10) base_workload)
-
 let test_filters_cut_miss_cost () =
   let with_f = Model.point_lookup_miss_cost (design `Leveling 10) base_workload in
   let without =
@@ -171,7 +166,6 @@ let suite =
     ("tiering writes cheaper", `Quick, test_tiering_writes_cheaper);
     ("tiering reads dearer", `Quick, test_tiering_reads_dearer);
     ("lazy leveling sits between", `Quick, test_lazy_leveling_between);
-    ("space amp ordering", `Quick, test_space_amp_ordering);
     ("filters cut miss cost", `Quick, test_filters_cut_miss_cost);
     ("T navigates write/read", `Quick, test_t_navigates_write_read);
     ("run-cap continuum interpolates", `Quick, test_run_caps_interpolates);

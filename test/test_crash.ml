@@ -40,7 +40,7 @@ let wal_bytes batches =
   let dev = Device.in_memory () in
   let wal = Wal.create dev ~name:"scratch" in
   List.iter (Wal.append wal) batches;
-  let len = Wal.size wal in
+  let len = Device.size dev "scratch" in
   Wal.close wal;
   Device.read dev ~cls:Io_stats.C_misc "scratch" ~off:0 ~len
 

@@ -96,7 +96,14 @@ let test_batch_empty_and_clear () =
    unwritten: no seqno, no WAL record, none of its other operations. *)
 let test_batch_range_delete_order () =
   let config =
-    { (small_config ()) with Config.comparator = Lsm_util.Comparator.reverse_bytewise }
+    {
+      (small_config ()) with
+      Config.comparator =
+        {
+          Lsm_util.Comparator.name = "reverse-bytewise";
+          compare = (fun a b -> String.compare b a);
+        };
+    }
   in
   let _, db = fresh ~config () in
   Db.put db ~key:"m" "1";
@@ -467,7 +474,7 @@ let test_index_consistency_under_churn () =
       Hashtbl.remove model k
     end
     else begin
-      let c = Lsm_util.Rng.pick rng colors in
+      let c = colors.(Lsm_util.Rng.int rng (Array.length colors)) in
       Idx.put idx ~key:k (c ^ ",x");
       Hashtbl.replace model k c
     end
@@ -519,7 +526,6 @@ let test_adaptive_moves_toward_writes () =
   check "buffer grew under write load" true (Adaptive_memory.buffer_bytes ctrl > before);
   check "split sums to budget" true
     (Adaptive_memory.buffer_bytes ctrl + Adaptive_memory.cache_bytes ctrl = 256 * 1024);
-  check_int "five epochs" 5 (Adaptive_memory.epochs ctrl);
   Db.close db
 
 let test_adaptive_moves_toward_reads () =

@@ -24,17 +24,17 @@ let filtered ?(snapshots = []) ?(bottom = false) ?(rds = []) entries =
 
 (* ---------- stripe function ---------- *)
 
+(* Snapshots 10, 20 and 30 cut seqnos into the stripes [..10], [11..20],
+   [21..30] and [31..]; the merge keeps the newest version per stripe. *)
 let test_stripe_of () =
-  let snaps = [| 10; 20; 30 |] in
-  let s = Merge_filter.stripe_of ~snapshots:snaps in
-  check_int "below first" 0 (s 5);
-  check_int "at snapshot boundary" 0 (s 10);
-  check_int "between 10 and 20" 1 (s 11);
-  check_int "at 20" 1 (s 20);
-  check_int "above all" 3 (s 31);
-  (* same stripe <=> no snapshot separates *)
-  check "5,10 same stripe" true (s 5 = s 10);
-  check "10,11 different stripes" true (s 10 <> s 11)
+  let out =
+    filtered ~snapshots:[ 10; 20; 30 ] (List.map (e "k") [ 5; 10; 11; 20; 25; 31 ])
+  in
+  (* 5 and 10 share a stripe (a snapshot boundary belongs below it), 11
+     and 20 share one, 25 and 31 do not *)
+  Alcotest.(check (list int))
+    "newest per stripe" [ 31; 25; 20; 10 ]
+    (List.map (fun x -> x.Entry.seqno) out)
 
 (* ---------- shadowing ---------- *)
 
@@ -97,7 +97,7 @@ let test_single_delete_not_cancelling_across_snapshot () =
 
 (* ---------- range tombstones ---------- *)
 
-let rd lo hi seqno = Entry.range_delete ~start_key:lo ~end_key:hi ~seqno
+let rd lo hi seqno = { Entry.key = lo; seqno; kind = Entry.Range_delete; value = hi }
 
 let test_range_tombstone_drops_covered () =
   let tomb = rd "b" "d" 10 in
@@ -185,7 +185,8 @@ let test_version_apply_add_remove () =
       { Version.added = [ (2, 9, meta 3 "a" "z") ]; removed = [ 1 ]; seqno_watermark = 6 }
   in
   check_int "file 1 removed" 2 (Version.file_count v2);
-  check "find moved file" true (Version.find_file v2 3 = Some (2, 9, meta 3 "a" "z"));
+  check "find moved file" true
+    (Version.level_runs v2 2 = [ { Version.group = 9; files = [ meta 3 "a" "z" ] } ]);
   check "old version untouched (persistent)" true (Version.file_count v = 2)
 
 let test_version_remove_unknown_rejected () =
@@ -238,7 +239,8 @@ let test_manifest_recover_replays_edits () =
   Manifest.close m;
   let v = Manifest.recover dev in
   check_int "one live file" 1 (Version.file_count v);
-  check "file 2 at level 2" true (Version.find_file v 2 <> None);
+  check "file 2 at level 2" true
+    (List.exists (fun (f : Table_meta.t) -> f.file_id = 2) (Version.level_files v 2));
   check_int "watermark" 2 v.Version.last_seqno
 
 let test_manifest_missing_is_empty () =

@@ -6,7 +6,7 @@
    parsed, never compiled, so they can use raw Mutex / Obj.magic
    freely.
 
-   Typed frontend (R9–R10): the fixtures under lint_fixtures/typed/
+   Typed frontend (R9, R10, R14): the fixtures under lint_fixtures/typed/
    are real dune libraries (listed in this test's dependencies so
    their .cmt output exists before the test runs); the passes load the
    .cmt files exactly as `lsm-lint --typed` does. The capstone test
@@ -150,6 +150,29 @@ let test_r10_contained_clean () =
   let t = typed ~rules:[ "R10" ] "r10_ok" in
   check_rules "pin-scoped uses pass" [] (rules_of (Typed_rules.findings t))
 
+(* R14 judges the interfaces under a [lib] root against the uses in its
+   sibling caller roots: r14_bad's three exports have no such use (one
+   is called only from ../outside, which is not a caller root); r14_ok's
+   are used from ../bin or carry a reasoned allow. *)
+let test_r14_fixtures () =
+  let r14 dir = Driver.typed_lint ~rules:[ "R14" ] [ fixture (Filename.concat "typed" dir) ] in
+  let bad = r14 "r14_bad/lib" in
+  check_rules "three dead exports" [ "R14"; "R14"; "R14" ] (rules_of bad);
+  List.iter2
+    (fun (f : Finding.t) name ->
+      Alcotest.(check bool)
+        (name ^ " named") true
+        (String.starts_with ~prefix:("Dead." ^ name ^ " ") f.Finding.msg))
+    bad
+    [ "unused"; "internal"; "outside_only" ];
+  check_rules "used or allowed exports pass" [] (rules_of (r14 "r14_ok/lib"))
+
+let test_r14_repo_clean () =
+  (* The real tree: every lib/ export has a caller in lib/, bin/, bench/,
+     perfbench/, tools/ or examples/, or a reasoned allow. *)
+  if Sys.file_exists "../lib" && Sys.is_directory "../lib" then
+    check_rules "no dead exports" [] (rules_of (Driver.typed_lint ~rules:[ "R14" ] [ "../lib" ]))
+
 let expected_classes =
   [
     ("db.buffers", 8);
@@ -223,4 +246,6 @@ let suite =
     Alcotest.test_case "R10: seeded escape fixture" `Quick test_r10_escapes_reported;
     Alcotest.test_case "R10: pin-scoped fixture clean" `Quick test_r10_contained_clean;
     Alcotest.test_case "R9 derives the Rank table from lib/" `Quick test_typed_lib_clean_and_order_derived;
+    Alcotest.test_case "R14: fixtures" `Quick test_r14_fixtures;
+    Alcotest.test_case "R14: repo has no dead exports" `Quick test_r14_repo_clean;
   ]

@@ -84,7 +84,7 @@ let test_iterator_seek () =
 let test_range_tombstones_tracked () =
   with_each_kind (fun k m ->
       Memtable.add m (Entry.put ~key:"a" ~seqno:1 "v");
-      Memtable.add m (Entry.range_delete ~start_key:"b" ~end_key:"f" ~seqno:2);
+      Memtable.add m ({ Entry.key = "b"; seqno = 2; kind = Entry.Range_delete; value = "f" });
       check_int (name k ^ ": one range tombstone") 1 (List.length (Memtable.range_tombstones m));
       (* find must not surface range tombstones for the start key. *)
       check (name k ^ ": find skips range tombstone") true (find m "b" = None);
@@ -144,7 +144,8 @@ let prop_model_agreement kind =
           (fun i (key, kind) ->
             let seqno = seqnos.(i) in
             match kind with
-            | Entry.Range_delete -> Entry.range_delete ~start_key:key ~end_key:(key ^ "\xff") ~seqno
+            | Entry.Range_delete ->
+              { Entry.key; seqno; kind = Entry.Range_delete; value = key ^ "\xff" }
             | Entry.Delete -> Entry.delete ~key ~seqno
             | _ -> Entry.put ~key ~seqno (string_of_int seqno))
           ops
@@ -253,7 +254,9 @@ let test_hash_buffers_spread_tenant_keys () =
           | Some e when e.Entry.seqno = i + 1 -> ()
           | _ -> Alcotest.failf "%s: %S lost" (name kind) key)
         keys)
-    [ Memtable.default_hash_skiplist; Memtable.default_hash_linkedlist ]
+    (List.filter
+       (function Memtable.Hash_skiplist _ | Memtable.Hash_linkedlist _ -> true | _ -> false)
+       Memtable.all_kinds)
 
 let qt t =
   let name, _speed, fn = QCheck_alcotest.to_alcotest t in

@@ -18,6 +18,11 @@ module Stats = Lsm_core.Stats
 module Policy = Lsm_compaction.Policy
 module Rng = Lsm_util.Rng
 
+(* A table point lookup as the read path does it: the filter probe,
+   then the read only on a possible hit. *)
+let table_get r ~cls ?(max_seqno = max_int) key =
+  if Sstable.may_contain_key r key then Sstable.get_unfiltered r ~cls ~max_seqno key else None
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -25,15 +30,16 @@ let check_bool = Alcotest.(check bool)
 
 let test_pool_submit_await () =
   let pool = Domain_pool.create ~size:3 in
-  let futs = List.init 20 (fun i -> Domain_pool.submit pool (fun () -> i * i)) in
-  List.iteri (fun i f -> check_int "square" (i * i) (Domain_pool.await f)) futs;
+  let squares = Domain_pool.map_list pool (fun i -> i * i) (List.init 20 Fun.id) in
+  List.iteri (fun i sq -> check_int "square" (i * i) sq) squares;
   Domain_pool.shutdown pool
 
 let test_pool_inline () =
   let pool = Domain_pool.create ~size:0 in
   check_int "inline size" 0 (Domain_pool.size pool);
-  let f = Domain_pool.submit pool (fun () -> 41 + 1) in
-  check_int "inline result" 42 (Domain_pool.await f);
+  let ran = ref 0 in
+  Domain_pool.submit pool (fun () -> ran := 41 + 1);
+  check_int "inline result" 42 !ran;
   Domain_pool.shutdown pool
 
 let test_pool_map_list_order () =
@@ -47,31 +53,36 @@ exception Boom
 
 let test_pool_exception_propagates () =
   let pool = Domain_pool.create ~size:2 in
-  let f = Domain_pool.submit pool (fun () -> raise Boom) in
-  Alcotest.check_raises "reraised at await" Boom (fun () -> ignore (Domain_pool.await f));
+  Alcotest.check_raises "reraised at await" Boom (fun () ->
+      ignore (Domain_pool.map_list pool (fun () -> raise Boom) [ () ]));
   (* pool survives a failed task *)
-  check_int "still works" 7 (Domain_pool.await (Domain_pool.submit pool (fun () -> 7)));
+  check_int "still works" 7 (List.hd (Domain_pool.map_list pool (fun () -> 7) [ () ]));
   Domain_pool.shutdown pool;
   Alcotest.check_raises "submit after shutdown"
     (Invalid_argument "Domain_pool.submit: pool is shut down") (fun () ->
-      ignore (Domain_pool.submit pool (fun () -> 0)))
+      Domain_pool.submit pool (fun () -> ()))
 
 let test_pool_shutdown_drains () =
   let pool = Domain_pool.create ~size:2 in
   let counter = Atomic.make 0 in
-  let futs =
-    List.init 50 (fun _ -> Domain_pool.submit pool (fun () -> Atomic.incr counter))
-  in
+  for _ = 1 to 50 do
+    Domain_pool.submit pool (fun () -> Atomic.incr counter)
+  done;
   Domain_pool.shutdown pool;
   check_int "all queued tasks ran" 50 (Atomic.get counter);
-  List.iter Domain_pool.await futs;
   Domain_pool.shutdown pool (* idempotent *)
 
 (* ---------- sharded block cache ---------- *)
 
 let test_sharded_cache_basics () =
   let c = Block_cache.create ~shards:4 ~capacity:4000 () in
-  check_int "shards" 4 (Block_cache.shard_count c);
+  (* Four stripes of 1000 bytes: a block fits one only up to 1000. *)
+  let probe = Block_cache.create ~shards:4 ~capacity:4000 () in
+  Block_cache.insert probe ~file:"p" ~off:0 ~bytes:1000 "fits";
+  Block_cache.insert probe ~file:"p" ~off:1 ~bytes:1001 "too big";
+  check_bool "shards" true
+    (Block_cache.find probe ~file:"p" ~off:0 <> None
+    && Block_cache.find probe ~file:"p" ~off:1 = None);
   check_int "capacity split sums back" 4000 (Block_cache.capacity c);
   for i = 0 to 99 do
     Block_cache.insert c ~file:"f" ~off:(i * 10) ~bytes:10 (String.make 10 'x')
@@ -151,12 +162,10 @@ let test_table_cache_bound () =
   check_int "reopen counts" 11 (Table_cache.total_opens tc);
   check_int "still bounded" 4 (Table_cache.open_count tc);
   check_bool "reader works" true
-    (Sstable.get r ~cls:Io_stats.C_user_read "t00.sst-0003" <> None);
+    (table_get r ~cls:Io_stats.C_user_read "t00.sst-0003" <> None);
   (* A recently-used reader is a hit, not a reopen. *)
   ignore (Table_cache.get tc "t00.sst");
-  check_int "MRU hit" 11 (Table_cache.total_opens tc);
-  Table_cache.set_capacity tc 2;
-  check_int "shrink applies" 2 (Table_cache.open_count tc)
+  check_int "MRU hit" 11 (Table_cache.total_opens tc)
 
 (* ---------- engine: determinism of parallel subcompactions ---------- *)
 
@@ -197,8 +206,7 @@ let run_workload db ~seed ~ops =
 let dump_strings db =
   List.map
     (fun (level, (e : Entry.t)) ->
-      Printf.sprintf "L%d %s #%d %s %s" level e.key e.seqno
-        (Entry.kind_to_string e.kind)
+      Printf.sprintf "L%d %s #%d %d %s" level e.key e.seqno (Entry.kind_to_int e.kind)
         (String.escaped e.value))
     (Db.dump_entries db)
 
@@ -432,7 +440,25 @@ let test_config_knobs () =
       ~config:{ Config.default with block_cache_shards = 8; max_open_tables = 32 }
       ~dev ()
   in
-  check_int "cache sharded" 8 (Lsm_storage.Block_cache.shard_count (Db.block_cache db));
+  (* Eight equal stripes: a block charged an eighth of the budget fits
+     one, a byte more fits none. *)
+  let cache = Db.block_cache db in
+  let stripe = Block_cache.capacity cache / 8 in
+  let block =
+    let module Block = Lsm_sstable.Block in
+    let b = Block.Builder.create () in
+    let v = Iter.new_view () in
+    Iter.fill_view v (Entry.put ~key:"k" ~seqno:1 "v");
+    Block.Builder.add_view b v;
+    let n = Block.Builder.finish_into b in
+    Block.parse (Block.Builder.window b) ~start:1 ~base:1 ~stop:n
+  in
+  Block_cache.insert cache ~file:"probe" ~off:0 ~bytes:stripe block;
+  Block_cache.insert cache ~file:"probe" ~off:1 ~bytes:(stripe + 1) block;
+  check_bool "cache sharded" true
+    (Block_cache.capacity cache mod 8 = 0
+    && Block_cache.find cache ~file:"probe" ~off:0 <> None
+    && Block_cache.find cache ~file:"probe" ~off:1 = None);
   check_int "table cache bounded" 32 (Table_cache.capacity (Db.table_cache db));
   Db.close db
 

@@ -18,6 +18,15 @@ module Rng = Lsm_util.Rng
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* Tickets not yet committed, as [wait_until]'s predicate sees them: it
+   is called once under the lock before any wait. *)
+let pending s =
+  let n = ref (-1) in
+  Scheduler.wait_until s (fun ~pending ~unapplied_bytes:_ ->
+      n := pending;
+      true);
+  !n
+
 (* ---------- scheduler primitive ---------- *)
 
 let test_scheduler_runs_jobs () =
@@ -28,7 +37,7 @@ let test_scheduler_runs_jobs () =
   done;
   Scheduler.quiesce s;
   check_int "all jobs ran" 25 (Atomic.get hits);
-  check_int "drained" 0 (Scheduler.pending s)
+  check_int "drained" 0 (pending s)
 
 let test_scheduler_serializes () =
   (* Single lane: jobs never overlap, and run in enqueue order. *)
@@ -72,9 +81,9 @@ let test_scheduler_wait_until () =
   done;
   (* Exits when the predicate holds; at the latest when the lane drains. *)
   Scheduler.wait_until s (fun ~pending ~unapplied_bytes:_ -> pending <= 2);
-  check_bool "below threshold" true (Scheduler.pending s <= 2);
+  check_bool "below threshold" true (pending s <= 2);
   Scheduler.wait_until s (fun ~pending ~unapplied_bytes:_ -> pending = 0);
-  check_int "drained" 0 (Scheduler.pending s)
+  check_int "drained" 0 (pending s)
 
 (* ---------- multi-worker dispatch ---------- *)
 
@@ -165,7 +174,7 @@ let test_failed_predecessor_discards_parked () =
   Atomic.set gate true;
   Alcotest.check_raises "predecessor failure re-raised" Boom (fun () -> Scheduler.quiesce s);
   check_bool "parked successor edit discarded, not committed" false (Atomic.get committed);
-  check_int "queue drained" 0 (Scheduler.pending s);
+  check_int "queue drained" 0 (pending s);
   (* The lane stays usable after the discard. *)
   let ran = ref false in
   Scheduler.enqueue s (fun () -> ran := true);
@@ -198,33 +207,39 @@ let test_shutdown_with_parked_edits () =
   done;
   Atomic.set gate true;
   Scheduler.shutdown s;
-  check_int "drained after shutdown" 0 (Scheduler.pending s);
+  check_int "drained after shutdown" 0 (pending s);
   check_int "no unapplied bytes left" 0 (Scheduler.unapplied_bytes s)
 
 (* ---------- version pinning ---------- *)
 
 let test_version_pins () =
   let reg = Version.Pins.create_registry () in
-  let dropped = ref [] in
+  let dropped = ref [] and calls = ref 0 in
+  let defer name =
+    incr calls;
+    Version.Pins.defer reg (fun () -> dropped := name :: !dropped)
+  in
+  (* deletions deferred and not yet run *)
+  let waiting () = !calls - List.length !dropped in
   (* No reader: deletions run immediately. *)
   Version.Pins.advance reg;
-  Version.Pins.defer reg (fun () -> dropped := "a" :: !dropped);
+  defer "a";
   Alcotest.(check (list string)) "no pin: immediate" [ "a" ] !dropped;
   (* A pinned version blocks deletions deferred after it... *)
   let p = Version.Pins.pin reg in
   Version.Pins.advance reg;
-  Version.Pins.defer reg (fun () -> dropped := "b" :: !dropped);
-  check_int "deferred while pinned" 1 (Version.Pins.deferred_count reg);
+  defer "b";
+  check_int "deferred while pinned" 1 (waiting ());
   Alcotest.(check (list string)) "not yet" [ "a" ] !dropped;
   (* ...and the last unpin releases them. *)
   Version.Pins.unpin reg p;
-  check_int "released" 0 (Version.Pins.deferred_count reg);
+  check_int "released" 0 (waiting ());
   Alcotest.(check (list string)) "ran on unpin" [ "b"; "a" ] !dropped;
   (* A pin taken after the install does not block its deletions. *)
   Version.Pins.advance reg;
   Version.Pins.with_pin reg (fun () ->
-      Version.Pins.defer reg (fun () -> dropped := "c" :: !dropped);
-      check_int "current-version pin does not block" 0 (Version.Pins.deferred_count reg));
+      defer "c";
+      check_int "current-version pin does not block" 0 (waiting ()));
   Alcotest.(check (list string)) "ran inline" [ "c"; "b"; "a" ] !dropped
 
 (* Readers pin/unpin on several domains while one domain installs
@@ -240,6 +255,7 @@ let test_version_pins_concurrent () =
   let deleted = Array.init (versions + 1) (fun _ -> Atomic.make false) in
   let published = Atomic.make 0 in
   let stop = Atomic.make false in
+  let ran = Atomic.make 0 in
   let reader () =
     Domain.spawn (fun () ->
         let violations = ref 0 and pins = ref 0 in
@@ -262,7 +278,9 @@ let test_version_pins_concurrent () =
           Atomic.set published v;
           Version.Pins.advance reg;
           let old = v - 1 in
-          Version.Pins.defer reg (fun () -> Atomic.set deleted.(old) true);
+          Version.Pins.defer reg (fun () ->
+              Atomic.set deleted.(old) true;
+              Atomic.incr ran);
           if v mod 64 = 0 then Domain.cpu_relax ()
         done)
   in
@@ -272,8 +290,7 @@ let test_version_pins_concurrent () =
   check_int "no deletion ran under a pin that predates it" 0
     (List.fold_left (fun a (v, _) -> a + v) 0 results);
   check_bool "readers pinned" true (List.for_all (fun (_, p) -> p > 0) results);
-  check_int "nothing left deferred once every pin dropped" 0
-    (Version.Pins.deferred_count reg);
+  check_int "nothing left deferred once every pin dropped" 0 (versions - Atomic.get ran);
   check_bool "every superseded version deleted" true
     (Array.for_all Atomic.get (Array.sub deleted 0 versions))
 
@@ -309,11 +326,18 @@ let run_workload db ~seed ~ops =
   done;
   Db.flush db
 
+(* The kind names the golden digests below were recorded with. *)
+let kind_name : Entry.kind -> string = function
+  | Put -> "put"
+  | Delete -> "delete"
+  | Single_delete -> "single-delete"
+  | Range_delete -> "range-delete"
+  | Merge -> "merge"
+
 let dump_strings db =
   List.map
     (fun (level, (e : Entry.t)) ->
-      Printf.sprintf "L%d %s #%d %s %s" level e.key e.seqno
-        (Entry.kind_to_string e.kind)
+      Printf.sprintf "L%d %s #%d %s %s" level e.key e.seqno (kind_name e.kind)
         (String.escaped e.value))
     (Db.dump_entries db)
 

@@ -18,18 +18,33 @@ let check_str = Alcotest.(check string)
 
 (* ---------- RESP framing ---------- *)
 
+(* A connection buffer holding the bytes [s], as the server's socket
+   reads would leave it. *)
+let buf_of s =
+  let b = Resp.buf_create () in
+  let off = ref 0 in
+  while !off < String.length s do
+    ignore
+      (Resp.fill b (fun dst pos n ->
+           let k = min n (String.length s - !off) in
+           Bytes.blit_string s !off dst pos k;
+           off := !off + k;
+           k))
+  done;
+  b
+
 let test_resp_command_roundtrip () =
   let cmd = [ "MSET"; "k1"; "v\r\nwith crlf"; "k2"; String.make 300 'x' ] in
   let s = Resp.encode_command cmd in
-  let b = Bytes.of_string s in
-  (match Resp.parse_command b ~pos:0 ~len:(Bytes.length b) with
-  | Some (got, consumed) ->
+  let b = buf_of s in
+  (match Resp.next_command b with
+  | Some got ->
     Alcotest.(check (list string)) "args" cmd got;
-    check_int "consumed all" (Bytes.length b) consumed
+    check_int "consumed all" 0 (Resp.pending b)
   | None -> Alcotest.fail "complete frame did not parse");
   (* Every strict prefix is Incomplete, never Malformed. *)
-  for cut = 0 to Bytes.length b - 1 do
-    match Resp.parse_command b ~pos:0 ~len:cut with
+  for cut = 0 to String.length s - 1 do
+    match Resp.next_command (buf_of (String.sub s 0 cut)) with
     | None -> ()
     | Some _ -> Alcotest.fail (Printf.sprintf "prefix of %d bytes parsed" cut)
   done
@@ -89,7 +104,7 @@ let gen_reply =
                  ( 2,
                    map
                      (fun i -> Resp.Int i)
-                     (int_range (-Resp.max_bulk_len) Resp.max_bulk_len) );
+                     (int_range (-(64 * 1024 * 1024)) (64 * 1024 * 1024)) );
                  (3, map (fun s -> Resp.Bulk s) gen_bulk);
                  (1, return Resp.Nil);
                ]
@@ -144,18 +159,17 @@ let prop_reply_buffer =
 
 let test_resp_pipelined () =
   let s = Resp.encode_command [ "PING" ] ^ Resp.encode_command [ "GET"; "k" ] in
-  let b = Bytes.of_string s in
-  match Resp.parse_command b ~pos:0 ~len:(Bytes.length b) with
-  | Some ([ "PING" ], p1) -> (
-    match Resp.parse_command b ~pos:p1 ~len:(Bytes.length b) with
-    | Some ([ "GET"; "k" ], p2) -> check_int "both consumed" (Bytes.length b) p2
+  let b = buf_of s in
+  match Resp.next_command b with
+  | Some [ "PING" ] -> (
+    match Resp.next_command b with
+    | Some [ "GET"; "k" ] -> check_int "both consumed" 0 (Resp.pending b)
     | _ -> Alcotest.fail "second frame")
   | _ -> Alcotest.fail "first frame"
 
 let test_resp_malformed () =
   let raises s =
-    let b = Bytes.of_string s in
-    match Resp.parse_command b ~pos:0 ~len:(Bytes.length b) with
+    match Resp.next_command (buf_of s) with
     | exception Resp.Malformed _ -> true
     | _ -> false
   in
@@ -281,9 +295,15 @@ let small_shard_config =
     wal_enabled = false;
   }
 
+(* The socket path each server [open_server] made listens on. *)
+let listening = ref []
+let server_path server = List.assq server !listening
+
 let open_server ?quota ?backlog ?(config = small_shard_config) ~name ~shards ~fanout () =
   let map = Shard_map.open_shards ~config ~fanout_workers:fanout ~count:shards ~mode:`Memory () in
-  let server = Server.create ?quota ?backlog ~shards:map ~sock_path:(sock_path name) () in
+  let path = sock_path name in
+  let server = Server.create ?quota ?backlog ~shards:map ~sock_path:path () in
+  listening := (server, path) :: !listening;
   (map, server)
 
 (* ---------- wire-level behavior ---------- *)
@@ -294,7 +314,7 @@ let test_server_basic_commands () =
       Server.close server;
       Shard_map.close_all map)
   @@ fun () ->
-  let c = raw_connect (Server.sock_path server) in
+  let c = raw_connect (server_path server) in
   Fun.protect ~finally:(fun () -> raw_close c) @@ fun () ->
   check_bool "ping" true (rpc server c [ "PING" ] = Resp.Simple "PONG");
   (* Data commands demand a tenant binding. *)
@@ -323,8 +343,8 @@ let test_server_tenant_isolation () =
       Server.close server;
       Shard_map.close_all map)
   @@ fun () ->
-  let a = raw_connect (Server.sock_path server) in
-  let b = raw_connect (Server.sock_path server) in
+  let a = raw_connect (server_path server) in
+  let b = raw_connect (server_path server) in
   Fun.protect ~finally:(fun () ->
       raw_close a;
       raw_close b)
@@ -343,7 +363,7 @@ let test_server_quota_denial () =
       Server.close server;
       Shard_map.close_all map)
   @@ fun () ->
-  let c = raw_connect (Server.sock_path server) in
+  let c = raw_connect (server_path server) in
   Fun.protect ~finally:(fun () -> raw_close c) @@ fun () ->
   ignore (rpc server c [ "TENANT"; "capped" ]);
   check_bool "set quota" true (rpc server c [ "QUOTA"; "capped"; "3"; "-" ] = Resp.Simple "OK");
@@ -358,7 +378,7 @@ let test_server_quota_denial () =
   check_int "admitted to the limit" 3 !ok;
   check_int "denied past the limit" 3 !denied;
   (* Another tenant on the same server is unaffected. *)
-  let c2 = raw_connect (Server.sock_path server) in
+  let c2 = raw_connect (server_path server) in
   Fun.protect ~finally:(fun () -> raw_close c2) @@ fun () ->
   ignore (rpc server c2 [ "TENANT"; "free" ]);
   check_bool "other tenant unaffected" true
@@ -399,7 +419,7 @@ let with_server ~name f =
       Server.close server;
       Shard_map.close_all map)
   @@ fun () ->
-  let c = raw_connect (Server.sock_path server) in
+  let c = raw_connect (server_path server) in
   Fun.protect ~finally:(fun () -> raw_close c) @@ fun () -> f map server c
 
 (* Send a malformed frame and step until the server has parsed it. *)
@@ -431,7 +451,7 @@ let test_server_peer_hangs_up () =
   for _ = 1 to 3 do
     pump server ()
   done;
-  let c2 = raw_connect (Server.sock_path server) in
+  let c2 = raw_connect (server_path server) in
   Fun.protect ~finally:(fun () -> raw_close c2) @@ fun () ->
   check_bool "server still answers" true (rpc server c2 [ "PING" ] = Resp.Simple "PONG");
   check_int "only the new connection is open" 1 (Server.stats server).Server.active
@@ -508,7 +528,7 @@ let run_e2e ~name ?config ~shards ~fanout ?backlog (harness : Server_harness.con
   Fun.protect ~finally:(fun () -> Shard_map.close_all map) @@ fun () ->
   let report =
     Server_harness.run
-      { harness with sock_path = Server.sock_path server; pump = pump server }
+      { harness with sock_path = server_path server; pump = pump server }
   in
   (* In-flight ops finish after the global target is reached, so the
      count can overshoot by up to one op per connection. *)
@@ -519,7 +539,7 @@ let run_e2e ~name ?config ~shards ~fanout ?backlog (harness : Server_harness.con
   check_bool "writes acked" true (report.Server_harness.writes_acked > 0);
   check_bool "reconnect verification ran" true (report.Server_harness.verified_keys > 0);
   (* Graceful shutdown: +OK, then the listener drains and exits. *)
-  let c = raw_connect (Server.sock_path server) in
+  let c = raw_connect (server_path server) in
   check_bool "shutdown acked" true (rpc server c [ "SHUTDOWN" ] = Resp.Simple "OK");
   raw_close c;
   let deadline = Unix.gettimeofday () +. 10.0 in
@@ -528,7 +548,7 @@ let run_e2e ~name ?config ~shards ~fanout ?backlog (harness : Server_harness.con
     if Unix.gettimeofday () > deadline then Alcotest.fail "drain timeout";
     running := Server.step server ~timeout:0.01
   done;
-  check_bool "socket file removed" false (Sys.file_exists (Server.sock_path server))
+  check_bool "socket file removed" false (Sys.file_exists (server_path server))
 
 let small_harness ~connections ~ops =
   {

@@ -11,12 +11,23 @@ module Io_stats = Lsm_storage.Io_stats
 module Block_cache = Lsm_storage.Block_cache
 open Lsm_sstable
 
+(* A table point lookup as the read path does it: the filter probe,
+   then the read only on a possible hit. *)
+let table_get r ~cls ?(max_seqno = max_int) key =
+  if Sstable.may_contain_key r key then Sstable.get_unfiltered r ~cls ~max_seqno key else None
+
 let cmp = Comparator.bytewise
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
 let e ?(kind = Entry.Put) ?(value = "") key seqno = { Entry.key; seqno; kind; value }
+
+(* Append an entry to a block through the builder's view path. *)
+let add_entry b entry =
+  let v = Iter.new_view () in
+  Iter.fill_view v entry;
+  Block.Builder.add_view b v
 
 (* [Block.parse] of a block at the front of [s], records from [base]. *)
 let parse_checked ?(base = 0) s = Block.parse s ~start:0 ~base ~stop:(String.length s)
@@ -54,7 +65,7 @@ let finish b =
 
 let build_block entries =
   let b = Block.Builder.create () in
-  List.iter (Block.Builder.add b) entries;
+  List.iter (add_entry b) entries;
   unframed (finish b)
 
 let test_block_roundtrip () =
@@ -64,7 +75,7 @@ let test_block_roundtrip () =
   let got = Iter.to_list it in
   check "all entries back" true (got = entries);
   let b = Block.Builder.create () in
-  List.iter (Block.Builder.add b) entries;
+  List.iter (add_entry b) entries;
   let built = finish b in
   check "raw frame tag reserved" true (built.[0] = '\x00');
   check "parses in place at base 1" true
@@ -73,7 +84,14 @@ let test_block_roundtrip () =
 let test_block_prefix_compression_shrinks () =
   let entries = entries_for_block 200 in
   let block = build_block entries in
-  let raw = List.fold_left (fun a x -> a + Entry.encoded_size x) 0 entries in
+  let raw =
+    List.fold_left
+      (fun a (x : Entry.t) ->
+        a
+        + Entry.encoded_size_of ~seqno:x.seqno ~key_len:(String.length x.key)
+            ~value_len:(String.length x.value))
+      0 entries
+  in
   check
     (Printf.sprintf "compressed %d < raw %d" (String.length block) raw)
     true
@@ -171,7 +189,7 @@ let adversarial_entries raw =
 
 let build_block_ri ri entries =
   let b = Block.Builder.create ~restart_interval:ri () in
-  List.iter (Block.Builder.add b) entries;
+  List.iter (add_entry b) entries;
   unframed (finish b)
 
 let lz_roundtrip s =
@@ -210,18 +228,18 @@ let prop_cursor_matches_reference =
                     every accessor against the materialized record *)
                  &&
                  let cur = Block.Cursor.make cmp p in
+                 let view = Iter.new_view () in
                  Block.Cursor.seek_to_first cur;
                  List.for_all
                    (fun (want : Entry.t) ->
                      let ok =
                        Block.Cursor.valid cur
-                       && Block.Cursor.key cur = want.Entry.key
                        && Block.Cursor.key_compare cur want.Entry.key = 0
                        && Block.Cursor.seqno cur = want.Entry.seqno
                        && Block.Cursor.kind cur = want.Entry.kind
-                       && Block.Cursor.value cur = want.Entry.value
-                       && Lsm_record.Slice.to_string (Block.Cursor.value_slice cur)
-                          = want.Entry.value
+                       && (Block.Cursor.fill_view cur view;
+                           view.Iter.key = want.Entry.key
+                           && Iter.view_value view = want.Entry.value)
                        && Block.Cursor.entry cur = want
                      in
                      Block.Cursor.next cur;
@@ -344,6 +362,8 @@ let prop_seek_matches_scan =
 
 (* Orders with no prefix/order link must keep the full-compare scan: a
    prefix shortcut would land on the wrong record under either. *)
+let reverse = { Comparator.name = "reverse-bytewise"; compare = (fun a b -> String.compare b a) }
+
 let length_first =
   {
     Comparator.name = "length-first";
@@ -361,7 +381,7 @@ let prop_seek_other_orders =
         (fun order ->
           let entries = seek_entries order raw in
           check_seek_matches_scan order entries (seek_targets entries extra))
-        [ Comparator.reverse_bytewise; length_first ])
+        [ reverse; length_first ])
 
 (* A sealed block around hand-written record bytes: one good record
    ("abc") at the only restart, the [bad] record, then padding records
@@ -436,7 +456,7 @@ let test_sstable_roundtrip () =
   check_str "max key" "user002999" props.Sstable.Props.max_key;
   check_int "created_at" 7 props.Sstable.Props.created_at;
   let r = Sstable.open_reader ~cmp ~dev ~cache "t.sst" in
-  check "multiple blocks" true (Sstable.index_block_count r > 5);
+  check "multiple blocks" true (Array.length (Sstable.index_entries r) > 5);
   let got = Iter.to_list (Sstable.iterator r ~cls:Io_stats.C_user_read ()) in
   check "iterator returns everything in order" true (got = entries)
 
@@ -444,23 +464,23 @@ let test_sstable_get () =
   let dev, cache = fresh_env () in
   ignore (build_table dev (many_entries 2000));
   let r = Sstable.open_reader ~cmp ~dev ~cache "t.sst" in
-  (match Sstable.get r ~cls:Io_stats.C_user_read "user001234" with
+  (match table_get r ~cls:Io_stats.C_user_read "user001234" with
   | Some got -> check_int "seqno" 1235 got.Entry.seqno
   | None -> Alcotest.fail "expected hit");
   check "absent key (in range)" true
-    (Sstable.get r ~cls:Io_stats.C_user_read "user001234x" = None);
+    (table_get r ~cls:Io_stats.C_user_read "user001234x" = None);
   check "absent key (out of range)" true
-    (Sstable.get r ~cls:Io_stats.C_user_read "zzz" = None)
+    (table_get r ~cls:Io_stats.C_user_read "zzz" = None)
 
 let test_sstable_get_max_seqno () =
   let dev, cache = fresh_env () in
   let entries = List.sort (Entry.compare cmp) [ e "k" 10 ~value:"new"; e "k" 3 ~value:"old" ] in
   ignore (build_table dev entries);
   let r = Sstable.open_reader ~cmp ~dev ~cache "t.sst" in
-  (match Sstable.get r ~cls:Io_stats.C_user_read ~max_seqno:5 "k" with
+  (match table_get r ~cls:Io_stats.C_user_read ~max_seqno:5 "k" with
   | Some got -> check_str "snapshot sees old" "old" got.Entry.value
   | None -> Alcotest.fail "expected old version");
-  check "before creation" true (Sstable.get r ~cls:Io_stats.C_user_read ~max_seqno:2 "k" = None)
+  check "before creation" true (table_get r ~cls:Io_stats.C_user_read ~max_seqno:2 "k" = None)
 
 let test_sstable_filter_skips_io () =
   let dev, cache = fresh_env () in
@@ -492,7 +512,11 @@ let test_sstable_range_tombstones_in_props () =
   let dev, cache = fresh_env () in
   let entries =
     List.sort (Entry.compare cmp)
-      [ e "a" 1 ~value:"x"; Entry.range_delete ~start_key:"b" ~end_key:"m" ~seqno:2; e "z" 3 ]
+      [
+        e "a" 1 ~value:"x";
+        { Entry.key = "b"; seqno = 2; kind = Entry.Range_delete; value = "m" };
+        e "z" 3;
+      ]
   in
   ignore (build_table dev entries);
   let r = Sstable.open_reader ~cmp ~dev ~cache "t.sst" in
@@ -512,7 +536,12 @@ let test_sstable_tombstone_counts () =
   let dev, cache = fresh_env () in
   let entries =
     List.sort (Entry.compare cmp)
-      [ e "a" 1; Entry.delete ~key:"b" ~seqno:2; Entry.single_delete ~key:"c" ~seqno:3; e "d" 4 ]
+      [
+        e "a" 1;
+        Entry.delete ~key:"b" ~seqno:2;
+        { Entry.key = "c"; seqno = 3; kind = Entry.Single_delete; value = "" };
+        e "d" 4;
+      ]
   in
   ignore (build_table dev entries);
   let r = Sstable.open_reader ~cmp ~dev ~cache "t.sst" in
@@ -522,9 +551,9 @@ let test_sstable_uses_block_cache () =
   let dev, cache = fresh_env () in
   ignore (build_table dev (many_entries 2000));
   let r = Sstable.open_reader ~cmp ~dev ~cache "t.sst" in
-  ignore (Sstable.get r ~cls:Io_stats.C_user_read "user000500");
+  ignore (table_get r ~cls:Io_stats.C_user_read "user000500");
   let reads_before = Io_stats.pages_read ~cls:Io_stats.C_user_read (Device.stats dev) in
-  ignore (Sstable.get r ~cls:Io_stats.C_user_read "user000500");
+  ignore (table_get r ~cls:Io_stats.C_user_read "user000500");
   let reads_after = Io_stats.pages_read ~cls:Io_stats.C_user_read (Device.stats dev) in
   check_int "second get served from cache" reads_before reads_after;
   check "cache hit recorded" true (Block_cache.hits cache > 0)
@@ -543,7 +572,7 @@ let test_sstable_prefetch () =
   let r = Sstable.open_reader ~cmp ~dev ~cache "t.sst" in
   let n = Sstable.prefetch_into_cache r ~cls:Io_stats.C_compaction_read in
   check_int "all blocks cached" n (Block_cache.block_count cache);
-  check_int "matches index" (Sstable.index_block_count r) n
+  check_int "matches index" (Array.length (Sstable.index_entries r)) n
 
 let test_sstable_corrupt_footer () =
   let dev, cache = fresh_env () in
@@ -563,7 +592,7 @@ let test_sstable_corrupt_footer () =
      with Lsm_util.Lsm_error.Error (Lsm_util.Lsm_error.Corruption _) -> true)
 
 let test_monkey_override_changes_filter_size () =
-  let dev, cache = fresh_env () in
+  let dev, _ = fresh_env () in
   let entries = many_entries 1000 in
   let config =
     { Sstable.default_build_config with filter_bits_override = Some 20.0 }
@@ -573,9 +602,13 @@ let test_monkey_override_changes_filter_size () =
   let config2 = { Sstable.default_build_config with filter_bits_override = Some 2.0 } in
   ignore (Sstable.build ~config:config2 ~cmp ~dev ~cls:Io_stats.C_flush ~name:"small.sst"
             ~created_at:0 (Iter.of_sorted_list cmp entries));
-  let big = Sstable.open_reader ~cmp ~dev ~cache "big.sst" in
-  let small = Sstable.open_reader ~cmp ~dev ~cache "small.sst" in
-  check "override respected" true (Sstable.filter_bits big > 4 * Sstable.filter_bits small)
+  (* The three tables differ only in their filter, so each one's filter
+     bytes are its size less the size of a table without one. *)
+  let config0 = { Sstable.default_build_config with filter_bits_override = Some 0.0 } in
+  ignore (Sstable.build ~config:config0 ~cmp ~dev ~cls:Io_stats.C_flush ~name:"none.sst"
+            ~created_at:0 (Iter.of_sorted_list cmp entries));
+  let filter_bytes name = Device.size dev name - Device.size dev "none.sst" in
+  check "override respected" true (filter_bytes "big.sst" > 4 * filter_bytes "small.sst")
 
 (* Model-based: random entries, roundtrip through a table, compare gets. *)
 let prop_sstable_get_matches_model =
@@ -604,7 +637,7 @@ let prop_sstable_get_matches_model =
                    | _ -> Some x)
                  None
           in
-          Sstable.get r ~cls:Io_stats.C_user_read key = expected)
+          table_get r ~cls:Io_stats.C_user_read key = expected)
         (List.init 100 (fun k -> Printf.sprintf "k%03d" k)))
 
 (* ---------- Table_meta & Table_cache ---------- *)
@@ -689,15 +722,15 @@ let test_corrupt_cached_block_single_eviction () =
     Codec.put_u32 b crc;
     parse_checked (Buffer.contents b)
   in
-  Block_cache.insert cache ~file:(Sstable.name r) ~off:index.(0).Sstable.off
+  Block_cache.insert cache ~file:"t.sst" ~off:index.(0).Sstable.off
     ~bytes:(Block.parsed_cost poison) poison;
-  (match Sstable.get r ~cls:Io_stats.C_user_read "user000000" with
+  (match table_get r ~cls:Io_stats.C_user_read "user000000" with
   | Some got -> check_int "read healed from device" 1 got.Entry.seqno
   | None -> Alcotest.fail "expected healed hit");
   check "neighbour block still cached" true
-    (Block_cache.find cache ~file:(Sstable.name r) ~off:index.(1).Sstable.off <> None);
+    (Block_cache.find cache ~file:"t.sst" ~off:index.(1).Sstable.off <> None);
   check "poisoned slot repopulated" true
-    (Block_cache.find cache ~file:(Sstable.name r) ~off:index.(0).Sstable.off <> None)
+    (Block_cache.find cache ~file:"t.sst" ~off:index.(0).Sstable.off <> None)
 
 let qt t =
   let name, _speed, fn = QCheck_alcotest.to_alcotest t in
@@ -831,7 +864,7 @@ let test_uncached_read_major_bytes () =
        (Iter.of_sorted_array cmp entries));
   let cache = Block_cache.create ~capacity:0 () in
   let r = Sstable.open_reader ~cmp ~dev ~cache "r.sst" in
-  let blocks = Sstable.index_block_count r in
+  let blocks = Array.length (Sstable.index_entries r) in
   let walk () =
     let it = Sstable.iterator r ~cls:Io_stats.C_compaction_read ~use_cache:false () in
     it.Iter.seek_to_first ();
@@ -843,7 +876,7 @@ let test_uncached_read_major_bytes () =
   let scan = direct_major_bytes walk in
   let gets () =
     for i = 0 to Array.length entries - 1 do
-      if i mod 33 = 0 then ignore (Sstable.get r ~cls:Io_stats.C_user_read entries.(i).Entry.key)
+      if i mod 33 = 0 then ignore (table_get r ~cls:Io_stats.C_user_read entries.(i).Entry.key)
     done
   in
   let got = direct_major_bytes gets in

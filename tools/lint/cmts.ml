@@ -79,6 +79,8 @@ let rec flatten_path (p : Path.t) =
    stripped, wrapper components dropped. *)
 let canon_components comps =
   comps
+  (* dune's alias module of an executable's own modules *)
+  |> List.filter (fun c -> c <> "Dune__exe")
   |> List.map strip_prefix
   |> List.filter (fun c -> c <> "" && not (is_wrapper c))
 
@@ -114,17 +116,18 @@ let rec result_type ty =
 
 (* ---------------- cmt discovery and loading ---------------- *)
 
-(* Recursive *.cmt sweep; descends into dot-directories (dune's .objs
-   live there) but skips executable object dirs (.eobjs) — analyses
-   target libraries. *)
-let rec collect_cmt path =
+(* Recursive sweep for [suffix] files; descends into dot-directories
+   (dune's .objs live there) but skips executable object dirs (.eobjs)
+   unless [exes]: R9 and R10 target libraries, R14 counts executables
+   among the callers. *)
+let rec collect_cmt ?(exes = false) ?(suffix = ".cmt") path =
   match Sys.is_directory path with
   | true ->
-    if Filename.check_suffix path ".eobjs" then []
+    if Filename.check_suffix path ".eobjs" && not exes then []
     else
       Sys.readdir path |> Array.to_list |> List.sort String.compare
-      |> List.concat_map (fun entry -> collect_cmt (Filename.concat path entry))
-  | false -> if Filename.check_suffix path ".cmt" then [ path ] else []
+      |> List.concat_map (fun entry -> collect_cmt ~exes ~suffix (Filename.concat path entry))
+  | false -> if Filename.check_suffix path suffix then [ path ] else []
   | exception Sys_error _ -> []
 
 let load_file path =
@@ -139,8 +142,8 @@ let load_file path =
 (* Load every implementation cmt under [roots]. Two passes over the
    names so wrapper inference sees the whole set before any path is
    canonicalized. *)
-let load roots =
-  let files = List.concat_map collect_cmt roots in
+let load ?exes roots =
+  let files = List.concat_map (collect_cmt ?exes) roots in
   let infos = List.filter_map load_file files in
   List.map (fun i -> { i with modname = canon_modname i.modname }) infos
   |> List.filter (fun i -> i.modname <> "")

@@ -1,20 +1,20 @@
 (* lsm-lint driver: ties the two frontends together.
 
-   The Parsetree frontend (Parse_rules, R1–R8) parses sources directly,
-   so it runs on anything — including fixtures that do not compile. The
-   Typedtree frontend (Typed_rules, R9–R10) loads dune's .cmt output,
-   so it sees resolved paths and inferred types across modules — the
-   price is that its subjects must build first.
+   The Parsetree frontend (Parse_rules, R1–R8, R12, R13) parses sources
+   directly, so it runs on anything — including fixtures that do not
+   compile. The Typedtree frontend (Typed_rules, R9, R10, R14) loads
+   dune's .cmt output, so it sees resolved paths and inferred types
+   across modules — the price is that its subjects must build first.
 
    Suppression comments are applied here, across both frontends, so
    that a suppression seen by either counts as used and stale ones can
-   be reported (R0): per ISSUE and DESIGN.md §9 the tree carries zero
-   suppressions, and the unused check keeps dead allows from
-   accumulating the day one is ever added. *)
+   be reported (R0): an allow that no longer absorbs a finding is
+   itself a finding, so dead allows cannot accumulate. The .mli files
+   R14 judged are scanned too, since its allows live there. *)
 
 type format = Text | Json
 
-let all_rules = Parse_rules.all_rules @ [ "R9"; "R10" ]
+let all_rules = Parse_rules.all_rules @ Typed_rules.rules
 
 (* Filter [findings] through per-file suppression comments; report
    malformed suppressions and — for files whose suppressed rules were
@@ -70,8 +70,14 @@ let lint_paths ?(rules = Parse_rules.all_rules) paths =
   apply_suppressions ~active:rules ~files raw
 
 (* Typed-frontend entry point (tests use this directly). *)
-let typed_analysis ?(rules = [ "R9"; "R10" ]) roots =
-  Typed_rules.analyze ~active:rules (Typed_rules.load roots)
+let typed_analysis ?(rules = [ "R9"; "R10" ]) roots = Typed_rules.analyze ~active:rules roots
+
+(* The typed frontend's findings as the CLI reports them: suppressions
+   applied, and every interface R14 judged scanned for stale allows. *)
+let typed_lint ~rules roots =
+  let t = typed_analysis ~rules roots in
+  apply_suppressions ~active:rules ~files:t.Typed_rules.dead_exports.Dead_exports.interfaces
+    (Typed_rules.findings t)
 
 type opts = {
   rules : string list;
@@ -97,16 +103,22 @@ let run ?(opts = default_opts) paths =
   let typed =
     if opts.typed_roots = [] then None
     else
-      let active = List.filter (fun r -> List.mem r [ "R9"; "R10" ]) opts.rules in
+      let active = List.filter (fun r -> List.mem r Typed_rules.rules) opts.rules in
       Some (typed_analysis ~rules:active opts.typed_roots)
   in
-  let typed_raw = match typed with Some t -> Typed_rules.findings t | None -> [] in
+  let typed_raw, interfaces =
+    match typed with
+    | Some t -> (Typed_rules.findings t, t.Typed_rules.dead_exports.Dead_exports.interfaces)
+    | None -> ([], [])
+  in
   let active_eff =
     List.filter
-      (fun r -> parse_active r || (typed <> None && (r = "R9" || r = "R10")))
+      (fun r -> parse_active r || (typed <> None && List.mem r Typed_rules.rules))
       opts.rules
   in
-  let findings = apply_suppressions ~active:active_eff ~files (parse_raw @ typed_raw) in
+  let findings =
+    apply_suppressions ~active:active_eff ~files:(files @ interfaces) (parse_raw @ typed_raw)
+  in
   let graph_report =
     Option.map
       (fun file ->

@@ -1,8 +1,8 @@
 (* lsm-lint CLI. Default: check lib/ (relative to the cwd, i.e. the
    project root under `dune exec tools/lint/main.exe`) with the
    Parsetree rules. `--typed DIR` additionally loads .cmt files from
-   DIR (normally _build/default/lib after a `dune build`) and runs the
-   whole-program Typedtree passes. *)
+   DIR (normally _build/default/lib after `dune build @check`) and runs
+   the whole-program Typedtree passes. *)
 
 let usage =
   "lsm-lint [--rules R1,R2,...] [--format text|json] [--typed DIR]\n\
@@ -27,7 +27,10 @@ let usage =
   \  R13 external bound to a C symbol outside crc32c.ml (the one stub module)\n\n\
    Typedtree rules (need --typed DIR with built .cmt files):\n\
   \  R9  static lockdep: whole-program acquired-before relation vs the Rank table\n\
-  \  R10 iterator/read-view escape past its pin combinator\n\n\
+  \  R10 iterator/read-view escape past its pin combinator\n\
+  \  R14 dead export: a value a lib/ interface exports that nothing in lib/,\n\
+  \      bin/, bench/, perfbench/, tools/ or examples/ uses outside its own\n\
+  \      module (test/ does not count; needs `dune build @check`)\n\n\
    R11 (cycles in the merged runtime lockdep graph) is produced by\n\
    --lockdep-graph FILE; see Ordered_mutex.Graph / LSM_LOCKDEP_GRAPH.\n"
 
